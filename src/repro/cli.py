@@ -73,8 +73,9 @@ exits; ``--repl`` reads ``q <i> [k]`` / ``remove <id...>`` / ``stats`` /
 
 ``serve-http`` runs the same facade as a network daemon: an asyncio
 HTTP/JSON front end (``POST /query /add /remove /swap``, ``GET /stats
-/health``) whose concurrent connections coalesce in the shared
-micro-batcher (``--batch`` rows / ``--max-delay-ms`` window), with
+/health``) whose concurrent connections share the group-commit
+micro-batcher (rows that queue during one encode forward ride the next,
+at most ``--batch`` per forward; an idle server never waits), with
 bounded admission (``--max-inflight``, shed as HTTP 429), per-endpoint
 latency percentiles in ``/stats``, zero-drop model hot swap via
 ``POST /swap`` (needs ``--cache-dir``; target is a published
@@ -422,8 +423,8 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         service = HashingService(
             encoder, store=store, n_shards=args.shards,
             shard_backend=args.shard_backend, cache_size=args.cache_size,
-            max_batch=args.batch, max_delay_s=args.max_delay_ms / 1e3,
-            workers=args.workers, pool_backend=args.pool_backend,
+            max_batch=args.batch, workers=args.workers,
+            pool_backend=args.pool_backend,
         )
         service.load_database(
             data.database_images, key=db_key,
@@ -446,7 +447,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     print(f"serving on http://{args.host}:{handle.port}  "
           f"(concurrency={args.concurrency} "
           f"max_inflight={args.max_inflight} "
-          f"batch={args.batch}@{args.max_delay_ms:g}ms)")
+          f"group-commit batch<={args.batch})")
     print("endpoints: POST /query /add /remove /swap   GET /stats /health")
 
     stop = threading.Event()
@@ -813,11 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_http.add_argument("--cache-size", type=int, default=0,
                         help="per-shard query-result LRU capacity")
     p_http.add_argument("--batch", type=int, default=256,
-                        help="micro-batcher flush size")
-    p_http.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="micro-batcher coalescing window: concurrent "
-                             "requests arriving within it share one encode "
-                             "flush (0 = flush immediately)")
+                        help="most rows one encode forward carries")
     p_http.add_argument("--host", default="127.0.0.1")
     p_http.add_argument("--port", type=int, default=8035,
                         help="bind port (0 = pick a free one)")

@@ -6,8 +6,9 @@ This package turns the reproduction's pieces into a deployable service:
   retrieval backend (it lives in :mod:`repro.retrieval` so the backend
   registry never imports upward; re-exported here): rows hash-partitioned
   across N child backends, merged top-k bit-identical to a single index.
-- :class:`~repro.serving.batcher.EncodeBatcher` — size/deadline
-  micro-batching of single-query encodes into one network forward.
+- :class:`~repro.serving.batcher.EncodeBatcher` — group-commit batching
+  of single-query encodes: rows that queue while one network forward
+  runs share the next, with no timer.
 - :class:`~repro.serving.service.HashingService` — the facade: load a
   model snapshot by fingerprint from the
   :class:`~repro.pipeline.ArtifactStore` (or a persistence archive), build

@@ -1,46 +1,41 @@
-"""Micro-batching queue for single-query encode requests.
+"""Group-commit batching of single-query encode requests.
 
 Online serving receives queries one at a time, but the hashing network is
-dramatically cheaper per row when it runs one forward over many rows (PR 2's
-vectorized engine).  :class:`EncodeBatcher` bridges the two: ``submit()``
-enqueues one vector and returns an :class:`EncodeTicket`; the queue flushes
-into a single network forward when it reaches ``max_batch`` rows (size
-trigger) or when the oldest pending request has waited ``max_delay_s``
-seconds (deadline trigger, checked on every submit/poll).  Resolving a
-ticket whose batch has not flushed yet forces the flush, so callers can
-never deadlock on their own result.
+dramatically cheaper per row when it runs one forward over many rows.
+:class:`EncodeBatcher` bridges the two with group commit (DeWitt et al.,
+"Implementation Techniques for Main Memory Database Systems", SIGMOD
+1984): ``submit()`` enqueues a row and returns an :class:`EncodeTicket`.
+``EncodeTicket.result()`` on a pending ticket *leads* when no forward is
+in flight: it takes up to ``max_batch`` pending rows, oldest first, and
+runs their forward on its own thread.  Otherwise it waits until the
+running forward ends and checks again.  Rows that arrive during a forward
+ride the next one, so batches grow with load while an idle batcher never
+waits: there is no timer and no background thread, and at most one
+forward is in flight at a time.
 
 The batcher follows the encoder's dtype policy: pending rows are stacked
 directly in the network's training dtype (``float32`` engines never pay a
 float64 round trip on the hot path).
 
-Failure isolation (PR 7): a batch forward that raises must not take every
+Failure isolation: a batch forward that raises must not take every
 co-batched caller down with it, and above all must never leave a ticket
-permanently unresolved.  When the batched forward fails, the flush re-runs
-each pending row as its own one-row forward: rows that succeed resolve
+permanently unresolved.  When the batched forward fails, the leader
+re-runs each row as its own one-row forward: rows that succeed resolve
 normally, rows that keep failing resolve to a **typed error** (a
 :class:`~repro.errors.ReproError`; foreign exceptions are wrapped in
 :class:`~repro.errors.TransientError`) which :meth:`EncodeTicket.result`
 raises to exactly that caller.  The forward consults the batcher's
 :class:`~repro.utils.faults.FaultInjector` at the ``encode.forward`` point.
 
-Concurrency (PR 10): the batcher is **thread-safe** — the async HTTP front
-end drives it from concurrent request handlers, which is the load pattern
-the size/deadline triggers were designed for.  The queue/ticket path is
-lock-guarded: ``submit``/``poll``/``flush`` detach the pending batch
-atomically, then run the network forward *outside* the lock so the next
-batch accumulates while the current one encodes.  Tickets resolve through
-a :class:`threading.Event`; ``result(wait=True)`` parks the caller until a
-size trigger fires or the batch deadline expires (whichever thread wakes
-first claims the deadline flush), so co-arriving callers genuinely
-coalesce instead of each forcing a size-1 flush.  The default
-``result()`` keeps the synchronous contract: force the flush, never wait.
+Admission: :meth:`EncodeBatcher.submit_many` checks a ``max_pending``
+bound and enqueues a request's rows under one lock, so concurrent callers
+can never overshoot the bound; the rows it refuses are counted under the
+same lock.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from collections.abc import Callable
 
@@ -48,6 +43,7 @@ import numpy as np
 
 from repro.errors import (
     ConfigurationError,
+    OverloadedError,
     ReproError,
     ShapeError,
     TransientError,
@@ -56,31 +52,30 @@ from repro.utils.faults import NULL_INJECTOR, FaultInjector
 
 
 class EncodeTicket:
-    """Handle to one submitted query; resolves when its batch flushes.
+    """Handle to one submitted query; resolves when its forward finishes.
 
     A ticket resolves to either a code row or a typed error — never to
-    nothing: ``result()`` forces the owning batcher to flush (or, with
-    ``wait=True``, parks until a size/deadline trigger fires), so a caller
-    can never hang on its own request.
+    nothing: ``result()`` runs or waits for the forward that carries its
+    row, so a caller can never hang on its own request.
     """
 
-    __slots__ = ("_batcher", "_code", "_error", "_event")
+    __slots__ = ("_batcher", "_code", "_error", "_done")
 
     def __init__(self, batcher: "EncodeBatcher") -> None:
         self._batcher = batcher
         self._code: np.ndarray | None = None
         self._error: BaseException | None = None
-        self._event = threading.Event()
+        self._done = False
 
     @property
     def ready(self) -> bool:
-        """Whether the batch holding this request has already flushed."""
-        return self._event.is_set()
+        """Whether the forward carrying this request has finished."""
+        return self._done
 
     @property
     def failed(self) -> bool:
         """Whether this request resolved to an error."""
-        return self._event.is_set() and self._error is not None
+        return self._done and self._error is not None
 
     def _resolve(
         self,
@@ -89,34 +84,19 @@ class EncodeTicket:
     ) -> None:
         self._code = code
         self._error = error
-        self._event.set()
+        self._done = True
 
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the ticket resolves; True when it did in time."""
-        return self._event.wait(timeout)
+    def result(self) -> np.ndarray:
+        """The ±1 code row, encoding it first if it is still pending.
 
-    def result(self, wait: bool = False) -> np.ndarray:
-        """The ±1 code row, flushing the owning batcher if still pending.
-
-        ``wait=False`` (the default, and the synchronous contract every
-        pre-HTTP caller relies on) forces an immediate flush.
-        ``wait=True`` is the concurrent-caller mode: park until the batch
-        flushes on its size trigger or its deadline expires — the
-        coalescing window the micro-batcher exists for.
-
-        Raises the typed error this request resolved to, if its encode
-        failed — only this caller sees it; co-batched requests that
+        Leads a forward over the oldest pending rows when none is in
+        flight; otherwise waits for the running forward to end and checks
+        again.  Raises the typed error this request resolved to, if its
+        encode failed — only this caller sees it; co-batched requests that
         encoded fine resolve normally.
         """
-        if not self._event.is_set():
-            if wait:
-                self._batcher._await(self)
-            else:
-                self._batcher.flush()
-                # Our row may be riding a batch another thread detached
-                # whose forward is still running; it resolves every
-                # ticket, so this wait is bounded by that forward.
-                self._event.wait()
+        if not self._done:
+            self._batcher._lead(lambda: self._done)
         if self._error is not None:
             raise self._error
         assert self._code is not None
@@ -133,49 +113,33 @@ class EncodeBatcher:
         :class:`~repro.core.hashing_network.HashingNetwork`, a fitted
         UHSCM, any baseline) or a bare callable with that signature.
     max_batch:
-        Size trigger: flush as soon as this many requests are pending.
-    max_delay_s:
-        Deadline trigger: flush when the oldest pending request has waited
-        this long (checked on every ``submit``/``poll``, and awaited by
-        ``result(wait=True)`` callers).
-    clock:
-        Monotonic time source, injectable for deterministic tests.
+        The most rows one forward carries.
     faults:
         :class:`~repro.utils.faults.FaultInjector` consulted at the
         ``encode.forward`` point before every network forward.
     """
 
-    #: Fallback wait quantum for tickets parked behind an in-flight
-    #: forward (or a stalled injected clock): re-check this often.
-    WAIT_QUANTUM_S = 0.05
-
     def __init__(
         self,
         encoder,
         max_batch: int = 256,
-        max_delay_s: float = 0.002,
-        clock: Callable[[], float] = time.monotonic,
         faults: FaultInjector = NULL_INJECTOR,
     ) -> None:
         if max_batch <= 0:
             raise ConfigurationError(f"max_batch must be positive: {max_batch}")
-        if max_delay_s < 0:
-            raise ConfigurationError(
-                f"max_delay_s must be >= 0: {max_delay_s}"
-            )
         self._encode = encoder.encode if hasattr(encoder, "encode") else encoder
         #: Stack pending rows straight into the engine's training dtype.
         self._dtype = np.dtype(getattr(encoder, "dtype", np.float64))
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
-        self._clock = clock
         self.faults = faults
-        self._lock = threading.Lock()
+        #: Guards the queue, the in-flight flag and the counters; the end
+        #: of every forward notifies it so waiting tickets check again.
+        self._cond = threading.Condition()
         self._pending: list[tuple[np.ndarray, EncodeTicket]] = []
-        self._oldest: float | None = None
+        self._busy = False  # a forward is in flight
         self.requests = 0
+        self.shed = 0
         self.flushes = 0
-        self.deadline_flushes = 0
         self.flush_failures = 0
         self.isolation_flushes = 0
         self.poisoned = 0
@@ -184,83 +148,86 @@ class EncodeBatcher:
     # -- queue ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
+        with self._cond:
             return len(self._pending)
 
     def submit(self, vector: np.ndarray) -> EncodeTicket:
-        """Enqueue one query vector; may trigger a size or deadline flush."""
+        """Enqueue one query vector; its ticket's ``result()`` encodes it."""
         vector = np.asarray(vector, dtype=self._dtype)
         if vector.ndim == 0:
             raise ShapeError("submit takes one query item, got a scalar")
-        self.poll()  # deadline may have passed since the last activity
-        with self._lock:
-            if self._pending and vector.shape != self._pending[0][0].shape:
+        return self.submit_many(vector[None])[0]
+
+    def submit_many(
+        self, items: np.ndarray, max_pending: int | None = None
+    ) -> list[EncodeTicket]:
+        """Enqueue every item of ``items`` (first axis = items) at once.
+
+        With ``max_pending``, a request that would push the pending queue
+        past that many rows is refused whole with
+        :class:`~repro.errors.OverloadedError`: nothing is enqueued and its
+        rows are counted as shed.
+        """
+        items = np.asarray(items, dtype=self._dtype)
+        if items.ndim < 2:
+            raise ShapeError(
+                f"submit_many takes a batch of query items, got shape "
+                f"{items.shape}"
+            )
+        n = items.shape[0]
+        with self._cond:
+            if self._pending and items.shape[1:] != self._pending[0][0].shape:
                 # Reject shape mismatches at submit time: one bad request
                 # must not poison the whole batch for every other pending
                 # caller.
                 raise ShapeError(
-                    f"query item shape {vector.shape} does not match the "
+                    f"query item shape {items.shape[1:]} does not match the "
                     f"pending batch's {self._pending[0][0].shape}"
                 )
-            ticket = EncodeTicket(self)
-            if not self._pending:
-                self._oldest = self._clock()
-            self._pending.append((vector, ticket))
-            self.requests += 1
-            size_due = len(self._pending) >= self.max_batch
-        if size_due:
-            self.flush()
-        return ticket
+            if max_pending is not None and len(self._pending) + n > max_pending:
+                self.shed += n
+                raise OverloadedError(
+                    f"query of {n} row(s) would exceed the pending bound "
+                    f"({len(self._pending)} pending, "
+                    f"max_pending={max_pending})"
+                )
+            tickets = [EncodeTicket(self) for _ in range(n)]
+            self._pending.extend(zip(items, tickets))
+            self.requests += n
+        return tickets
 
-    def _deadline_due_locked(self) -> bool:
-        return (bool(self._pending) and self._oldest is not None
-                and self._clock() - self._oldest >= self.max_delay_s)
+    def flush(self) -> None:
+        """Encode every pending request, ``max_batch`` rows per forward.
 
-    def _detach_locked(self) -> list[tuple[np.ndarray, EncodeTicket]]:
-        pending, self._pending = self._pending, []
-        self._oldest = None
-        return pending
-
-    def poll(self) -> bool:
-        """Flush if the oldest pending request has exceeded the deadline.
-
-        The deadline claim and the batch detach are one atomic step, so
-        concurrent pollers (parked ``result(wait=True)`` callers waking
-        together) count exactly one deadline flush per expired batch.
+        Resolves tickets nobody is waiting on (e.g. when a service
+        closes).  Like any leader it first waits for an in-flight forward.
         """
-        with self._lock:
-            if not self._deadline_due_locked():
-                return False
-            self.deadline_flushes += 1
-            pending = self._detach_locked()
-        self._run_flush(pending)
-        return True
+        self._lead(lambda: not self._pending)
 
-    def _await(self, ticket: EncodeTicket) -> None:
-        """Park a ``result(wait=True)`` caller until its ticket resolves.
+    def _lead(self, done: Callable[[], bool]) -> None:
+        """Run forwards on this thread until ``done()`` holds.
 
-        While the ticket still sits in the pending queue the caller
-        sleeps exactly until the batch deadline, then claims the deadline
-        flush itself (via :meth:`poll`) — no background flusher thread
-        exists or is needed.  A ticket already detached into an in-flight
-        forward re-checks on a short quantum until that forward resolves
-        it (every flush resolves every ticket, success or typed error).
+        ``done`` is evaluated under the lock.  While another thread's
+        forward is in flight, wait for it to end; otherwise detach up to
+        ``max_batch`` of the oldest pending rows and forward them.  Every
+        forward resolves every ticket it carries before the in-flight flag
+        drops, so a woken waiter sees its own ticket resolved.
         """
-        while not ticket._event.is_set():
-            with self._lock:
-                if self._oldest is None:
-                    remaining = None  # detached: an in-flight forward owns it
-                else:
-                    remaining = self.max_delay_s - (self._clock() - self._oldest)
-            if remaining is None:
-                ticket._event.wait(self.WAIT_QUANTUM_S)
-            elif remaining <= 0:
-                self.poll()
-            else:
-                # A size-trigger flush resolves the event early; otherwise
-                # wake at the deadline (quantum-capped so an injected
-                # clock that never advances cannot park us forever).
-                ticket._event.wait(min(remaining, self.WAIT_QUANTUM_S))
+        while True:
+            with self._cond:
+                while self._busy and not done():
+                    self._cond.wait()
+                if done():
+                    return
+                batch = self._pending[: self.max_batch]
+                del self._pending[: self.max_batch]
+                self._busy = True
+            try:
+                self._run_flush(batch)
+            finally:
+                with self._cond:
+                    self._busy = False
+                    self._cond.notify_all()
 
     def _forward(self, matrix: np.ndarray) -> np.ndarray:
         """One guarded network forward (the ``encode.forward`` fault point)."""
@@ -276,26 +243,14 @@ class EncodeBatcher:
         typed.__cause__ = exc
         return typed
 
-    def flush(self) -> int:
-        """Encode every pending request in one forward; returns batch size.
-
-        A failing batched forward falls back to one-row forwards so a
-        poisoned request fails alone: healthy co-batched rows resolve
-        normally, each failing row's ticket resolves to a typed error that
-        ``result()`` raises to its caller.  Every pending ticket resolves
-        one way or the other — a flush can never strand a request.
-        """
-        with self._lock:
-            if not self._pending:
-                return 0
-            pending = self._detach_locked()
-        return self._run_flush(pending)
-
-    def _run_flush(self, pending: list[tuple[np.ndarray, EncodeTicket]]) -> int:
+    def _run_flush(self, pending: list[tuple[np.ndarray, EncodeTicket]]) -> None:
         """Forward one detached batch and resolve its tickets.
 
-        Runs outside the queue lock: concurrent submitters keep
-        accumulating the next batch while this one encodes.
+        Runs outside the queue lock, so concurrent submitters keep queueing
+        the next batch while this one encodes.  A failing batched forward
+        falls back to one-row forwards so a poisoned request fails alone:
+        healthy co-batched rows resolve normally, each failing row's ticket
+        resolves to a typed error that ``result()`` raises to its caller.
         """
         batch = np.stack([vector for vector, _ in pending])
         failed = False
@@ -324,7 +279,7 @@ class EncodeBatcher:
         else:
             for row, (_, ticket) in enumerate(pending):
                 ticket._resolve(code=codes[row])
-        with self._lock:
+        with self._cond:
             if failed:
                 self.flush_failures += 1
                 self.poisoned += poisoned
@@ -332,23 +287,21 @@ class EncodeBatcher:
                     self.isolation_flushes += 1
             self.flushes += 1
             self.flush_sizes[len(pending)] += 1
-        return len(pending)
 
     # -- reporting --------------------------------------------------------------
 
     def stats(self) -> dict:
         """Counters for ``HashingService.stats()`` / the serve CLI."""
-        with self._lock:
+        with self._cond:
             return {
                 "requests": self.requests,
+                "shed": self.shed,
                 "flushes": self.flushes,
-                "deadline_flushes": self.deadline_flushes,
                 "flush_failures": self.flush_failures,
                 "isolation_flushes": self.isolation_flushes,
                 "poisoned": self.poisoned,
                 "pending": len(self._pending),
                 "max_batch": self.max_batch,
-                "max_delay_s": self.max_delay_s,
                 "flush_sizes": {
                     int(size): int(count)
                     for size, count in sorted(self.flush_sizes.items())

@@ -25,7 +25,7 @@ asyncio socket server (:mod:`repro.serving.http.server`) and a
 
 Handlers run on the socket server's worker threads; everything here is
 thread-safe (one lock around the swap/admission state, thread-safe
-histograms, and the PR 10 concurrency-safe batcher underneath).
+histograms, and the group-commit batcher underneath).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ class ServingApp:
         with self._admitted() as state:
             ids, distances = state.service.query(
                 request.vectors, top_k=request.top_k,
-                deadline_s=request.deadline_s, flush="auto",
+                deadline_s=request.deadline_s,
             )
             degraded = state.service.last_query_degraded
         return schemas.query_response(ids, distances, degraded)

@@ -6,10 +6,9 @@ search) is dispatched to a dedicated thread pool via
 ``run_in_executor`` so that
 
 - N concurrent connections put N concurrent callers *inside*
-  :meth:`~repro.serving.service.HashingService.query` at once — which is
-  exactly what lets the :class:`~repro.serving.batcher.EncodeBatcher`
-  coalesce their rows into shared encode flushes (the whole point of
-  this PR), and
+  :meth:`~repro.serving.service.HashingService.query` at once, so rows
+  that queue while one encode forward runs share the next one in the
+  group-commit :class:`~repro.serving.batcher.EncodeBatcher`, and
 - a slow or poisoned request can never stall the accept loop.
 
 The protocol support is deliberately minimal — HTTP/1.1 with

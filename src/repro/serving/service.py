@@ -26,6 +26,7 @@ index's stable internal insertion-order ids.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Callable
 from pathlib import Path
@@ -35,7 +36,6 @@ import numpy as np
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
-    OverloadedError,
     ShapeError,
     ShutdownError,
 )
@@ -143,8 +143,11 @@ class HashingService:
         Registered index backend name plus its constructor options.  The
         default is a ``"sharded"`` index; ``n_shards`` / ``shard_backend``
         / ``cache_size`` are conveniences folded into the options.
-    max_batch / max_delay_s / clock:
-        :class:`EncodeBatcher` triggers.
+    max_batch:
+        The most rows one :class:`EncodeBatcher` forward carries.
+    clock:
+        Monotonic time source for the latency histograms, query deadlines
+        and the sharded index's circuit breakers; injectable for tests.
     model_key:
         Provenance fingerprint of the encoder used to address index
         snapshots; derived from the trained parameters when omitted.
@@ -187,7 +190,6 @@ class HashingService:
         cache_size: int = 0,
         backend_options: dict | None = None,
         max_batch: int = 256,
-        max_delay_s: float = 0.002,
         clock: Callable[[], float] = time.monotonic,
         model_key: str | None = None,
         n_bits: int | None = None,
@@ -233,11 +235,10 @@ class HashingService:
         if cache_size:
             options.setdefault("cache_size", cache_size)
         self.index = make_backend(backend, self.n_bits, **options)
-        self.batcher = EncodeBatcher(
-            encoder, max_batch=max_batch, max_delay_s=max_delay_s,
-            clock=clock, faults=faults,
-        )
-        self._shed = 0
+        self.batcher = EncodeBatcher(encoder, max_batch=max_batch,
+                                     faults=faults)
+        #: Guards ``_deadline_exceeded``, bumped from handler threads.
+        self._lock = threading.Lock()
         self._deadline_exceeded = 0
         self._closed = False
         #: Per-stage latency distributions over every query (seconds).
@@ -442,24 +443,15 @@ class HashingService:
         vectors: np.ndarray,
         top_k: int = 10,
         deadline_s: float | None = None,
-        flush: str = "force",
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Encode queries through the micro-batcher and search the index.
+        """Encode queries through the batcher and search the index.
 
         ``vectors`` is one query item (1-D) or a batch (first axis = items);
         every row rides the batcher, so a burst of requests coalesces into
-        ``ceil(n / max_batch)`` network forwards and one fan-out search.
-        Returns ``(external_ids, distances)``, both ``(n, top_k)``.
-
-        ``flush`` is the coalescing policy.  ``"force"`` (the default —
-        the CLI/REPL behavior since PR 4) flushes the batcher right after
-        submitting, so a sequential caller never waits on the batch
-        deadline.  ``"auto"`` leaves the flush to the batcher's own
-        size/deadline triggers and parks on the tickets instead — the mode
-        for genuinely concurrent callers (the HTTP front end), whose
-        co-arriving rows then coalesce into shared network forwards.
-        Results are bit-identical across policies; only the flush timing
-        differs.
+        ``ceil(n / max_batch)`` network forwards and one fan-out search,
+        and rows of concurrent queries share forwards by group commit
+        (see :mod:`repro.serving.batcher`).  Returns
+        ``(external_ids, distances)``, both ``(n, top_k)``.
 
         Fault surface: when the service is overloaded (``max_pending``)
         the whole request is shed up front with
@@ -473,31 +465,17 @@ class HashingService:
         A service that has been :meth:`close`\\ d refuses new queries with
         :class:`~repro.errors.ShutdownError`.
         """
-        if flush not in ("force", "auto"):
-            raise ConfigurationError(
-                f'flush policy must be "force" or "auto": {flush!r}'
-            )
         self._check_open()
         vectors = np.asarray(vectors)  # the batcher casts per dtype policy
         if vectors.ndim == 1:
             vectors = vectors[None, :]
         if vectors.shape[0] == 0:
             raise ShapeError("query needs at least one vector")
-        if (self.max_pending is not None
-                and len(self.batcher) + vectors.shape[0] > self.max_pending):
-            self._shed += vectors.shape[0]
-            raise OverloadedError(
-                f"query of {vectors.shape[0]} row(s) would exceed the "
-                f"pending bound ({len(self.batcher)} pending, "
-                f"max_pending={self.max_pending})"
-            )
         deadline = deadline_s if deadline_s is not None else self.default_deadline_s
         start = self._clock()
-        tickets = [self.batcher.submit(row) for row in vectors]
-        if flush == "force":
-            self.batcher.flush()  # resolve the tail below max_batch
-        codes = np.stack([ticket.result(wait=flush == "auto")
-                          for ticket in tickets])
+        tickets = self.batcher.submit_many(vectors,
+                                           max_pending=self.max_pending)
+        codes = np.stack([ticket.result() for ticket in tickets])
         t_encoded = self._clock()
         self._latency["encode"].record(t_encoded - start)
         self._check_deadline(start, deadline, stage="encode")
@@ -523,7 +501,8 @@ class HashingService:
             return
         elapsed = self._clock() - start
         if elapsed > deadline:
-            self._deadline_exceeded += 1
+            with self._lock:
+                self._deadline_exceeded += 1
             raise DeadlineExceededError(
                 f"query blew its {deadline:.6g}s budget after the {stage} "
                 f"stage ({elapsed:.6g}s elapsed)"
@@ -595,7 +574,7 @@ class HashingService:
                 for key in ("pending", "flush_failures",
                             "isolation_flushes", "poisoned")
             },
-            "shed": self._shed,
+            "shed": batcher["shed"],
             "deadline_exceeded": self._deadline_exceeded,
             "store": None,
         }
@@ -612,6 +591,7 @@ class HashingService:
     def stats(self) -> dict:
         """Serving counters: shard sizes, batcher histogram, cache rates,
         and per-stage (encode/search/total) query latency percentiles."""
+        batcher = self.batcher.stats()
         out: dict = {
             "backend": self.backend_name,
             "n_bits": self.n_bits,
@@ -621,8 +601,8 @@ class HashingService:
             ),
             "workers": int(getattr(self.index, "workers", 1)),
             "pool_backend": self.pool_backend,
-            "batcher": self.batcher.stats(),
-            "shed": self._shed,
+            "batcher": batcher,
+            "shed": batcher["shed"],
             "deadline_exceeded": self._deadline_exceeded,
             "closed": self._closed,
             "latency": {

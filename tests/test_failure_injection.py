@@ -194,8 +194,7 @@ class TestServingFaults:
                     raise ShapeError("poisoned input row")
                 return np.ones((matrix.shape[0], 16))
 
-        batcher = EncodeBatcher(ShapeShifter(), max_batch=64,
-                                max_delay_s=100.0)
+        batcher = EncodeBatcher(ShapeShifter(), max_batch=64)
         rows = np.zeros((6, 8))
         rows[2, 0] = rows[4, 0] = 10.0  # two poison rows among six tickets
         tickets = [batcher.submit(row) for row in rows]

@@ -7,8 +7,10 @@ thread-safety stress test for the shared :class:`EncodeBatcher` the
 concurrent handlers feed.
 """
 
+import itertools
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.hashing_network import HashingNetwork
+from repro.nn import BatchNorm1d, Dropout, Linear, ReLU, Sequential, Tanh
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -43,7 +46,6 @@ def identity_network(bits=BITS, dim=DIM, rng=0):
 def make_service(**kwargs):
     kwargs.setdefault("backend", "bruteforce")
     kwargs.setdefault("max_batch", 64)
-    kwargs.setdefault("max_delay_s", 0.005)
     service = HashingService(identity_network(), **kwargs)
     service.add(np.random.default_rng(7).standard_normal((40, DIM)))
     return service
@@ -224,8 +226,7 @@ class TestServingApp:
             return net.encode(matrix)
 
         service = HashingService(slow_encode, n_bits=BITS,
-                                 backend="bruteforce", max_batch=64,
-                                 max_delay_s=0.0)
+                                 backend="bruteforce", max_batch=64)
         release.set()  # let the database load through
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -331,7 +332,7 @@ class TestServingApp:
             return net.encode(matrix)
 
         old = HashingService(gate_encode, n_bits=BITS, backend="bruteforce",
-                             max_batch=64, max_delay_s=0.0)
+                             max_batch=64)
         release.set()
         db = np.random.default_rng(7).standard_normal((10, DIM))
         old.add(db)
@@ -444,43 +445,6 @@ class TestHttpServer:
         finally:
             handle.stop()
 
-    def test_concurrent_clients_coalesce_in_batcher(self):
-        service = make_service(max_batch=8, max_delay_s=0.05)
-        before = service.batcher.stats()["requests"]
-        app = ServingApp(service)
-        handle = run_server_in_thread(app, concurrency=8)
-        try:
-            rng = np.random.default_rng(4)
-            rows = rng.standard_normal((8, DIM))
-            statuses = []
-            lock = threading.Lock()
-
-            def client(row):
-                status, _ = post(handle.port, "/query",
-                                 {"vector": row.tolist(), "top_k": 3})
-                with lock:
-                    statuses.append(status)
-
-            threads = [threading.Thread(target=client, args=(row,))
-                       for row in rows]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
-            assert statuses == [200] * 8
-            stats = service.batcher.stats()
-            sizes = {int(k): v for k, v in stats["flush_sizes"].items()}
-            handled = stats["requests"] - before
-            assert handled == 8
-            # Independent connections genuinely shared encode flushes:
-            # fewer flushes than requests means some batch held >1 row.
-            new_flushes = sum(
-                count for size, count in sizes.items()
-            )
-            assert max(sizes) > 1 or new_flushes < stats["requests"]
-        finally:
-            handle.stop()
-
     def test_graceful_shutdown_completes_inflight(self):
         release = threading.Event()
         entered = threading.Event()
@@ -493,7 +457,7 @@ class TestHttpServer:
 
         service = HashingService(gate_encode, n_bits=BITS,
                                  backend="sharded", n_shards=2, workers=2,
-                                 max_batch=64, max_delay_s=0.0)
+                                 max_batch=64)
         release.set()
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -564,12 +528,62 @@ def _read_response(conn: socket.socket):
     return status, body
 
 
+def gated_encoder(net):
+    """``net.encode`` held open until ``release`` is set; ``entered`` is
+    set as each forward starts."""
+    entered, release = threading.Event(), threading.Event()
+
+    def encode(matrix):
+        entered.set()
+        assert release.wait(10)
+        return net.encode(matrix)
+
+    return encode, entered, release
+
+
+def wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def run_threads(threads, timeout_s=60.0):
+    """Start and join ``threads`` with a short switch interval, so the
+    interpreter interleaves them as often as it can."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout_s)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)  # no hangs
+
+
 class TestBatcherThreadSafety:
-    """Satellite: the shared batcher under genuinely concurrent load."""
+    """The shared group-commit batcher under genuinely concurrent load."""
 
     def test_stress_no_lost_duplicated_or_hung_tickets(self):
         net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=16, max_delay_s=0.002)
+        guard = threading.Lock()
+        inflight = [0, 0]  # forwards running now, most ever at once
+
+        def encode(matrix):
+            with guard:
+                inflight[0] += 1
+                inflight[1] = max(inflight)
+            try:
+                return net.encode(matrix)
+            finally:
+                with guard:
+                    inflight[0] -= 1
+
+        batcher = EncodeBatcher(encode, max_batch=16)
         n_threads, per_thread = 8, 40
         rng = np.random.default_rng(11)
         rows = rng.standard_normal((n_threads, per_thread, DIM))
@@ -580,19 +594,14 @@ class TestBatcherThreadSafety:
         def client(t):
             try:
                 for i in range(per_thread):
-                    ticket = batcher.submit(rows[t, i])
-                    results[t, i] = ticket.result(wait=True)
+                    results[t, i] = batcher.submit(rows[t, i]).result()
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=client, args=(t,))
-                   for t in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
+        run_threads([threading.Thread(target=client, args=(t,))
+                     for t in range(n_threads)])
         assert not errors
-        assert not any(thread.is_alive() for thread in threads)  # no hangs
+        assert inflight[1] == 1  # group commit: forwards never overlap
         # Every ticket resolved to exactly its own row's code: nothing
         # lost, duplicated, or cross-wired between concurrent callers.
         np.testing.assert_array_equal(
@@ -605,19 +614,174 @@ class TestBatcherThreadSafety:
         # Conservation: the flush-size histogram accounts for every row.
         assert sum(size * count
                    for size, count in stats["flush_sizes"].items()) == total
-        # Concurrency actually coalesced: some flush carried >1 row.
-        assert max(stats["flush_sizes"]) > 1
+
+    def test_rows_queued_during_a_forward_ride_the_next(self):
+        net = identity_network()
+        encode, entered, release = gated_encoder(net)
+        batcher = EncodeBatcher(encode, max_batch=64)
+        k = 5
+        rows = np.random.default_rng(13).standard_normal((k + 1, DIM))
+        results = [None] * (k + 1)
+
+        def client(i):
+            results[i] = batcher.submit(rows[i]).result()
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(k + 1)]
+        threads[0].start()
+        assert entered.wait(10)  # the first forward is held open
+        for thread in threads[1:]:
+            thread.start()
+        assert wait_until(lambda: len(batcher) == k)
+        release.set()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        # The k rows that queued behind the held forward shared the next.
+        assert batcher.stats()["flush_sizes"] == {1: 1, k: 1}
+        for i in range(k + 1):
+            np.testing.assert_array_equal(
+                results[i], net.encode(rows[i:i + 1])[0]
+            )
+
+    def test_close_during_inflight_forward_resolves_every_ticket(self):
+        net = identity_network()
+        encode, entered, release = gated_encoder(net)
+        service = HashingService(encode, n_bits=BITS, backend="bruteforce")
+        release.set()
+        service.add(np.random.default_rng(7).standard_normal((10, DIM)))
+        release.clear()
+        entered.clear()
+        rows = np.random.default_rng(14).standard_normal((4, DIM))
+        answers = []
+        querier = threading.Thread(
+            target=lambda: answers.append(service.query(rows[0], top_k=3))
+        )
+        querier.start()
+        assert entered.wait(10)  # mid-forward
+        # Queued tickets nobody waits on: only close() can resolve them.
+        orphans = [service.batcher.submit(row) for row in rows[1:]]
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        assert wait_until(lambda: service.closed)
+        release.set()
+        for thread in (querier, closer):
+            thread.join(10)
+        assert not querier.is_alive() and not closer.is_alive()
+        assert answers and answers[0][0].shape == (1, 3)
+        assert all(ticket.ready for ticket in orphans)
+        np.testing.assert_array_equal(
+            np.stack([ticket.result() for ticket in orphans]),
+            net.encode(rows[1:]),
+        )
+        assert service.batcher.stats()["pending"] == 0
+
+    def test_concurrent_queries_match_serial_with_batchnorm_and_dropout(self):
+        network = identity_network()
+        network.net = Sequential(
+            Linear(DIM, 32, init_scheme="kaiming", rng=1), BatchNorm1d(32),
+            ReLU(), Dropout(0.5, rng=2), Linear(32, BITS, rng=3), Tanh(),
+        )
+        rng = np.random.default_rng(15)
+        # Training-mode forwards move the running statistics far from what
+        # a small query batch measures, so a query forward that ran in
+        # training mode would change its codes.
+        for _ in range(3):
+            network.net(rng.normal(1.0, 3.0, size=(64, DIM)))
+        service = HashingService(network, backend="bruteforce")
+        service.load_database(rng.standard_normal((200, DIM)))
+        n_threads, per_thread = 8, 25
+        queries = rng.standard_normal((n_threads, per_thread, DIM))
+        serial = [[service.query(row, top_k=5) for row in rows]
+                  for rows in queries]
+        before = network.net.state_dict()
+        answers = [[None] * per_thread for _ in range(n_threads)]
+
+        def client(t):
+            for i in range(per_thread):
+                answers[t][i] = service.query(queries[t, i], top_k=5)
+
+        run_threads([threading.Thread(target=client, args=(t,))
+                     for t in range(n_threads)])
+        for t in range(n_threads):
+            for i in range(per_thread):
+                assert answers[t][i] is not None, f"query {t}/{i} failed"
+                np.testing.assert_array_equal(answers[t][i][0],
+                                              serial[t][i][0])
+                np.testing.assert_array_equal(answers[t][i][1],
+                                              serial[t][i][1])
+        after = network.net.state_dict()
+        assert before.keys() == after.keys()
+        assert all(before[key].tobytes() == after[key].tobytes()
+                   for key in before)
+
+    def test_admission_is_atomic_and_counters_exact(self):
+        net = identity_network()
+        encode, entered, release = gated_encoder(net)
+        bound, n_threads, rows_each = 6, 12, 2
+        service = HashingService(
+            encode, n_bits=BITS, backend="bruteforce", max_pending=bound,
+            clock=itertools.count().__next__, default_deadline_s=0.5,
+        )
+        release.set()
+        service.add(np.random.default_rng(7).standard_normal((10, DIM)))
+        release.clear()
+        entered.clear()
+        rng = np.random.default_rng(16)
+        outcomes = []
+
+        def client(rows):
+            try:
+                service.query(rows, top_k=3)
+            except (OverloadedError, DeadlineExceededError) as exc:
+                outcomes.append(type(exc))
+
+        leader = threading.Thread(target=client,
+                                  args=(rng.standard_normal((1, DIM)),))
+        leader.start()
+        assert entered.wait(10)  # nothing drains while this forward runs
+        threads = [
+            threading.Thread(target=client,
+                             args=(rng.standard_normal((rows_each, DIM)),))
+            for _ in range(n_threads)
+        ]
+
+        def accounted():
+            stats = service.batcher.stats()
+            return stats["requests"] - 1 + stats["shed"]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            assert wait_until(lambda: accounted() == n_threads * rows_each)
+            # The queue filled to the bound and never past it.
+            assert len(service.batcher) == bound
+        finally:
+            sys.setswitchinterval(switch)
+            release.set()
+        for thread in [leader, *threads]:
+            thread.join(10)
+        assert not any(t.is_alive() for t in [leader, *threads])
+        admitted = bound // rows_each
+        assert outcomes.count(OverloadedError) == n_threads - admitted
+        # Every encoded query blew its budget (the clock ticks per read).
+        assert outcomes.count(DeadlineExceededError) == admitted + 1
+        stats = service.stats()
+        assert stats["shed"] == (n_threads - admitted) * rows_each
+        assert stats["deadline_exceeded"] == admitted + 1
+        assert service.health()["shed"] == stats["shed"]
 
     def test_stress_through_service_auto_flush(self):
-        service = make_service(max_batch=8, max_delay_s=0.002)
-        baseline = service.batcher.stats()["requests"]
+        service = make_service(max_batch=8)
         rng = np.random.default_rng(12)
         rows = rng.standard_normal((6, DIM))
         direct = [service.query(rows[i], top_k=3) for i in range(6)]
         outcomes = [None] * 6
 
         def client(i):
-            outcomes[i] = service.query(rows[i], top_k=3, flush="auto")
+            outcomes[i] = service.query(rows[i], top_k=3)
 
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(6)]

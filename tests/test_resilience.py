@@ -542,8 +542,7 @@ class TestBatcherFaults:
     def test_no_ticket_left_unresolved_on_flush_failure(self):
         # Regression for the silent-hang bug class: a failing batched
         # forward must resolve EVERY pending ticket, one way or the other.
-        batcher = EncodeBatcher(PoisonEncoder(), max_batch=64,
-                                max_delay_s=100.0)
+        batcher = EncodeBatcher(PoisonEncoder(), max_batch=64)
         rows = np.ones((5, 8))
         rows[2, 0] = -1.0  # one poisoned row in the cohort
         tickets = [batcher.submit(row) for row in rows]
@@ -553,7 +552,7 @@ class TestBatcherFaults:
 
     def test_poison_isolated_to_its_own_ticket(self):
         encoder = PoisonEncoder()
-        batcher = EncodeBatcher(encoder, max_batch=64, max_delay_s=100.0)
+        batcher = EncodeBatcher(encoder, max_batch=64)
         rows = np.ones((4, 8))
         rows[1, 0] = -1.0
         tickets = [batcher.submit(row) for row in rows]
@@ -575,7 +574,7 @@ class TestBatcherFaults:
         def encode(matrix):
             raise ShardUnavailableError("typed already")
 
-        batcher = EncodeBatcher(encode, max_batch=4, max_delay_s=100.0)
+        batcher = EncodeBatcher(encode, max_batch=4)
         ticket = batcher.submit(np.ones(8))
         batcher.flush()
         with pytest.raises(ShardUnavailableError):
@@ -585,7 +584,7 @@ class TestBatcherFaults:
         faults = FaultInjector().arm()
         faults.rule("encode.forward", nth=1)
         batcher = EncodeBatcher(identity_network(8, 8), max_batch=4,
-                                max_delay_s=100.0, faults=faults)
+                                faults=faults)
         ticket = batcher.submit(np.ones(8))
         batcher.flush()
         with pytest.raises(TransientError):
@@ -597,7 +596,7 @@ class TestBatcherFaults:
         def encode(matrix):
             return np.ones((matrix.shape[0] + 1, 8))
 
-        batcher = EncodeBatcher(encode, max_batch=4, max_delay_s=100.0)
+        batcher = EncodeBatcher(encode, max_batch=4)
         ticket = batcher.submit(np.ones(8))
         with pytest.raises(ReproError):
             ticket.result()

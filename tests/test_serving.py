@@ -1,6 +1,8 @@
 """Tests for the online serving layer: sharded index, micro-batcher,
 service facade, and store-backed model/index snapshots."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -88,40 +90,22 @@ class TestShardedIndex:
 
 
 class TestEncodeBatcher:
-    def test_size_trigger(self):
-        net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=3, max_delay_s=100.0)
-        vectors = np.random.default_rng(0).normal(size=(5, 8))
-        tickets = [batcher.submit(v) for v in vectors]
-        assert [t.ready for t in tickets] == [True] * 3 + [False] * 2
-        assert batcher.flushes == 1
-        assert len(batcher) == 2
-
-    def test_deadline_trigger(self):
-        clock = [0.0]
-        net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=100, max_delay_s=1.0,
-                                clock=lambda: clock[0])
-        first = batcher.submit(np.zeros(8))
-        assert not batcher.poll()
-        clock[0] = 2.0
-        assert batcher.poll()  # deadline passed -> flush
-        assert first.ready
-        assert batcher.deadline_flushes == 1
-        # a submit after the deadline also drains the stale queue first
-        batcher.submit(np.zeros(8))
-        clock[0] = 5.0
-        late = batcher.submit(np.ones(8))
-        assert batcher.flushes == 2  # the stale row flushed before enqueue
-        assert not late.ready
-
     def test_result_forces_flush(self):
         net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=100, max_delay_s=100.0)
+        callers = []
+
+        def encode(matrix):
+            callers.append(threading.get_ident())
+            return net.encode(matrix)
+
+        batcher = EncodeBatcher(encode, max_batch=100)
         ticket = batcher.submit(np.full(8, 0.5))
         code = ticket.result()
         np.testing.assert_array_equal(code, net.encode(np.full((1, 8), 0.5))[0])
-        assert batcher.flushes == 1
+        # A lone result() on an idle batcher leads at once: one 1-row
+        # forward, run on the calling thread.
+        assert callers == [threading.get_ident()]
+        assert batcher.stats()["flush_sizes"] == {1: 1}
 
     def test_codes_match_bulk_encode(self):
         net = identity_network()
@@ -140,7 +124,7 @@ class TestEncodeBatcher:
 
     def test_stats_histogram(self):
         net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=2, max_delay_s=100.0)
+        batcher = EncodeBatcher(net, max_batch=2)
         for v in np.random.default_rng(3).normal(size=(5, 8)):
             batcher.submit(v)
         batcher.flush()
@@ -153,8 +137,6 @@ class TestEncodeBatcher:
         net = identity_network()
         with pytest.raises(ConfigurationError):
             EncodeBatcher(net, max_batch=0)
-        with pytest.raises(ConfigurationError):
-            EncodeBatcher(net, max_delay_s=-1.0)
         with pytest.raises(ShapeError):
             EncodeBatcher(net).submit(np.float64(3.0))
 
