@@ -23,7 +23,7 @@ backend:
    runners): the thread-parallel Q build and the concurrent shard
    fan-out must each clear ``REQUIRED_SPEEDUP`` (1.7x) over their
    serial oracles at 4 workers, and the process-backed Q build — which
-   moves the GIL-bound tile remainder (clip, argpartition, sort) into
+   moves the GIL-bound tile remainder (top-k selection, sort) into
    spawned workers — must clear ``REQUIRED_PROCESS_SPEEDUP`` (2.5x),
    breaking the ~2x thread ceiling.
 

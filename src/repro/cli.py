@@ -100,6 +100,7 @@ from pathlib import Path
 
 from repro.config import PAPER_BIT_LENGTHS, paper_config
 from repro.datasets import DATASET_NAMES, load_dataset
+from repro.utils.mathops import _BLOCK_ROWS
 from repro.vlp import SimCLIP
 
 
@@ -870,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="feature dimensionality")
     p_bsim.add_argument("--topk", type=int, default=128,
                         help="kept entries per Q row (plus the diagonal)")
-    p_bsim.add_argument("--block-rows", type=int, default=512,
+    p_bsim.add_argument("--block-rows", type=int, default=_BLOCK_ROWS,
                         help="row-block height of the tiled GEMM")
     p_bsim.add_argument("--seed", type=int, default=0)
     _add_workers(p_bsim)

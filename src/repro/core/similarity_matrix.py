@@ -14,9 +14,12 @@ interchangeable implementations behind that contract:
   materializes n².  At 1M rows a dense float64 Q is ~8 TB; the CSR form is
   ``n · (k + 1)`` values + indices, linear in n.
 
-With ``k >= n - 1`` the sparse form holds every entry and densifies
-bit-identically to the dense matrix, which is the correctness anchor gated
-by ``benchmarks/bench_similarity_scale.py``.
+With ``k >= n - 1`` the sparse form holds every entry and densifies to
+the dense matrix within 2 machine epsilons per entry: the kernel's row-block
+GEMMs can sum in a different order than the one whole-matrix GEMM (measured
+with OpenBLAS: at most 1 eps, and some shapes match bit for bit).  Builds
+are bit-identical to each other across worker counts, pool backends, and
+heap vs streaming buffers at equal tile height.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.utils.mathops import blocked_topk_cosine, streaming_topk_cosine
+from repro.utils.mathops import (
+    _BLOCK_ROWS,
+    _MAX_BLOCK_BYTES,
+    blocked_topk_cosine,
+    streaming_topk_cosine,
+)
 
 #: ``meta`` key identifying the payload layout of a stored Q.
 PAYLOAD_FORMAT_KEY = "q_format"
@@ -177,7 +185,7 @@ class SparseTopKSimilarity(SimilarityMatrix):
         cls,
         features: np.ndarray,
         k: int,
-        block_rows: int = 512,
+        block_rows: int = _BLOCK_ROWS,
         dtype: np.dtype | str | None = None,
         workers: int | None = None,
         pool_backend: str | None = None,
@@ -203,9 +211,9 @@ class SparseTopKSimilarity(SimilarityMatrix):
         features: np.ndarray,
         k: int,
         create_array,
-        block_rows: int = 512,
+        block_rows: int = _BLOCK_ROWS,
         dtype: np.dtype | str | None = None,
-        max_block_bytes: int = 256 * 1024 * 1024,
+        max_block_bytes: int = _MAX_BLOCK_BYTES,
         workers: int | None = None,
         pool_backend: str | None = None,
     ) -> "SparseTopKSimilarity":

@@ -15,6 +15,7 @@ strongest entries per row (plus the diagonal) in CSR form, so the full
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import threading
@@ -108,9 +109,12 @@ def cosine_similarity_matrix(
     return np.clip(sims, -1.0, 1.0)
 
 
-#: Default cap on the GEMM tile; shared by the heap and streaming builders
-#: so both resolve the same effective block height at any corpus size.
-_MAX_BLOCK_BYTES = 256 * 1024 * 1024
+#: Default tile height and tile byte cap of the blocked top-k kernel.  Every
+#: entry point (both builders, the ``from_features*`` wrappers, the CLI)
+#: defaults to these, so heap and streaming builds resolve the same
+#: effective block height at any corpus size.
+_BLOCK_ROWS = 512
+_MAX_BLOCK_BYTES = 32 * 1024 * 1024
 
 
 def _capped_block_rows(
@@ -118,19 +122,20 @@ def _capped_block_rows(
 ) -> int:
     """Shrink ``block_rows`` so one tile stays under ``max_block_bytes``.
 
-    A tile row costs one GEMM buffer row plus one argpartition output row.
-    Floors at 16 rows: degenerate block heights of a few rows can route
-    BLAS through a different (gemv-style) kernel whose summation order
-    differs by ~1 ulp.
+    A tile row costs one GEMM buffer row, ``n · itemsize`` bytes.  The
+    selection's per-row scratch (:func:`_topk_columns`) is
+    O(n / g + keep · g) for group size ``g = ⌊√(n / (4 · keep))⌋`` — far
+    below one GEMM row, so it is not counted.  Floors at 16 rows:
+    degenerate block heights of a few rows can route BLAS through a
+    different (gemv-style) kernel whose summation order differs by ~1 ulp.
     """
-    row_bytes = n * (itemsize + np.dtype(np.intp).itemsize)
-    return min(block_rows, max(16, max_block_bytes // row_bytes))
+    return min(block_rows, max(16, max_block_bytes // (n * itemsize)))
 
 
 def blocked_topk_cosine(
     features: np.ndarray,
     k: int,
-    block_rows: int = 512,
+    block_rows: int = _BLOCK_ROWS,
     dtype: np.dtype | str | None = None,
     max_block_bytes: int = _MAX_BLOCK_BYTES,
     workers: "int | WorkerPool | None" = None,
@@ -154,8 +159,8 @@ def blocked_topk_cosine(
 
     ``pool_backend`` selects the pool's execution mode (``None`` resolves
     ``$REPRO_POOL`` → ``thread``).  The ``process`` backend sidesteps the
-    GIL contention of the non-BLAS tile portions (clip, argpartition,
-    sort, CSR writes): the normalized features are published **once** per
+    GIL contention of the non-BLAS tile portions (selection, sort, CSR
+    writes): the normalized features are published **once** per
     build into shared memory, spawned workers attach zero-copy and ship
     back only their O(block · keep) selections, and the tile geometry is
     unchanged — so process results are bit-identical to thread and serial
@@ -164,16 +169,21 @@ def blocked_topk_cosine(
 
     Returns ``(data, indices, indptr)`` in canonical CSR form: column
     indices sorted ascending within each row, every row holding exactly
-    ``min(k, n - 1) + 1`` entries.  Values are bit-identical to the
-    corresponding entries of :func:`cosine_similarity_matrix` (a row block
-    of a GEMM is the same dot products, and the clip is applied
-    identically), so with ``k >= n - 1`` densifying the result reproduces
-    the dense matrix exactly.  ``max_block_bytes`` caps the tile by
-    shrinking ``block_rows`` for large n, with the same formula
+    ``min(k, n - 1) + 1`` entries — the diagonal plus a true top-k of the
+    row's other entries (exact ties may keep different, equally strong
+    columns).  Values are the tile's dot products clipped to [-1, 1].
+    They are bit-identical across worker counts, pool backends, and the
+    heap and streaming builders at equal effective tile height.  BLAS
+    summation order is only stable for a fixed tile shape, so a different
+    tile height, or the one whole-matrix GEMM of
+    :func:`cosine_similarity_matrix`, can move an entry by up to 2
+    machine epsilons (1 eps measured with OpenBLAS): with ``k >= n - 1``
+    the densified result matches the dense matrix to that tolerance, not
+    always bit for bit.  ``max_block_bytes`` caps the tile by shrinking
+    ``block_rows`` for large n, with the same formula
     :func:`streaming_topk_cosine` uses — equal arguments therefore always
     resolve the same effective block height in both builders, which is
-    what the bit-identity guarantee between them rests on (BLAS summation
-    order is only stable for a fixed tile shape).
+    what the bit-identity guarantee between them rests on.
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive: {k}")
@@ -227,16 +237,13 @@ def _topk_block(
 ) -> None:
     """Compute one row-block tile into ``data[start:stop]``/``indices[...]``.
 
-    One GEMM tile, an in-place clip, and a per-row top-(keep) selection.
-    The body is shared verbatim by the serial loop and the pooled workers,
-    so parallel results are bit-identical by construction: every tile
-    writes only its own row range and depends only on its own dot
-    products.
+    One GEMM tile and a per-row top-(keep) selection.  The body is shared
+    verbatim by the serial loop and the pooled workers, so parallel
+    results are bit-identical by construction: every tile writes only its
+    own row range and depends only on its own dot products.
     """
-    n = a_n.shape[0]
     block = buf[: stop - start]
     np.dot(a_n[start:stop], a_t, out=block)
-    np.clip(block, -1.0, 1.0, out=block)
     order, values = _topk_select(block, keep, start, stop)
     indices[start:stop] = order
     data[start:stop] = values
@@ -245,27 +252,66 @@ def _topk_block(
 def _topk_select(
     block: np.ndarray, keep: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row top-(keep) selection on one computed tile.
+    """Per-row top-(keep) selection on one computed (unclipped) GEMM tile.
 
     Returns ``(order, values)`` — ascending column indices and the
     corresponding clipped similarities for rows ``start:stop``.  Shared
     by the in-process tile writer (:func:`_topk_block`) and the
     process-pool task (:func:`_topk_tile_task`), so every backend runs
-    the identical selection arithmetic.
+    the identical selection arithmetic.  Only the kept values are
+    clipped: clip is monotone, so a top-(keep) of the raw dot products is
+    a top-(keep) of the clipped ones.
     """
     n = block.shape[1]
     if keep == n:
         selected = np.broadcast_to(np.arange(n), block.shape)
     else:
-        # Top-(keep) per row; the slice's first column is the weakest
-        # selected entry, which the diagonal displaces when absent.
-        selected = np.argpartition(block, n - keep, axis=1)[:, n - keep:]
+        # The selection's first column is the weakest selected entry,
+        # which the diagonal displaces when absent.
+        selected = _topk_columns(block, keep)
         diagonal = np.arange(start, stop)
         has_diag = (selected == diagonal[:, None]).any(axis=1)
         selected[~has_diag, 0] = diagonal[~has_diag]
     rows = np.arange(stop - start)
     order = np.sort(selected, axis=1)
-    return order, block[rows[:, None], order]
+    values = block[rows[:, None], order]
+    np.clip(values, -1.0, 1.0, out=values)
+    return order, values
+
+
+def _topk_columns(block: np.ndarray, keep: int) -> np.ndarray:
+    """Columns of each row's ``keep`` largest entries, weakest first.
+
+    An exact two-level selection (the block-max bound of Ding & Suel,
+    SIGIR 2011).  The row's first ``m · g`` columns split into ``m =
+    n // g`` strided groups — group ``j`` holds columns ``j, j + m, ...,
+    j + (g - 1) · m`` — and only the ``keep`` groups with the largest
+    maxima, plus the fewer-than-``g`` tail columns, are ranked.  Every
+    column outside them is at most its group's maximum, hence at most the
+    ``keep``-th largest group maximum, while the chosen groups' maxima
+    alone are ``keep`` candidates at least that large: the result is a
+    true top-``keep`` (exact ties may resolve to different, equally
+    strong columns).  ``g = ⌊√(n / (4 · keep))⌋`` balances the n/g-wide
+    group ranking against the ``keep · g`` candidate gather; ``g = 1`` is
+    the plain full-row argpartition.
+    """
+    rows, n = block.shape
+    g = max(1, math.isqrt(n // (4 * keep)))
+    if g == 1:
+        return np.argpartition(block, n - keep, axis=1)[:, n - keep:]
+    m = n // g  # g >= 2 implies n >= 4 · keep · g², so m >= 8 · keep
+    # Splitting the contiguous column axis is a view; its max over the
+    # group axis is an elementwise max of g contiguous slices.
+    group_max = block[:, : m * g].reshape(rows, g, m).max(axis=1)
+    top = np.argpartition(group_max, m - keep, axis=1)[:, m - keep:]
+    candidates = (top[:, :, None] + m * np.arange(g)).reshape(rows, -1)
+    if m * g < n:
+        tail = np.broadcast_to(np.arange(m * g, n), (rows, n - m * g))
+        candidates = np.concatenate([candidates, tail], axis=1)
+    values = block[np.arange(rows)[:, None], candidates]
+    c = candidates.shape[1]
+    pick = np.argpartition(values, c - keep, axis=1)[:, c - keep:]
+    return np.take_along_axis(candidates, pick, axis=1)
 
 
 #: Per-process caches for the pool workers: the attached operand (one
@@ -310,7 +356,7 @@ def _topk_tile_task(
 
     Module-level and picklable (the process-backend requirement); reads
     the build's operand zero-copy via :func:`_attach_operand`, computes
-    the same GEMM + clip + selection as :func:`_topk_block` over the same
+    the same GEMM + selection as :func:`_topk_block` over the same
     fixed tile shape (⇒ identical BLAS summation order ⇒ bit-identical
     values), and returns ``(start, order, values)`` — the O(block · keep)
     selection, never the O(block · n) GEMM tile — for the parent to write
@@ -325,7 +371,6 @@ def _topk_tile_task(
         buf = _WORKER_BUF[key] = np.empty((block_rows, n), dtype=a_n.dtype)
     block = buf[: stop - start]
     np.dot(a_n[start:stop], a_n.T, out=block)
-    np.clip(block, -1.0, 1.0, out=block)
     order, values = _topk_select(block, keep, start, stop)
     return start, order, values
 
@@ -460,7 +505,7 @@ def streaming_topk_cosine(
     features: np.ndarray,
     k: int,
     create_array,
-    block_rows: int = 512,
+    block_rows: int = _BLOCK_ROWS,
     dtype: np.dtype | str | None = None,
     max_block_bytes: int = _MAX_BLOCK_BYTES,
     workers: "int | WorkerPool | None" = None,
@@ -486,8 +531,10 @@ def streaming_topk_cosine(
     equal ``block_rows``/``dtype``/``max_block_bytes`` arguments: both
     builders resolve the same effective tile height through
     :func:`_capped_block_rows`, per-row L2 normalization equals the
-    whole-array normalization, and the per-row argpartition/sort is
-    independent of where its buffers live.
+    whole-array normalization, and the per-row selection is independent
+    of where its buffers live.  Against the dense matrix, or a build at
+    another tile height, values agree to within 2 machine epsilons, as
+    documented on :func:`blocked_topk_cosine`.
     Returns the three (filled) created arrays.
 
     ``workers``/``pool_backend`` parallelize the tile loop exactly as in

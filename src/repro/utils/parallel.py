@@ -17,10 +17,10 @@ Two execution backends sit behind the same interface:
 ``thread`` (the default)
     A stdlib thread pool.  NumPy's BLAS and most large-array ufuncs
     release the GIL, so threads scale the GEMM/popcount-bound work
-    without any copy or pickling cost.  The non-BLAS portions of a tile
-    (clip, argpartition/argsort, fancy-index CSR writes) hold the GIL,
-    which is why measured thread scaling on the Q-build tiles tops out
-    near 2x at 4 workers.
+    without any copy or pickling cost.  The non-BLAS remainder of a
+    Q-build tile (the two-level top-k selection, fancy-index CSR writes)
+    is small next to its GEMM; on 2 cores, 2 threads build Q faster than
+    2 processes.
 
 ``process``
     A spawn-based process pool for the GIL-bound remainder.  Tasks must

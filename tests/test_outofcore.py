@@ -364,6 +364,28 @@ class TestStreamingKernel:
         for got, want in zip(out, blocked_topk_cosine(features, 4)):
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_default_cap_shared_by_from_features_wrappers(self, rng):
+        # At n > 8192 float64 rows the default byte cap shrinks the
+        # default tile height; both wrappers must resolve the same height
+        # or BLAS may sum some entries in a different order.
+        from repro.utils.mathops import (
+            _BLOCK_ROWS,
+            _MAX_BLOCK_BYTES,
+            _capped_block_rows,
+        )
+
+        n = 9000
+        rows = _capped_block_rows(n, 8, _BLOCK_ROWS, _MAX_BLOCK_BYTES)
+        assert rows < _BLOCK_ROWS
+        features = rng.normal(size=(n, 8))
+        heap = SparseTopKSimilarity.from_features(features, 4)
+        streamed = SparseTopKSimilarity.from_features_streaming(
+            features, 4, heap_create
+        )
+        for name in ("data", "indices", "indptr"):
+            assert (getattr(heap, name).tobytes()
+                    == getattr(streamed, name).tobytes()), name
+
     def test_empty_features(self):
         data, indices, indptr = streaming_topk_cosine(
             np.zeros((0, 4)), 3, heap_create

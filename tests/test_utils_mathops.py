@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.utils.mathops import (
+    _topk_select,
     blocked_topk_cosine,
     cosine_similarity_matrix,
     l2_normalize,
@@ -259,6 +260,138 @@ class TestParallelTopkCosine:
         from_env = blocked_topk_cosine(x, 3, block_rows=8, workers=None)
         for s_arr, e_arr in zip(serial, from_env):
             np.testing.assert_array_equal(s_arr, e_arr)
+
+
+def _reference_select(block, keep, start, stop):
+    """The full-row argpartition selection on a clipped tile: the oracle
+    the two-level selection must reproduce on tie-free tiles."""
+    block = np.clip(block, -1.0, 1.0)
+    n = block.shape[1]
+    if keep == n:
+        selected = np.broadcast_to(np.arange(n), block.shape)
+    else:
+        selected = np.argpartition(block, n - keep, axis=1)[:, n - keep:]
+        diagonal = np.arange(start, stop)
+        has_diag = (selected == diagonal[:, None]).any(axis=1)
+        selected[~has_diag, 0] = diagonal[~has_diag]
+    rows = np.arange(stop - start)
+    order = np.sort(selected, axis=1)
+    return order, block[rows[:, None], order]
+
+
+class TestTopkSelectOracle:
+    """The two-level selection against the full-row reference."""
+
+    # (n, keep): the group size g = isqrt(n // (4 * keep)) is noted per
+    # case; g == 1 is the plain full-row path.
+    CASES = {
+        "grouped-no-tail": (400, 5),   # g = 4, 400 = 4 * 100
+        "grouped-tail": (403, 5),      # g = 4, 3 tail columns
+        "wide-groups": (3000, 3),      # g = 15, no tail
+        "full-row": (60, 5),           # g = 1
+        "keep-all": (30, 30),          # every column kept
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference_on_continuous_tiles(self, case, dtype):
+        n, keep = self.CASES[case]
+        rng = np.random.default_rng(n + keep)
+        start, rows = 11, 23
+        block = rng.uniform(-1.0, 1.0, size=(rows, n)).astype(dtype)
+        # A near-maximal last column: a tail column (when there is one)
+        # must be ranked, or it drops out of every row's top k.
+        block[:, -1] = 1.0 - rng.uniform(0.0, 1e-4, rows)
+        # One entry per row beyond each clip bound: the values must come
+        # back clipped, and the selection must not depend on the clip.
+        block[np.arange(rows), rng.integers(0, n, rows)] = 1.0 + rng.uniform(
+            0.0, 0.01, rows)
+        block[np.arange(rows), rng.integers(0, n, rows)] = -1.0 - rng.uniform(
+            0.0, 0.01, rows)
+        order, values = _topk_select(block, keep, start, start + rows)
+        ref_order, ref_values = _reference_select(
+            block, keep, start, start + rows
+        )
+        np.testing.assert_array_equal(order, ref_order)
+        np.testing.assert_array_equal(values, ref_values)
+        assert values.dtype == dtype
+
+    def test_matches_reference_on_gemm_tiles(self):
+        # Real cosine tiles: the diagonal is the row maximum, never
+        # displaced, and the kept off-diagonal entries are the top k.
+        rng = np.random.default_rng(5)
+        a_n = l2_normalize(rng.normal(size=(900, 16)))
+        for start in (0, 448):
+            block = a_n[start:start + 64] @ a_n.T
+            got = _topk_select(block, 9, start, start + 64)
+            want = _reference_select(block, 9, start, start + 64)
+            for g_arr, w_arr in zip(got, want):
+                np.testing.assert_array_equal(g_arr, w_arr)
+
+
+def _assert_topk_contract(csr, dense, keep):
+    """The selection contract that holds even under exact ties."""
+    data, indices, indptr = csr
+    n = dense.shape[0]
+    assert np.all(np.diff(indptr) == keep)
+    for row in range(n):
+        cols = indices[indptr[row]:indptr[row + 1]]
+        assert np.all(np.diff(cols) > 0)
+        assert row in cols
+        np.testing.assert_array_equal(
+            data[indptr[row]:indptr[row + 1]], dense[row, cols]
+        )
+        dropped = np.ones(n, dtype=bool)
+        dropped[cols] = False
+        if dropped.any():
+            kept_off = dense[row, cols[cols != row]]
+            assert kept_off.min() >= dense[row, dropped].max()
+
+
+def _tie_heavy_inputs():
+    rng = np.random.default_rng(31)
+    base = rng.normal(size=(7, 8))
+    zero_rows = rng.normal(size=(400, 8))
+    zero_rows[::3] = 0.0
+    return {
+        "duplicated-rows": base[rng.integers(0, 7, size=400)],
+        "zero-rows": zero_rows,
+        "identical-rows": np.tile(base[:1], (400, 1)),
+    }
+
+
+class TestTopkSelectTies:
+    """Tie-heavy inputs: the kept columns may differ from the full-row
+    reference, so the contract is asserted instead, serially and on a
+    2-worker pool of each backend."""
+
+    K, BLOCK_ROWS = 5, 64  # keep = 6 of 400 columns: g = 4
+
+    @pytest.mark.parametrize("backend", [None, "thread", "process"])
+    def test_contract_holds(self, backend, monkeypatch):
+        import os
+
+        from repro.utils.parallel import WorkerPool
+
+        # Fake the core count so the cpu clamp can't serialize the pool
+        # on a small CI box.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        pool = (WorkerPool(1) if backend is None
+                else WorkerPool(2, backend=backend))
+        with pool:
+            for x in _tie_heavy_inputs().values():
+                # The full-k build at the same tile height holds every
+                # clipped entry exactly as the selection sees it.
+                dense = np.zeros((len(x), len(x)))
+                data, indices, indptr = blocked_topk_cosine(
+                    x, len(x) - 1, block_rows=self.BLOCK_ROWS
+                )
+                rows = np.repeat(np.arange(len(x)), np.diff(indptr))
+                dense[rows, indices] = data
+                csr = blocked_topk_cosine(
+                    x, self.K, block_rows=self.BLOCK_ROWS, workers=pool
+                )
+                _assert_topk_contract(csr, dense, self.K + 1)
 
 
 class TestStableExp:
