@@ -45,11 +45,12 @@ class TrainConfig:
     parameters, activations, losses, and the SGD state are all kept in one
     dtype.  The default ``"float64"`` is bit-stable with the seed
     implementation (deterministic reproductions, tight gradient checks);
-    ``"float32"`` roughly doubles CPU throughput and tracks the float64
-    loss trajectory to ~1e-3 relative (gated by
-    ``benchmarks/bench_train_scale.py``).  Inference helpers
-    (``HashingNetwork.encode``) are unaffected: ±1 codes are identical in
-    either dtype away from sign boundaries.
+    ``"float32"`` trains about 1.7x faster on CPU (1.74x mcl, 1.76x cib
+    in ``benchmarks/results/train_scale.txt``: batch 128, 64 bits, a
+    128-64-64 head) and tracks the float64 loss trajectory to ~1e-3
+    relative (gated by ``benchmarks/bench_train_scale.py``).  Inference
+    helpers (``HashingNetwork.encode``) are unaffected: ±1 codes are
+    identical in either dtype away from sign boundaries.
     """
 
     learning_rate: float = 0.006

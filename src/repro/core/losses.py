@@ -84,7 +84,9 @@ def _cosine_grad_to_z(
     """
     g_zhat = (grad_h + grad_h.T) @ z_hat
     radial = (g_zhat * z_hat).sum(axis=1, keepdims=True)
-    return (g_zhat - radial * z_hat) / norms
+    g_zhat -= radial * z_hat
+    g_zhat /= norms
+    return g_zhat
 
 
 def _similarity_terms(h: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -92,7 +94,9 @@ def _similarity_terms(h: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
     t = h.shape[0]
     diff = h - q
     loss = float((diff**2).mean())
-    return loss, 2.0 * diff / (t * t)
+    diff *= 2.0
+    diff /= t * t
+    return loss, diff
 
 
 def similarity_preserving_loss(
@@ -175,41 +179,63 @@ def _mcl_terms(
     """
     t = h.shape[0]
     pos_mask, neg_mask = _contrastive_masks(q, lam)
+    # The masks scale (t, t) arrays five times below: cast them once so
+    # every product is float × float.
+    pos_f = pos_mask.astype(h.dtype)
+    neg_f = neg_mask.astype(h.dtype)
     # exp((ĥ − max ĥ)/γ) built in one scratch array; the shared shift
     # cancels in every ratio.
     exp_h = h * (1.0 / gamma)
     exp_h -= exp_h.max()
     np.exp(exp_h, out=exp_h)
-    neg_sum = (exp_h * neg_mask).sum(axis=1)  # Σ_{l∈Φ_i} e^{ĥ_il/γ}
-    pos_count = pos_mask.sum(axis=1)
+    scratch = exp_h * neg_f
+    neg_sum = scratch.sum(axis=1)  # Σ_{l∈Φ_i} e^{ĥ_il/γ}
+    pos_count = np.count_nonzero(pos_mask, axis=1)
     active = np.flatnonzero((pos_count > 0) & (neg_sum > 0))
     if active.size == 0:
         return 0.0, None
 
     if active.size == t:  # the common case: skip the whole-matrix gathers
-        exp_a, pos_a, neg_a, act_neg_sum = exp_h, pos_mask, neg_mask, neg_sum
+        exp_a, pos_a, neg_a, act_neg_sum = exp_h, pos_f, neg_f, neg_sum
         inv_psi = 1.0 / pos_count
     else:
         exp_a = exp_h[active]  # (m, t) rows with both positives and negatives
-        pos_a = pos_mask[active]
-        neg_a = neg_mask[active]
+        pos_a = pos_f[active]
+        neg_a = neg_f[active]
         act_neg_sum = neg_sum[active]
         inv_psi = 1.0 / pos_count[active]  # 1/|Ψ_i| averaging weights
+        scratch = np.empty_like(exp_a)
     # int division promoted to float64; stay in the working dtype.
     inv_psi = inv_psi.astype(h.dtype, copy=False)
     denom = exp_a + act_neg_sum[:, None]  # > 0 on every active row
     r = exp_a / denom
 
-    row_loss = (-np.log(np.maximum(r, _EPS)) * pos_a).sum(axis=1)
+    # Σ_{j∈Ψ_i} −log r_ij, in the scratch buffer.
+    np.maximum(r, _EPS, out=scratch)
+    np.log(scratch, out=scratch)
+    np.negative(scratch, out=scratch)
+    scratch *= pos_a
+    row_loss = scratch.sum(axis=1)
     loss = float((row_loss * inv_psi).sum()) / t
 
     # d(−log r)/dĥ_ij = (r − 1)/γ for the positive j;
     # d(−log r)/dĥ_il = e^{ĥ_il/γ}/denom/γ summed over positives for each l;
     # the 1/t average and the caller's term weight ride along in w.
     w = inv_psi[:, None] * (weight / (gamma * t))
-    grad_rows = np.where(pos_a, w * (r - 1.0), 0.0)
-    inv_denom_sum = ((1.0 / denom) * pos_a).sum(axis=1, keepdims=True)
-    grad_rows += np.where(neg_a, w * inv_denom_sum * exp_a, 0.0)
+    inv_denom = np.divide(1.0, denom, out=denom)
+    inv_denom *= pos_a
+    inv_denom_sum = inv_denom.sum(axis=1, keepdims=True)
+    # Mask products instead of np.where selects.  Ψ and Φ are disjoint, so
+    # each entry is one term plus a masked-out zero: the positive term is
+    # <= 0 and the negative term >= 0, and every sum comes out as the
+    # select would give it, +0.0 where neither mask holds.
+    grad_rows = r
+    grad_rows -= 1.0
+    grad_rows *= w
+    grad_rows *= pos_a
+    neg_term = np.multiply(w * inv_denom_sum, exp_a, out=scratch)
+    neg_term *= neg_a
+    grad_rows += neg_term
 
     if active.size == t:
         return loss, grad_rows
@@ -267,10 +293,16 @@ def quantization_loss(z: np.ndarray) -> tuple[float, np.ndarray]:
     """Eq. 11's β-term: ``(1/t) Σ_i ||z_i − b_i||²`` with ``b_i = sign(z_i)``."""
     z = _check_z(z)
     t = z.shape[0]
-    one = z.dtype.type(1.0)
-    diff = z - np.where(z > 0, one, -one)  # b_i = sign(z_i), in dtype
+    # b_i = sign(z_i) in dtype, with sign(0) = -1: 2·[z > 0] − 1 is exactly
+    # ±1 and needs no select.
+    diff = (z > 0).astype(z.dtype)
+    diff += diff
+    diff -= 1.0
+    np.subtract(z, diff, out=diff)
     loss = float((diff**2).sum() / t)
-    return loss, 2.0 * diff / t
+    diff *= 2.0
+    diff /= t
+    return loss, diff
 
 
 def _cib_setup(
@@ -419,7 +451,9 @@ def uhscm_objective(
             grad_h += grad_h_c
     lq, grad_q = quantization_loss(z)
     total = ls + alpha * lc + beta * lq
-    grad = _cosine_grad_to_z(z_hat, norms, grad_h) + beta * grad_q
+    grad = _cosine_grad_to_z(z_hat, norms, grad_h)
+    grad_q *= beta
+    grad += grad_q
     return (
         LossBreakdown(
             total=total, similarity=ls, contrastive=lc, quantization=lq

@@ -8,7 +8,16 @@ from repro.nn.module import Module
 
 
 class ReLU(Module):
-    """max(x, 0)."""
+    """max(x, 0).
+
+    Both directions are branch-free: ``np.where`` on a mask of random signs
+    mispredicts about every other element, while ``fmax`` and a mask
+    multiply vectorize.  The forward equals ``np.where(x > 0, x, 0.0)`` bit
+    for bit on every input, NaN and ±0 included.  The backward equals
+    ``np.where(x > 0, grad, 0.0)`` bit for bit on finite gradients, except
+    that a -0.0 gradient where ``x > 0`` comes back as +0.0; a non-finite
+    gradient where ``x <= 0`` comes back as NaN (0 times inf) instead of 0.
+    """
 
     _CACHE_ATTRS = ("_mask",)
 
@@ -19,12 +28,18 @@ class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = np.fmax(x, 0.0)  # NaN -> 0.0
+        # fmax may return -0.0 for x = -0.0; adding +0.0 turns that into
+        # +0.0 and leaves every other value unchanged.
+        out += 0.0
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return np.where(self._mask, np.asarray(grad_output, dtype=self.dtype), 0.0)
+        grad = np.asarray(grad_output, dtype=self.dtype) * self._mask
+        grad += 0.0  # a masked-out negative gradient leaves -0.0
+        return grad
 
 
 class LeakyReLU(Module):

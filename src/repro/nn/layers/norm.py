@@ -43,7 +43,7 @@ class _BatchNorm(Module):
         self.running_var = self.register_buffer(
             "running_var", np.ones(num_features, dtype=np.float64)
         )
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
         self._reduce_axes: tuple[int, ...] = (0,)
         self._shape_for_broadcast: tuple[int, ...] = (1, num_features)
 
@@ -64,8 +64,10 @@ class _BatchNorm(Module):
             mean = x.mean(axis=self._reduce_axes)
             centered = x - mean.reshape(bshape)
             # One pass over the already-centered values instead of x.var()
-            # re-centering internally.
-            var = (centered * centered).mean(axis=self._reduce_axes)
+            # re-centering internally; the squares' buffer is reused for
+            # the output below.
+            out = centered * centered
+            var = out.mean(axis=self._reduce_axes)
             m = self.momentum
             # In-place so the registered buffers stay aliased.
             self.running_mean *= 1 - m
@@ -75,32 +77,39 @@ class _BatchNorm(Module):
         else:
             mean, var = self.running_mean, self.running_var
             centered = x - mean.reshape(bshape)
+            out = np.empty_like(centered)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = centered * inv_std.reshape(bshape)
+        x_hat = centered
+        x_hat *= inv_std.reshape(bshape)
         if self.training:
-            self._cache = (x_hat, inv_std, centered)
+            self._cache = (x_hat, inv_std)
         # Fold scale and shift into one affine pass: γ·x̂ + β = x̂·γ + β.
-        out = x_hat * self.gamma.data.reshape(bshape)
+        np.multiply(x_hat, self.gamma.data.reshape(bshape), out=out)
         out += self.beta.data.reshape(bshape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (in training mode)")
-        x_hat, inv_std, _ = self._cache
+        x_hat, inv_std = self._cache
         bshape = self._shape_for_broadcast
         grad = np.asarray(grad_output, dtype=self.dtype)
         axes = self._reduce_axes
-        m = float(np.prod([x_hat.shape[a] for a in axes]))
+        m = float(x_hat.size // self.num_features)  # values per channel
 
-        self.gamma.grad += (grad * x_hat).sum(axis=axes)
+        scratch = grad * x_hat
+        self.gamma.grad += scratch.sum(axis=axes)
         self.beta.grad += grad.sum(axis=axes)
 
         grad_x_hat = grad * self.gamma.data.reshape(bshape)
         # Standard batch-norm backward over the normalized activations,
-        # accumulated in place on the freshly allocated grad_x_hat.
+        # accumulated in place on grad_x_hat; the third term reuses the
+        # scratch buffer of the γ gradient.
         term2 = grad_x_hat.sum(axis=axes, keepdims=True) / m
-        term3 = x_hat * ((grad_x_hat * x_hat).sum(axis=axes, keepdims=True) / m)
+        np.multiply(grad_x_hat, x_hat, out=scratch)
+        term3 = np.multiply(
+            x_hat, scratch.sum(axis=axes, keepdims=True) / m, out=scratch
+        )
         grad_x_hat -= term2
         grad_x_hat -= term3
         grad_x_hat *= inv_std.reshape(bshape)

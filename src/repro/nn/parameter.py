@@ -7,7 +7,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: Dtypes the training stack supports.  float64 is the default (bit-stable
-#: parity with the seed implementation); float32 roughly doubles throughput.
+#: parity with the seed implementation); float32 trains about 1.7x faster
+#: (``benchmarks/results/train_scale.txt``).
 SUPPORTED_DTYPES: tuple[np.dtype, ...] = (np.dtype(np.float64), np.dtype(np.float32))
 
 

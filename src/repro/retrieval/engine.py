@@ -43,9 +43,8 @@ from repro.retrieval.metrics import (
     PAPER_MAP_DEPTH,
     PAPER_PN_POINTS,
     PRCurve,
-    mean_average_precision_from_distances,
-    pr_curve_hamming,
-    precision_at_n,
+    _ranking_metrics,
+    _sort_keys,
 )
 from repro.retrieval.protocol import relevance_matrix
 from repro.utils.validation import check_binary_codes
@@ -290,25 +289,27 @@ def evaluate_codes(
     serving backend (``"bruteforce"``, ``"multi-index"``, or an instance)
     instead of the direct BLAS path; all backends are exact, so the metrics
     are identical either way.
+
+    One Hamming matrix serves every metric: it is ranked once, on integer
+    keys, for MAP and P@N together, and counted for the PR curve.
     """
     relevance = relevance_matrix(query_labels, db_labels)
     if backend is None:
         distances = hamming_distance_matrix(query_codes, db_codes)
     else:
         distances = _backend_distance_matrix(backend, query_codes, db_codes)
-    usable_points = tuple(p for p in pn_points if p <= db_codes.shape[0])
+    keys = _sort_keys(distances)
+    del distances  # free the float matrix before the sort
+    n_db = db_codes.shape[0]
+    usable_points = tuple(p for p in pn_points if p <= n_db)
     if not usable_points and pn_points:
         # Every requested point exceeds the database; clamp to its size
         # (order-independent — pn_points need not be sorted).
-        usable_points = (db_codes.shape[0],)
-    return RetrievalReport(
-        map=mean_average_precision_from_distances(
-            distances, relevance, min(top_n, db_codes.shape[0])
-        ),
-        precision_at_n=precision_at_n(distances, relevance, usable_points),
-        pr_curve=pr_curve_hamming(query_codes, db_codes, relevance),
-        n_bits=query_codes.shape[1],
-    )
+        usable_points = (n_db,)
+    map_, pn, pr = _ranking_metrics(keys, relevance, min(top_n, n_db),
+                                    usable_points, query_codes.shape[1])
+    return RetrievalReport(map=map_, precision_at_n=pn, pr_curve=pr,
+                           n_bits=query_codes.shape[1])
 
 
 def evaluate_hashing(method: Hasher, dataset, **kwargs) -> RetrievalReport:

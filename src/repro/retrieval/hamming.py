@@ -61,7 +61,10 @@ def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"code lengths differ: {a.shape[1]} vs {b.shape[1]}"
         )
     k = a.shape[1]
-    return (k - a @ b.T) / 2.0
+    distances = a @ b.T
+    np.subtract(k, distances, out=distances)  # in place: one (n, m) buffer
+    distances /= 2.0
+    return distances
 
 
 @dataclass(frozen=True)

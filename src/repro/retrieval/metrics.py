@@ -8,7 +8,11 @@ These implement the paper's three evaluation metrics (§4.2):
   sweeps 0..k (Figure 3's protocol).
 
 All ranking uses stable sorts so ties in Hamming distance break by database
-index, making results deterministic.
+index, making results deterministic.  Distances that are small non-negative
+integers (every Hamming matrix) are ranked on uint8/uint16 keys, which
+numpy's stable sort orders with a radix sort; the order is the one the
+float sort gives, since both keep equal distances in database order.  Any
+other distance matrix is ranked on its own values.
 """
 
 from __future__ import annotations
@@ -36,19 +40,97 @@ def _check_rank_inputs(distances: np.ndarray, relevance: np.ndarray) -> None:
         raise ShapeError(f"expected 2-D matrices, got {distances.shape}")
 
 
+def _check_top_n(top_n: int) -> None:
+    if top_n < 1:
+        raise ShapeError(f"top_n must be >= 1, got {top_n}")
+
+
+def _sort_keys(distances: np.ndarray) -> np.ndarray:
+    """Keys whose stable row sort gives the order of ``distances``.
+
+    Non-negative integers up to 65535 come back as the narrowest of uint8
+    and uint16 holding them (numpy radix-sorts those); anything else,
+    including fractional, negative or NaN entries, comes back unchanged.
+    """
+    if distances.size:
+        lo, hi = distances.min(), distances.max()
+        if lo >= 0 and hi <= np.iinfo(np.uint16).max:
+            keys = distances.astype(
+                np.uint8 if hi <= np.iinfo(np.uint8).max else np.uint16
+            )
+            if np.array_equal(keys, distances):
+                return keys
+    return distances
+
+
+def _ranked_relevance(
+    keys: np.ndarray, relevance: np.ndarray, depth: int
+) -> np.ndarray:
+    """Relevance of each query's ``depth`` best-ranked items, in rank order
+    (ties by database index), in ``relevance``'s own dtype."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    return np.take_along_axis(relevance, order[:, :depth], axis=1)
+
+
+def _average_precisions(ranked: np.ndarray) -> np.ndarray:
+    """AP of each row of ranked relevance already cut to the top n (0 for
+    a row with no relevant item).
+
+    numpy sums each contiguous row of a 2-D array pairwise, as it sums a
+    1-D vector, so a row's AP is the same float whether it is scored alone
+    or in a batch.
+    """
+    rel = ranked.astype(np.float64)
+    n_rel = rel.sum(axis=1)
+    cum_precision = np.cumsum(rel, axis=1)
+    cum_precision /= np.arange(1, rel.shape[1] + 1)
+    cum_precision *= rel
+    aps = np.zeros_like(n_rel)
+    np.divide(cum_precision.sum(axis=1), n_rel, out=aps, where=n_rel != 0)
+    return aps
+
+
+def _precision_of_ranked(
+    ranked: np.ndarray, points: tuple[int, ...]
+) -> dict[int, float]:
+    """Mean precision among the top N of ranked relevance, per N."""
+    cum = np.cumsum(ranked.astype(np.float64), axis=1)
+    return {n: float((cum[:, n - 1] / n).mean()) for n in points}
+
+
+def _ranking_metrics(
+    keys: np.ndarray,
+    relevance: np.ndarray,
+    top_n: int,
+    points: tuple[int, ...],
+    k: int,
+) -> tuple[float, dict[int, float], PRCurve]:
+    """MAP@top_n, P@N at ``points`` and the PR curve over radii 0..k of
+    one Hamming matrix's :func:`_sort_keys`, ranking each query once.
+
+    ``top_n`` and every point must be at most the database size.
+    """
+    _check_rank_inputs(keys, relevance)
+    _check_top_n(top_n)
+    ranked = _ranked_relevance(keys, relevance, max((top_n, *points)))
+    return (
+        float(np.mean(_average_precisions(ranked[:, :top_n]))),
+        _precision_of_ranked(ranked, points) if points else {},
+        _pr_curve(keys, relevance, k),
+    )
+
+
 def average_precision(ranked_relevance: np.ndarray, top_n: int) -> float:
     """AP@n of one ranked relevance vector (paper Eq. 12).
 
     ``AP = Σ_i [I(i)/N · Σ_{j<=i} I(j)/i]`` over the top ``n`` results,
     where ``N`` is the number of relevant items among them.  Queries with no
-    relevant item in the top n score 0 (the usual convention).
+    relevant item in the top n score 0 (the usual convention).  ``top_n``
+    must be at least 1.
     """
+    _check_top_n(top_n)
     rel = np.asarray(ranked_relevance, dtype=np.float64)[:top_n]
-    n_rel = rel.sum()
-    if n_rel == 0:
-        return 0.0
-    cum_precision = np.cumsum(rel) / np.arange(1, rel.size + 1)
-    return float((cum_precision * rel).sum() / n_rel)
+    return float(_average_precisions(rel[None, :])[0])
 
 
 def mean_average_precision(
@@ -58,6 +140,7 @@ def mean_average_precision(
     top_n: int = PAPER_MAP_DEPTH,
 ) -> float:
     """MAP@n over Hamming-ranked retrieval (the paper's headline metric)."""
+    _check_top_n(top_n)
     distances = hamming_distance_matrix(query_codes, db_codes)
     return mean_average_precision_from_distances(distances, relevance, top_n)
 
@@ -67,12 +150,11 @@ def mean_average_precision_from_distances(
     relevance: np.ndarray,
     top_n: int = PAPER_MAP_DEPTH,
 ) -> float:
-    """MAP@n given a precomputed distance matrix."""
+    """MAP@n given a precomputed distance matrix (``top_n`` >= 1)."""
     _check_rank_inputs(distances, relevance)
-    order = np.argsort(distances, axis=1, kind="stable")
-    ranked = np.take_along_axis(relevance.astype(np.float64), order, axis=1)
-    aps = [average_precision(row, top_n) for row in ranked]
-    return float(np.mean(aps))
+    _check_top_n(top_n)
+    ranked = _ranked_relevance(_sort_keys(distances), relevance, top_n)
+    return float(np.mean(_average_precisions(ranked)))
 
 
 def precision_at_n(
@@ -92,13 +174,9 @@ def precision_at_n(
         raise ShapeError(
             f"P@{max_n} requested but database has {distances.shape[1]} items"
         )
-    order = np.argsort(distances, axis=1, kind="stable")[:, :max_n]
-    ranked = np.take_along_axis(relevance.astype(np.float64), order, axis=1)
-    cum = np.cumsum(ranked, axis=1)
-    return {
-        n: float((cum[:, n - 1] / n).mean())
-        for n in points
-    }
+    return _precision_of_ranked(
+        _ranked_relevance(_sort_keys(distances), relevance, max_n), points
+    )
 
 
 @dataclass(frozen=True)
@@ -126,20 +204,24 @@ def pr_curve_hamming(
     relevance: np.ndarray,
 ) -> PRCurve:
     """PR curve from a full Hamming-radius sweep (0..k, step 1)."""
-    distances = hamming_distance_matrix(query_codes, db_codes).astype(np.int64)
+    distances = hamming_distance_matrix(query_codes, db_codes)
+    return _pr_curve(distances, relevance, query_codes.shape[1])
+
+
+def _pr_curve(distances: np.ndarray, relevance: np.ndarray, k: int) -> PRCurve:
+    """PR curve over radii 0..k from integer Hamming distances."""
     _check_rank_inputs(distances, relevance)
-    k = query_codes.shape[1]
-    rel = relevance.astype(bool)
-    total_relevant = rel.sum()
+    rel = relevance.astype(bool, copy=False)
+    total_relevant = np.count_nonzero(rel)
     if total_relevant == 0:
         raise ShapeError("relevance matrix has no relevant pairs")
 
-    # Histogram distances once, split by relevance, then cumulate over radius.
-    bins = np.arange(k + 2)
-    relevant_hist = np.histogram(distances[rel], bins=bins)[0]
-    all_hist = np.histogram(distances, bins=bins)[0]
-    relevant_cum = np.cumsum(relevant_hist).astype(np.float64)
-    all_cum = np.cumsum(all_hist).astype(np.float64)
+    # Count distances once, split by relevance, then cumulate over radius.
+    distances = distances.astype(np.intp, copy=False)
+    relevant_cum = np.cumsum(
+        np.bincount(distances[rel], minlength=k + 1)).astype(np.float64)
+    all_cum = np.cumsum(
+        np.bincount(distances.ravel(), minlength=k + 1)).astype(np.float64)
 
     precision = np.divide(
         relevant_cum, all_cum, out=np.zeros_like(relevant_cum), where=all_cum > 0

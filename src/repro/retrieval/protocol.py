@@ -24,4 +24,10 @@ def relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndar
         raise ShapeError(
             f"label dimensions differ: {q.shape[1]} vs {d.shape[1]}"
         )
-    return (q.astype(np.int64) @ d.astype(np.int64).T) > 0
+    # Integer labels (the int64 cast) multiplied in float64 so the product
+    # runs in BLAS: a sum of non-negative products is > 0 exactly when one
+    # product is, however it rounds.  Negative labels stay exact while
+    # every product and partial sum is below 2**53 in magnitude.
+    qf = q.astype(np.int64).astype(np.float64)
+    df = d.astype(np.int64).astype(np.float64)
+    return (qf @ df.T) > 0

@@ -79,6 +79,24 @@ class TestBuffers:
         with pytest.raises(ValueError):
             net.load_state_dict(state)
 
+    def test_load_rejects_wrong_buffer_shape(self):
+        bn = BatchNorm1d(6)
+        state = bn.state_dict()
+        state["buf:0:running_mean"] = np.ones(1)  # would broadcast to (6,)
+        with pytest.raises(ValueError, match="running_mean"):
+            bn.load_state_dict(state)
+        np.testing.assert_array_equal(bn.running_mean, np.zeros(6))
+
+    def test_rejected_state_leaves_parameters_untouched(self):
+        net = Sequential(Linear(2, 3, rng=0), BatchNorm1d(3))
+        before = net.state_dict()
+        state = {key: value + 1.0 for key, value in before.items()}
+        state["buf:2:running_var"] = np.ones((3, 1))
+        with pytest.raises(ValueError):
+            net.load_state_dict(state)
+        for key, value in net.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
 
 class TestAbstractContract:
     def test_forward_not_implemented(self):

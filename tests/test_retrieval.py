@@ -13,6 +13,7 @@ from repro.retrieval import (
     evaluate_codes,
     hamming_distance_matrix,
     mean_average_precision,
+    mean_average_precision_from_distances,
     pack_codes,
     packed_hamming_distance,
     pr_curve_hamming,
@@ -96,6 +97,12 @@ class TestAveragePrecision:
         # Relevant item beyond top_n is invisible.
         assert average_precision(np.array([0, 0, 1]), top_n=2) == 0.0
 
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_rejects_nonpositive_top_n(self, top_n):
+        # [:-1] would score [1, 0, 0, 1] as 1.0 instead of 0.75.
+        with pytest.raises(ShapeError):
+            average_precision(np.array([1, 0, 0, 1]), top_n=top_n)
+
     def test_eq12_hand_example(self):
         # ranked = [1, 0, 1]: AP = (1/1 + 2/3) / 2.
         ap = average_precision(np.array([1, 0, 1]), top_n=3)
@@ -125,6 +132,19 @@ class TestMap:
         # Both at distance 0; stable sort puts index 0 first.
         value = mean_average_precision(q, db, rel)
         assert value == pytest.approx(0.5)
+
+
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_map_entry_points_reject_nonpositive_top_n(self, top_n):
+        codes = random_codes(6, 16, seed=2)
+        rel = np.eye(6, dtype=bool)
+        with pytest.raises(ShapeError):
+            mean_average_precision(codes, codes, rel, top_n=top_n)
+        with pytest.raises(ShapeError):
+            mean_average_precision_from_distances(
+                hamming_distance_matrix(codes, codes), rel, top_n)
+        with pytest.raises(ShapeError):
+            evaluate_codes(codes, codes, np.eye(6), np.eye(6), top_n=top_n)
 
 
 class TestPrecisionAtN:
