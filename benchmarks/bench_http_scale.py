@@ -143,7 +143,6 @@ def _serve_clients(db: np.ndarray, queries: np.ndarray, n_clients: int):
     returns ``(seconds, rows, /stats body)``."""
     handle = run_server_in_thread(
         ServingApp(_service(db), max_inflight=N_CLIENTS * 2),
-        concurrency=N_CLIENTS,
     )
     try:
         seconds, rows = _run_clients(handle.port, queries, n_clients)
@@ -235,7 +234,7 @@ def test_bench_http_scale(results_dir):
     release.clear()
     entered.clear()
     shed_app = ServingApp(shed_service, max_inflight=2)
-    shed_handle = run_server_in_thread(shed_app, concurrency=N_CLIENTS)
+    shed_handle = run_server_in_thread(shed_app)
     try:
         statuses: list = [None] * N_CLIENTS
 
@@ -272,7 +271,7 @@ def test_bench_http_scale(results_dir):
     v2 = _service(db, rng=SEED + 1)
     swap_app = ServingApp(v1, service_factory=lambda source: v2,
                           max_inflight=N_CLIENTS * 2)
-    swap_handle = run_server_in_thread(swap_app, concurrency=N_CLIENTS)
+    swap_handle = run_server_in_thread(swap_app)
     swap_statuses: list[int] = []
     swap_lock = threading.Lock()
     try:

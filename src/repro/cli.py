@@ -71,15 +71,17 @@ re-encoding.  One-shot mode answers ``--queries N`` query-split rows and
 exits; ``--repl`` reads ``q <i> [k]`` / ``remove <id...>`` / ``stats`` /
 ``quit`` from stdin.
 
-``serve-http`` runs the same facade as a network daemon: an asyncio
-HTTP/JSON front end (``POST /query /add /remove /swap``, ``GET /stats
-/health``) whose concurrent connections share the group-commit
-micro-batcher (rows that queue during one encode forward ride the next,
-at most ``--batch`` per forward; an idle server never waits), with
-bounded admission (``--max-inflight``, shed as HTTP 429), per-endpoint
-latency percentiles in ``/stats``, zero-drop model hot swap via
-``POST /swap`` (needs ``--cache-dir``; target is a published
-fingerprint), and graceful SIGTERM/SIGINT drain.
+``serve-http`` runs the same facade as a network daemon: a blocking
+HTTP/JSON front end with one thread per connection (``POST /query /add
+/remove /swap``, ``GET /stats /health``) whose concurrent connections
+share the group-commit micro-batcher (rows that queue during one encode
+forward ride the next, at most ``--batch`` per forward; an idle server
+never waits), with bounded admission (``--max-inflight``, the only bound
+on concurrent work, shed as HTTP 429), per-endpoint latency percentiles
+in ``/stats``, zero-drop model hot swap via ``POST /swap`` (needs
+``--cache-dir``; target is a published fingerprint), and graceful
+SIGTERM/SIGINT drain.  ``serve``, ``serve-http`` and ``bench-serve``
+search one shard unless ``--shards`` says otherwise.
 
 ``--cache-dir`` on ``train`` / ``table1`` / ``table2`` (or ``--resume``,
 which implies the default cache dir) attaches a content-addressed
@@ -441,13 +443,10 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     service = build_service(model)
     app = ServingApp(service, service_factory=swap_factory,
                      max_inflight=args.max_inflight)
-    handle = ServerThread(app, host=args.host, port=args.port,
-                          concurrency=args.concurrency)
-    handle.start()
+    handle = ServerThread(app, host=args.host, port=args.port).start()
     print(f"index ready: {len(service)} rows in {args.shards} shard(s)")
     print(f"serving on http://{args.host}:{handle.port}  "
-          f"(concurrency={args.concurrency} "
-          f"max_inflight={args.max_inflight} "
+          f"(thread per connection, max_inflight={args.max_inflight} "
           f"group-commit batch<={args.batch})")
     print("endpoints: POST /query /add /remove /swap   GET /stats /health")
 
@@ -776,7 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--publish", action="store_true",
                          help="publish the model snapshot to the store and "
                               "print its fingerprint (requires --cache-dir)")
-    p_serve.add_argument("--shards", type=int, default=4)
+    p_serve.add_argument("--shards", type=int, default=1,
+                         help="index shards; results are identical at any "
+                              "count")
     p_serve.add_argument("--shard-backend", default="bruteforce",
                          help="backend each shard runs "
                               "(bruteforce, multi-index)")
@@ -793,7 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_http = sub.add_parser(
         "serve-http",
-        help="serve the hashing index over HTTP/JSON (asyncio daemon)",
+        help="serve the hashing index over HTTP/JSON (daemon, one thread "
+             "per connection)",
     )
     _add_common(p_http)
     _add_cache_dir(p_http)
@@ -809,7 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_http.add_argument("--publish", action="store_true",
                         help="publish the model snapshot to the store "
                              "(swap targets need a fingerprint)")
-    p_http.add_argument("--shards", type=int, default=4)
+    p_http.add_argument("--shards", type=int, default=1,
+                        help="index shards; results are identical at any "
+                             "count")
     p_http.add_argument("--shard-backend", default="bruteforce",
                         help="child backend for the sharded index")
     p_http.add_argument("--cache-size", type=int, default=0,
@@ -819,11 +823,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_http.add_argument("--host", default="127.0.0.1")
     p_http.add_argument("--port", type=int, default=8035,
                         help="bind port (0 = pick a free one)")
-    p_http.add_argument("--concurrency", type=int, default=8,
-                        help="handler worker threads")
     p_http.add_argument("--max-inflight", type=int, default=64,
-                        help="admission bound: concurrent requests beyond "
-                             "it are shed with HTTP 429")
+                        help="admission bound, the only limit on concurrent "
+                             "work: requests beyond it are shed with "
+                             "HTTP 429")
     p_http.set_defaults(func=_cmd_serve_http)
 
     p_bserve = sub.add_parser(
@@ -837,7 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bserve.add_argument("--bits", type=int, default=64)
     p_bserve.add_argument("--queries", type=int, default=200)
     p_bserve.add_argument("--top-k", type=int, default=10)
-    p_bserve.add_argument("--shards", type=int, default=4)
+    p_bserve.add_argument("--shards", type=int, default=1,
+                          help="index shards; results are identical at any "
+                               "count")
     p_bserve.add_argument("--shard-backend", default="bruteforce")
     p_bserve.add_argument("--batch", type=int, default=256,
                           help="encode micro-batch size for the batched run")

@@ -20,8 +20,9 @@ ids are assigned monotonically, so each array stays sorted and the reverse
 :class:`~repro.utils.retry.CircuitBreaker`.  A shard that raises during
 fan-out records a breaker failure and drops out of the merge — the query
 still answers from the surviving shards, flagged via
-:attr:`ShardedIndex.last_query_degraded` (missing tail positions pad with
-id ``-1`` / distance ``n_bits + 1``).  After ``breaker_threshold``
+:attr:`ShardedIndex.last_query_degraded`, which each calling thread reads
+for its own most recent query (missing tail positions pad with id ``-1``
+/ distance ``n_bits + 1``).  After ``breaker_threshold``
 consecutive failures the circuit opens and the shard is skipped without
 paying its failure latency until ``breaker_reset_s`` passes, when one
 half-open probe is let through; a probe success closes the circuit and
@@ -48,6 +49,7 @@ sort — so completion order cannot reorder anything.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Callable
 
@@ -144,8 +146,8 @@ class ShardedIndex:
         self.shard_options = dict(shard_options or {})
         self.faults = faults
         self._init_shard_state(breaker_threshold, breaker_reset_s, clock)
-        #: Whether the most recent fan-out answered from a shard subset.
-        self.last_query_degraded = False
+        #: Per-thread state behind :attr:`last_query_degraded`.
+        self._local = threading.local()
         self._next_id = 0
         self._n_alive = 0
         self._cache = QueryResultCache(cache_size) if cache_size else None
@@ -246,6 +248,20 @@ class ShardedIndex:
     def breakers(self) -> tuple[CircuitBreaker, ...]:
         """The per-shard circuit breakers (read-only view)."""
         return tuple(self._breakers)
+
+    @property
+    def last_query_degraded(self) -> bool:
+        """Whether the calling thread's most recent query answered from a
+        shard subset.
+
+        Kept per thread: concurrent queries each set and read their own
+        flag, so a caller never sees another query's degradation.
+        """
+        return getattr(self._local, "degraded", False)
+
+    @last_query_degraded.setter
+    def last_query_degraded(self, value: bool) -> None:
+        self._local.degraded = value
 
     @property
     def degraded(self) -> bool:

@@ -6,6 +6,10 @@ This package turns the reproduction's pieces into a deployable service:
   retrieval backend (it lives in :mod:`repro.retrieval` so the backend
   registry never imports upward; re-exported here): rows hash-partitioned
   across N child backends, merged top-k bit-identical to a single index.
+  :class:`~repro.serving.service.HashingService` uses one shard unless
+  told otherwise: a one-row search pays every shard's fixed cost, and
+  shards pay off only on large batched searches (README, "Shard
+  sizing").
 - :class:`~repro.serving.batcher.EncodeBatcher` — group-commit batching
   of single-query encodes: rows that queue while one network forward
   runs share the next, with no timer.
@@ -15,11 +19,11 @@ This package turns the reproduction's pieces into a deployable service:
   or warm-load its index from a store snapshot, and serve
   ``query``/``add``/``remove``/``stats``.
 
-- :mod:`~repro.serving.http` — the asyncio HTTP/JSON front end
+- :mod:`~repro.serving.http` — the HTTP/JSON front end
   (:class:`~repro.serving.http.ServingApp` +
-  :class:`~repro.serving.http.HttpServer`): concurrent connections feed
-  the shared batcher so independent clients coalesce into micro-batched
-  encodes.
+  :class:`~repro.serving.http.HttpServer`), a blocking server with one
+  thread per connection: concurrent connections feed the shared batcher
+  so independent clients coalesce into micro-batched encodes.
 
 CLI entry points: ``python -m repro.cli serve`` (one-shot or REPL),
 ``python -m repro.cli serve-http`` (network daemon), and

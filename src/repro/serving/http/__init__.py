@@ -7,9 +7,10 @@ Three layers, stdlib-only:
 - :mod:`~repro.serving.http.app` — :class:`ServingApp`: endpoint
   handlers, bounded admission, per-endpoint latency histograms, and
   zero-drop hot swap between service generations.
-- :mod:`~repro.serving.http.server` — :class:`HttpServer`: the asyncio
-  socket layer whose concurrent connections feed one shared
-  :class:`~repro.serving.batcher.EncodeBatcher`, plus
+- :mod:`~repro.serving.http.server` — :class:`HttpServer`: the blocking
+  socket layer, one thread per connection, each calling the app inline,
+  so concurrent connections feed one shared
+  :class:`~repro.serving.batcher.EncodeBatcher`; plus
   :class:`ServerThread` for embedding a running server in tests, the
   bench harness, and the CLI.
 

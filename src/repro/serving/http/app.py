@@ -1,7 +1,7 @@
 """Endpoint handlers for the HTTP serving front end.
 
 :class:`ServingApp` is the transport-agnostic middle layer between the
-asyncio socket server (:mod:`repro.serving.http.server`) and a
+blocking socket server (:mod:`repro.serving.http.server`) and a
 :class:`~repro.serving.service.HashingService`:
 
 - **routing** — ``handle(method, path, payload)`` maps the six endpoints
@@ -23,9 +23,11 @@ asyncio socket server (:mod:`repro.serving.http.server`) and a
   the old service finish on it; the old service is closed only when its
   last request drains, so a swap drops zero requests.
 
-Handlers run on the socket server's worker threads; everything here is
-thread-safe (one lock around the swap/admission state, thread-safe
-histograms, and the group-commit batcher underneath).
+Handlers run inline on the socket server's connection threads, one per
+connection; everything here is thread-safe (one lock around the
+swap/admission state, thread-safe histograms, the group-commit batcher
+underneath, and a per-thread ``degraded`` flag on the index, read on the
+thread that ran the query).
 """
 
 from __future__ import annotations
@@ -267,9 +269,9 @@ class ServingApp:
             self._swapping = True
         try:
             with self._admitted():
-                # Built on this worker thread while the current generation
-                # keeps answering queries — the swap itself is just the
-                # reference switch below.
+                # Built on this connection thread while the current
+                # generation keeps answering queries — the swap itself is
+                # just the reference switch below.
                 replacement = self._factory(request.model)
             with self._lock:
                 old = self._state
@@ -337,8 +339,8 @@ class ServingApp:
         """Finish the drain: retire the live service once idle.
 
         Call after the transport has stopped dispatching (the socket
-        server drains its worker pool first); a generation still pinned by
-        in-flight requests closes when its last one finishes.
+        server joins its connection threads first); a generation still
+        pinned by in-flight requests closes when its last one finishes.
         """
         self.begin_drain()
         with self._lock:

@@ -113,20 +113,42 @@ def _reject_unknown(payload: dict, allowed: frozenset[str], endpoint: str) -> No
         )
 
 
+#: What a JSON array holds when numpy infers a dtype of this kind.
+_KIND_NAMES = {"b": "booleans", "U": "strings", "f": "floats",
+               "u": "integers past the int64 range"}
+
+
+def _typed_array(value: object, field: str, kinds: str, what: str) -> np.ndarray:
+    """``value`` as the array numpy infers for it, when its dtype kind is
+    one of ``kinds``.
+
+    Inferring first and casting afterwards is what keeps JSON strings and
+    booleans (and, for ids, floats) from being silently converted into
+    numbers.  Ragged nesting and values numpy can only hold as objects
+    (``null``, objects, integers past 64 bits) are rejected too.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be {what}") from None
+    if array.size and array.dtype.kind not in kinds:
+        got = _KIND_NAMES.get(array.dtype.kind, "non-numeric values")
+        raise ValidationError(f"{field} must be {what}; got {got}")
+    return array
+
+
 def _as_matrix(value: object, field: str, *, single: bool = False) -> np.ndarray:
-    """A JSON array as a float64 batch whose first axis indexes rows.
+    """A JSON array of numbers as a float64 batch whose first axis
+    indexes rows.
 
     Accepts feature rows (1-D single / 2-D batch) and image tensors
     (3-D single / 4-D batch — the encoder decides what a row means);
     with ``single=True`` the payload is one row and gets the batch axis
     prepended.
     """
-    try:
-        matrix = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{field} must be an array of finite numbers"
-        ) from None
+    matrix = _typed_array(
+        value, field, "iuf", "an array of finite numbers"
+    ).astype(np.float64, copy=False)
     if single:
         if matrix.ndim not in (1, 3):
             raise ValidationError(
@@ -160,11 +182,9 @@ def _as_matrix(value: object, field: str, *, single: bool = False) -> np.ndarray
 
 
 def _as_ids(value: object, field: str) -> np.ndarray:
-    try:
-        ids = np.asarray(value, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{field} must be a list of integers") from None
-    ids = np.atleast_1d(ids)
+    ids = np.atleast_1d(
+        _typed_array(value, field, "i", "a list of 64-bit integers")
+    ).astype(np.int64, copy=False)
     if ids.ndim != 1:
         raise ValidationError(f"{field} must be a flat list of integers")
     if ids.size == 0:

@@ -1,20 +1,27 @@
-"""Asyncio HTTP/1.1 socket server for the serving front end.
+"""Blocking HTTP/1.1 socket server for the serving front end.
 
-Pure stdlib: one :func:`asyncio.start_server` event loop accepts
-connections and parses requests; handler work (validation, encode,
-search) is dispatched to a dedicated thread pool via
-``run_in_executor`` so that
+Pure stdlib, one thread per connection: an accept thread starts a thread
+for each connection, and that thread reads a request, calls
+:meth:`~repro.serving.http.app.ServingApp.handle_raw` inline and writes
+the response.  No event loop or executor sits between the socket and the
+handler, so
 
 - N concurrent connections put N concurrent callers *inside*
-  :meth:`~repro.serving.service.HashingService.query` at once, so rows
+  :meth:`~repro.serving.service.HashingService.query` at once, and rows
   that queue while one encode forward runs share the next one in the
-  group-commit :class:`~repro.serving.batcher.EncodeBatcher`, and
-- a slow or poisoned request can never stall the accept loop.
+  group-commit :class:`~repro.serving.batcher.EncodeBatcher`;
+- a slow or poisoned request stalls only its own connection.
+
+Connections are not capped: the app's ``max_inflight`` admission gate is
+the only bound on concurrent work.  The clients are the bundled CLI, the
+benchmark harness and sidecars, each holding a few keep-alive
+connections, which is the regime where threads beat events (von Behren,
+Condit & Brewer, "Why Events Are A Bad Idea (for High-Concurrency
+Servers)", HotOS 2003).
 
 The protocol support is deliberately minimal — HTTP/1.1 with
-``Content-Length`` bodies and keep-alive; no chunked encoding, no TLS —
-because the clients are the bundled CLI, the benchmark harness, and
-sidecar load balancers, not browsers.
+``Content-Length`` bodies and keep-alive; no chunked encoding (a
+``Transfer-Encoding`` request is answered with a 400 and a close), no TLS.
 
 Lifecycle (``shutdown()`` / SIGTERM path):
 
@@ -22,26 +29,37 @@ Lifecycle (``shutdown()`` / SIGTERM path):
    :class:`~repro.errors.ShutdownError` (503) so load balancers fail
    over immediately;
 2. the listening socket closes — no new connections;
-3. in-flight handler calls run to completion on the worker pool
-   (executor join happens off-loop, so responses still flow);
-4. idle keep-alive connections are closed, and the app retires the
-   service (which flushes the batcher and joins the shard pool, leaving
-   balanced worker/shm counters).
+3. connections waiting for their next request are shut down, which wakes
+   their blocked ``recv``; a connection mid-request finishes it, writes
+   the response and closes;
+4. once every connection thread has exited, the app retires the service
+   (which flushes the batcher and joins the shard pool, leaving balanced
+   worker/shm counters).
 """
 
 from __future__ import annotations
 
-import asyncio
+import json
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
+from repro.serving.http import schemas
 from repro.serving.http.app import ServingApp
 
 #: Upper bound on request head + body; a hostile client must not be able
 #: to balloon server memory before validation even runs.
 MAX_HEAD_BYTES = 16 * 1024
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
+#: After answering a request it cannot frame, the server half-closes and
+#: reads what the client still sends for at most this long, so the client
+#: reads the error response rather than a connection reset.
+LINGER_S = 1.0
+#: Pause before accepting again after ``accept()`` failed (e.g. out of
+#: file descriptors), so a persistent failure does not spin.
+ACCEPT_RETRY_S = 0.1
+_RECV_BYTES = 1 << 16
 
 _REASONS = {
     200: "OK",
@@ -69,8 +87,17 @@ def _response_bytes(status: int, body: bytes, *, close: bool) -> bytes:
     return head.encode("ascii") + body
 
 
+class _FramingError(Exception):
+    """A request the transport answers itself, with ``status``, before
+    closing the connection."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class HttpServer:
-    """The asyncio front end over a :class:`ServingApp`.
+    """The thread-per-connection front end over a :class:`ServingApp`.
 
     Parameters
     ----------
@@ -80,10 +107,6 @@ class HttpServer:
         Bind address; ``port=0`` picks a free port (exposed as
         :attr:`port` after :meth:`start` — tests and the bench rely on
         this).
-    concurrency:
-        Worker threads for handler dispatch.  This is the server's
-        parallelism ceiling; the app's ``max_inflight`` should be at
-        least this large or the extra threads only ever shed.
     max_body_bytes:
         Hard cap on ``Content-Length`` (413 beyond it).
     """
@@ -94,13 +117,8 @@ class HttpServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        concurrency: int = 8,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
     ) -> None:
-        if concurrency <= 0:
-            raise ConfigurationError(
-                f"concurrency must be positive: {concurrency}"
-            )
         if max_body_bytes <= 0:
             raise ConfigurationError(
                 f"max_body_bytes must be positive: {max_body_bytes}"
@@ -108,266 +126,207 @@ class HttpServer:
         self.app = app
         self.host = host
         self.port = port
-        self.concurrency = concurrency
         self.max_body_bytes = max_body_bytes
-        self._server: asyncio.base_events.Server | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._stopped = False
-        #: Connections currently between request-read and response-write
-        #: (all touched from the loop thread only); shutdown waits for
-        #: this to hit zero before closing sockets so no response is cut.
-        self._active = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        #: Guards the three fields below, shared by the accept thread, the
+        #: connection threads and :meth:`shutdown`.
+        self._lock = threading.Lock()
+        self._stopping = False
+        self._threads: set[threading.Thread] = set()
+        #: Sockets of connections not inside a request: waiting for the
+        #: next one, or lingering after a framing error.  Only these may
+        #: be cut at shutdown; a socket leaves the set before it closes.
+        self._idle: set[socket.socket] = set()
 
     # -- lifecycle --------------------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> "HttpServer":
         """Bind the listening socket and start accepting connections."""
-        if self._server is not None:
+        if self._listener is not None:
             raise ConfigurationError("server already started")
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.concurrency,
-            thread_name_prefix="http-worker",
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server((self.host, self.port),
+                                              family=family)
+        self.port = self._listener.getsockname()[1]
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name=f"http-accept-{self.port}",
+            daemon=True,
         )
-        self._server = await asyncio.start_server(
-            self._serve_connection, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._acceptor.start()
+        return self
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ConfigurationError("server not started")
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+    def shutdown(self) -> None:
+        """Graceful drain: refuse new work, finish in-flight requests and
+        write their responses, close every connection, then retire the
+        app's service.
 
-    async def shutdown(self) -> None:
-        """Graceful drain: refuse new work, finish in-flight, then close.
-
-        Idempotent; safe to call from a signal handler's task.
+        Idempotent; a server that never started has nothing to drain.
         """
-        if self._stopped:
-            return
-        self._stopped = True
-        self.app.begin_drain()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._executor is not None:
-            # Joining the pool blocks, so hop off the event loop thread —
-            # in-flight handlers still need the loop alive to write their
-            # responses.
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self._executor.shutdown(wait=True)
-            )
-        # Handlers have returned, but their responses may still be queued
-        # on connection tasks; wait for every mid-request connection to
-        # finish writing before cutting sockets.
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=30)
-        except asyncio.TimeoutError:
-            pass
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
+        with self._lock:
+            if self._stopping or self._listener is None:
+                return
+            self.app.begin_drain()
+            self._stopping = True
+        # On Linux, shutdown() wakes the blocked accept() (and, below, the
+        # blocked recv() of idle connections) without any polling.
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._acceptor.join()
+        self._listener.close()
+        with self._lock:
+            for sock in self._idle:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already reset it
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join()
         self.app.close()
 
     # -- connection handling ----------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, body, keep_alive = request
-                if isinstance(body, int):
-                    # Oversized or malformed framing: body carries the
-                    # status; answer and hang up.
-                    payload = (
-                        b'{"error": {"type": "ValidationError", '
-                        b'"message": "request too large or malformed"}}'
-                    )
-                    writer.write(_response_bytes(body, payload, close=True))
-                    await writer.drain()
-                    break
-                self._active += 1
-                self._idle.clear()
-                try:
-                    if self._stopped:
-                        # The worker pool is (or is about to be) joined;
-                        # answer the drain refusal inline.
-                        status, payload = 503, (
-                            b'{"error": {"type": "ShutdownError", '
-                            b'"message": "server is draining for '
-                            b'shutdown"}}'
-                        )
-                    else:
-                        loop = asyncio.get_running_loop()
-                        status, payload = await loop.run_in_executor(
-                            self._executor, self.app.handle_raw,
-                            method, path, body,
-                        )
-                    close = (not keep_alive or self._stopped
-                             or self.app.draining)
-                    writer.write(
-                        _response_bytes(status, payload, close=close)
-                    )
-                    await writer.drain()
-                finally:
-                    self._active -= 1
-                    if self._active == 0:
-                        self._idle.set()
-                if close:
-                    break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-            RuntimeError,  # executor shut down mid-dispatch
-        ):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
+    def _accept_loop(self) -> None:
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                sock, _ = self._listener.accept()
+            except OSError:
+                if self._stopping:
+                    return
+                time.sleep(ACCEPT_RETRY_S)
+                continue
+            thread = threading.Thread(
+                target=self._serve_connection, args=(sock,),
+                name=f"http-conn-{self.port}", daemon=True,
+            )
+            with self._lock:
+                self._threads.add(thread)
+            thread.start()
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; ``None`` on clean EOF, an ``int`` body for
-        protocol-level failures (the status to answer with)."""
+    def _serve_connection(self, sock: socket.socket) -> None:
+        buf = bytearray()
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean close between keep-alive requests
-            return ("GET", "/", 400, False)
-        except asyncio.LimitOverrunError:
-            return ("GET", "/", 431, False)
-        if len(head) > MAX_HEAD_BYTES:
-            return ("GET", "/", 431, False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while True:
+                with self._lock:
+                    if self._stopping:
+                        return
+                    self._idle.add(sock)
+                try:
+                    request = self._read_request(sock, buf)
+                except _FramingError as exc:
+                    self._refuse(sock, exc)
+                    return
+                finally:
+                    with self._lock:
+                        self._idle.discard(sock)
+                if request is None:
+                    return
+                method, path, body, keep_alive = request
+                status, payload = self.app.handle_raw(method, path, body)
+                close = not keep_alive or self.app.draining
+                sock.sendall(_response_bytes(status, payload, close=close))
+                if close:
+                    return
+        except OSError:
+            pass  # reset or broken pipe: the client is gone
+        finally:
+            sock.close()
+            with self._lock:
+                self._threads.discard(threading.current_thread())
 
+    def _read_request(self, sock: socket.socket, buf: bytearray):
+        """Read one request; ``buf`` carries bytes received past the
+        previous one (pipelining).
+
+        Returns ``(method, path, body, keep_alive)``, or ``None`` once the
+        client has closed (between requests or mid-request).  Raises
+        :class:`_FramingError` for a request the server answers itself.
+        """
+        while (end := buf.find(b"\r\n\r\n")) < 0:
+            if len(buf) >= MAX_HEAD_BYTES:
+                break
+            chunk = sock.recv(_RECV_BYTES)
+            if not chunk:
+                return None
+            buf += chunk
+        if end < 0 or end + 4 > MAX_HEAD_BYTES:
+            raise _FramingError(
+                431, f"request head exceeds {MAX_HEAD_BYTES} bytes"
+            )
         try:
-            lines = head.decode("ascii").split("\r\n")
-            method, path, version = lines[0].split(" ", 2)
+            lines = buf[:end].decode("ascii").split("\r\n")
+            method, target, version = lines[0].split(" ", 2)
         except (UnicodeDecodeError, ValueError):
-            return ("GET", "/", 400, False)
-        path = path.split("?", 1)[0]
-
+            raise _FramingError(400, "malformed request line") from None
+        del buf[:end + 4]
         headers: dict[str, str] = {}
         for line in lines[1:]:
-            if not line:
-                continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-
+        if "transfer-encoding" in headers:
+            raise _FramingError(
+                400, "Transfer-Encoding is not supported; send the body "
+                     "with a Content-Length header"
+            )
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            return (method, path, 400, False)
-        if length < 0:
-            return (method, path, 400, False)
+        if not length_text.isdigit():
+            raise _FramingError(
+                400, f"Content-Length must be a non-negative integer: "
+                     f"{length_text!r}"
+            )
+        length = int(length_text)
         if length > self.max_body_bytes:
-            return (method, path, 413, False)
-        body = await reader.readexactly(length) if length else b""
+            raise _FramingError(
+                413, f"request body exceeds {self.max_body_bytes} bytes"
+            )
+        while len(buf) < length:
+            chunk = sock.recv(max(_RECV_BYTES, length - len(buf)))
+            if not chunk:
+                return None
+            buf += chunk
+        body = bytes(buf[:length])
+        del buf[:length]
+        keep_alive = (version.strip().upper() != "HTTP/1.0"
+                      and headers.get("connection", "").lower() != "close")
+        return method, target.split("?", 1)[0], body, keep_alive
 
-        keep_alive = version.strip().upper() != "HTTP/1.0"
-        if headers.get("connection", "").lower() == "close":
-            keep_alive = False
-        return (method, path, body, keep_alive)
+    @staticmethod
+    def _refuse(sock: socket.socket, error: _FramingError) -> None:
+        """Answer a request that cannot be framed, then close in stages:
+        half-close, and read what the client still sends until it closes
+        or :data:`LINGER_S` passes.  Closing with unread bytes would send
+        a reset, which can destroy the response before the client reads
+        it (RFC 9112, section 9.6)."""
+        payload = json.dumps(
+            schemas.error_body(ValidationError(str(error)))
+        ).encode()
+        sock.sendall(_response_bytes(error.status, payload, close=True))
+        sock.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + LINGER_S
+        while (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            if not sock.recv(_RECV_BYTES):
+                return
 
 
-class ServerThread:
-    """A running :class:`HttpServer` on a background event-loop thread.
+class ServerThread(HttpServer):
+    """An :class:`HttpServer` as the CLI, tests and benches embed it:
+    ``start()`` returns the running server and ``stop()`` drains it.
 
-    Tests, the bench harness, and the CLI's foreground mode all want
-    "start it, talk to it over a socket, stop it" without owning an
-    event loop — this wrapper gives them that:
-
-    >>> handle = ServerThread(app)          # binds a free port
-    >>> handle.start()
-    >>> handle.port                         # actual bound port
+    >>> handle = ServerThread(app).start()   # binds a free port
+    >>> handle.port                          # actual bound port
     >>> ...
-    >>> handle.stop()                       # graceful drain, joins thread
+    >>> handle.stop()                        # graceful drain
     """
 
-    def __init__(self, app: ServingApp, **server_kwargs: object) -> None:
-        self.server = HttpServer(app, **server_kwargs)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._stop_event = asyncio.Event()
-        self._startup_error: BaseException | None = None
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def start(self, timeout_s: float = 10.0) -> "ServerThread":
-        if self._thread is not None:
-            raise ConfigurationError("server thread already started")
-        self._thread = threading.Thread(
-            target=self._run, name="http-server", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout_s):
-            raise ConfigurationError("server failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            try:
-                loop.run_until_complete(self.server.start())
-            except BaseException as exc:
-                self._startup_error = exc
-                return
-            finally:
-                self._ready.set()
-            loop.run_until_complete(self._main())
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    async def _main(self) -> None:
-        serving = asyncio.ensure_future(self.server.serve_forever())
-        await self._stop_event.wait()
-        # shutdown() closes the listener, which unblocks serve_forever.
-        await self.server.shutdown()
-        serving.cancel()
-        try:
-            await serving
-        except asyncio.CancelledError:
-            pass
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        """Graceful shutdown: drain in-flight work, then join the thread."""
-        thread, loop = self._thread, self._loop
-        if thread is None or loop is None:
-            return
-        if thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass  # loop already finished on its own
-        thread.join(timeout_s)
+    def stop(self) -> None:
+        """Graceful shutdown: drain in-flight work, join every thread."""
+        self.shutdown()
 
 
 def run_server_in_thread(
     app: ServingApp, **server_kwargs: object
 ) -> ServerThread:
-    """Start a server for ``app`` on a daemon thread; returns the handle."""
+    """Start a server for ``app`` on its own threads; returns the handle."""
     return ServerThread(app, **server_kwargs).start()

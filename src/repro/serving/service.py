@@ -142,7 +142,10 @@ class HashingService:
     backend / backend_options:
         Registered index backend name plus its constructor options.  The
         default is a ``"sharded"`` index; ``n_shards`` / ``shard_backend``
-        / ``cache_size`` are conveniences folded into the options.
+        / ``cache_size`` are conveniences folded into the options.  One
+        shard is the default: results are bit-identical at any shard
+        count, a one-row search pays every shard's fixed cost, and more
+        shards only pay off on large batched searches.
     max_batch:
         The most rows one :class:`EncodeBatcher` forward carries.
     clock:
@@ -185,7 +188,7 @@ class HashingService:
         *,
         store: ArtifactStore | None = None,
         backend: str = "sharded",
-        n_shards: int = 4,
+        n_shards: int = 1,
         shard_backend: str = "bruteforce",
         cache_size: int = 0,
         backend_options: dict | None = None,
@@ -461,7 +464,8 @@ class HashingService:
         :class:`~repro.errors.DeadlineExceededError` once blown.  Under a
         degraded sharded index, rows lost with a downed shard come back
         padded: external id ``-1`` with distance ``n_bits + 1``;
-        :attr:`last_query_degraded` reports whether this query was partial.
+        :attr:`last_query_degraded`, read on the thread that called
+        ``query``, reports whether this query was partial.
         A service that has been :meth:`close`\\ d refuses new queries with
         :class:`~repro.errors.ShutdownError`.
         """
@@ -510,7 +514,8 @@ class HashingService:
 
     @property
     def last_query_degraded(self) -> bool:
-        """Whether the most recent query returned partial (padded) results."""
+        """Whether the calling thread's most recent query returned partial
+        (padded) results; concurrent callers each read their own."""
         return bool(getattr(self.index, "last_query_degraded", False))
 
     def __len__(self) -> int:

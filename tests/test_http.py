@@ -2,9 +2,9 @@
 
 Covers the three layers of :mod:`repro.serving.http` — the schema
 validation boundary, the :class:`ServingApp` handlers (admission, hot
-swap, metrics, drain), and the asyncio socket server — plus the
-thread-safety stress test for the shared :class:`EncodeBatcher` the
-concurrent handlers feed.
+swap, metrics, drain), and the thread-per-connection socket server —
+plus the thread-safety stress test for the shared :class:`EncodeBatcher`
+the concurrent handlers feed.
 """
 
 import itertools
@@ -34,6 +34,8 @@ from repro.errors import (
 from repro.serving import EncodeBatcher, HashingService
 from repro.serving.http import ServingApp, run_server_in_thread
 from repro.serving.http import schemas
+from repro.serving.http.server import MAX_HEAD_BYTES
+from repro.utils.faults import FaultInjector
 
 DIM, BITS = 8, 16
 
@@ -108,6 +110,8 @@ class TestSchemas:
         {"vectors": [[1.0]], "top_k": 1.5},             # non-int top_k
         {"vectors": [[1.0]], "deadline_s": -1},         # bad deadline
         [1, 2, 3],                                      # not an object
+        {"vector": ["1.5", "2", "3"]},                  # numeric strings
+        {"vector": [True, False, True]},                # booleans
     ])
     def test_parse_query_rejects(self, payload):
         with pytest.raises(ValidationError):
@@ -206,6 +210,50 @@ class TestServingApp:
         app = ServingApp(make_service())
         status, body = app.handle("POST", "/query", {"vectors": "zzz"})
         assert (status, body["error"]["type"]) == (400, "ValidationError")
+        app.close()
+
+    def test_remove_rejects_float_ids(self):
+        service = make_service()
+        app = ServingApp(service)
+        status, body = app.handle("POST", "/remove", {"ids": [1.7]})
+        assert (status, body["error"]["type"]) == (400, "ValidationError")
+        assert len(service) == 40  # id 1 was not removed
+        app.close()
+
+    def test_degraded_flag_belongs_to_its_request(self):
+        faults = FaultInjector().arm()
+        # Only the first shard-0 probe fails: the first query degrades,
+        # every later one is healthy (one failure keeps the breaker closed).
+        faults.rule("shard.search", match={"shard": 0}, nth=1)
+        service = make_service(backend="sharded", n_shards=2, faults=faults)
+        app = ServingApp(service)
+        searched, healthy_done = threading.Event(), threading.Event()
+        query = service.query
+
+        def pausing_query(*args, **kwargs):
+            # Hold the faulted request between its search and the
+            # handler's flag read until the healthy request has finished.
+            out = query(*args, **kwargs)
+            if threading.current_thread() is faulted:
+                searched.set()
+                assert healthy_done.wait(10)
+            return out
+
+        service.query = pausing_query
+        payload = {"vector": [0.5] * DIM, "top_k": 5}
+        results = []
+        faulted = threading.Thread(
+            target=lambda: results.append(app.handle("POST", "/query",
+                                                     payload))
+        )
+        faulted.start()
+        assert searched.wait(10)
+        healthy = app.handle("POST", "/query", payload)
+        healthy_done.set()
+        faulted.join(10)
+        assert not faulted.is_alive()
+        assert healthy[0] == 200 and healthy[1]["degraded"] is False
+        assert results[0][0] == 200 and results[0][1]["degraded"] is True
         app.close()
 
     def test_handle_raw_bad_json(self):
@@ -369,7 +417,7 @@ class TestHttpServer:
     def test_end_to_end_bit_identical(self):
         service = make_service()
         app = ServingApp(service)
-        handle = run_server_in_thread(app, concurrency=4)
+        handle = run_server_in_thread(app)
         try:
             queries = np.random.default_rng(3).standard_normal((4, DIM))
             status, body = post(handle.port, "/query",
@@ -384,7 +432,7 @@ class TestHttpServer:
 
     def test_error_statuses_over_the_wire(self):
         app = ServingApp(make_service())
-        handle = run_server_in_thread(app, concurrency=2)
+        handle = run_server_in_thread(app)
         try:
             assert post(handle.port, "/query", {"vectors": "zzz"})[0] == 400
             assert post(handle.port, "/missing", {})[0] == 404
@@ -394,7 +442,7 @@ class TestHttpServer:
 
     def test_keep_alive_two_requests_one_connection(self):
         app = ServingApp(make_service())
-        handle = run_server_in_thread(app, concurrency=2)
+        handle = run_server_in_thread(app)
         try:
             body = json.dumps({"vector": [1.0] * DIM}).encode()
             request = (
@@ -415,7 +463,7 @@ class TestHttpServer:
 
     def test_malformed_request_line_400(self):
         app = ServingApp(make_service())
-        handle = run_server_in_thread(app, concurrency=2)
+        handle = run_server_in_thread(app)
         try:
             with socket.create_connection(
                 ("127.0.0.1", handle.port), timeout=30
@@ -428,8 +476,7 @@ class TestHttpServer:
 
     def test_oversized_body_413(self):
         app = ServingApp(make_service())
-        handle = run_server_in_thread(app, concurrency=2,
-                                      max_body_bytes=64)
+        handle = run_server_in_thread(app, max_body_bytes=64)
         try:
             big = json.dumps({"vector": [1.0] * 512}).encode()
             request = (
@@ -463,7 +510,7 @@ class TestHttpServer:
         release.clear()
         entered.clear()
         app = ServingApp(service)
-        handle = run_server_in_thread(app, concurrency=4)
+        handle = run_server_in_thread(app)
         port = handle.port
         results = []
         worker = threading.Thread(
@@ -494,7 +541,7 @@ class TestHttpServer:
     def test_rejects_new_work_while_draining(self):
         service = make_service()
         app = ServingApp(service)
-        handle = run_server_in_thread(app, concurrency=2)
+        handle = run_server_in_thread(app)
         try:
             app.begin_drain()
             status, body = post(handle.port, "/query",
@@ -502,6 +549,117 @@ class TestHttpServer:
             assert (status, body["error"]["type"]) == (503, "ShutdownError")
         finally:
             handle.stop()
+
+    def test_pipelined_requests_answered_in_order(self):
+        service = make_service()
+        handle = run_server_in_thread(ServingApp(service))
+        try:
+            queries = np.random.default_rng(4).standard_normal((2, DIM))
+            first = _post_bytes("/query", {"vector": queries[0].tolist(),
+                                           "top_k": 3})
+            second = _post_bytes("/query", {"vector": queries[1].tolist(),
+                                            "top_k": 4}, close=True)
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=30
+            ) as conn:
+                conn.sendall(first + second)
+                responses = _read_responses_until_eof(conn)
+            assert [status for status, _ in responses] == [200, 200]
+            for (_, body), row, top_k in zip(responses, queries, (3, 4)):
+                ids, dist = service.query(row, top_k=top_k)
+                assert json.loads(body)["ids"] == ids.tolist()
+                assert json.loads(body)["distances"] == dist.tolist()
+        finally:
+            handle.stop()
+
+    def test_oversized_head_431_then_close(self):
+        handle = run_server_in_thread(ServingApp(make_service()))
+        try:
+            head = (b"GET /health HTTP/1.1\r\nX-Pad: "
+                    + b"a" * MAX_HEAD_BYTES + b"\r\n\r\n")
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=30
+            ) as conn:
+                conn.sendall(head)
+                responses = _read_responses_until_eof(conn)
+            assert [status for status, _ in responses] == [431]
+        finally:
+            handle.stop()
+
+    def test_chunked_request_one_400_then_close(self):
+        handle = run_server_in_thread(ServingApp(make_service()))
+        try:
+            body = json.dumps({"vector": [1.0] * DIM}).encode()
+            request = (b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                       b"Transfer-Encoding: chunked\r\n\r\n"
+                       b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body))
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=30
+            ) as conn:
+                conn.sendall(request)
+                responses = _read_responses_until_eof(conn)
+            assert [status for status, _ in responses] == [400]
+            error = json.loads(responses[0][1])["error"]
+            assert error["type"] == "ValidationError"
+            assert "Content-Length" in error["message"]
+        finally:
+            handle.stop()
+
+    def test_disconnect_mid_body_leaves_no_connection_thread(self):
+        handle = run_server_in_thread(ServingApp(make_service()))
+        name = f"http-conn-{handle.port}"
+
+        def connection_threads():
+            return [t for t in threading.enumerate() if t.name == name]
+
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=30
+            ) as conn:
+                conn.sendall(_post_bytes("/query", {"vector": [1.0] * DIM}))
+                assert _read_response(conn)[0] == 200
+                assert len(connection_threads()) == 1
+                conn.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 1000\r\n\r\n{\"vector\"")
+            assert wait_until(lambda: not connection_threads())
+        finally:
+            handle.stop()
+
+    def test_stop_closes_idle_keep_alive_connection_promptly(self):
+        handle = run_server_in_thread(ServingApp(make_service()))
+        with socket.create_connection(
+            ("127.0.0.1", handle.port), timeout=30
+        ) as conn:
+            conn.sendall(_post_bytes("/query", {"vector": [1.0] * DIM}))
+            assert _read_response(conn)[0] == 200
+            start = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - start < 1.0
+            assert conn.recv(1) == b""  # EOF, not a hang or a reset
+
+
+def _post_bytes(path: str, payload: dict, *, close: bool = False) -> bytes:
+    """One raw HTTP/1.1 POST carrying ``payload`` as JSON."""
+    body = json.dumps(payload).encode()
+    connection = b"Connection: close\r\n" if close else b""
+    return (b"POST %s HTTP/1.1\r\nHost: x\r\n%sContent-Length: %d\r\n\r\n"
+            % (path.encode(), connection, len(body))) + body
+
+
+def _read_responses_until_eof(conn: socket.socket):
+    """Every ``(status, body)`` the server sent before closing."""
+    data = b""
+    while chunk := conn.recv(65536):
+        data += chunk
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        length = next(int(line.split(":", 1)[1]) for line in lines
+                      if line.lower().startswith("content-length:"))
+        responses.append((int(lines[0].split(" ")[1]), rest[:length]))
+        data = rest[length:]
+    return responses
 
 
 def _read_response(conn: socket.socket):
