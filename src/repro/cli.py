@@ -80,8 +80,9 @@ never waits), with bounded admission (``--max-inflight``, the only bound
 on concurrent work, shed as HTTP 429), per-endpoint latency percentiles
 in ``/stats``, zero-drop model hot swap via ``POST /swap`` (needs
 ``--cache-dir``; target is a published fingerprint), and graceful
-SIGTERM/SIGINT drain.  ``serve``, ``serve-http`` and ``bench-serve``
-search one shard unless ``--shards`` says otherwise.
+SIGTERM/SIGINT drain.  ``serve`` and ``serve-http`` search one shard
+unless ``--shards`` says otherwise; ``bench-serve``, whose batched leg
+is one 200-row search, keeps four.
 
 ``--cache-dir`` on ``train`` / ``table1`` / ``table2`` (or ``--resume``,
 which implies the default cache dir) attaches a content-addressed
@@ -840,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bserve.add_argument("--bits", type=int, default=64)
     p_bserve.add_argument("--queries", type=int, default=200)
     p_bserve.add_argument("--top-k", type=int, default=10)
-    p_bserve.add_argument("--shards", type=int, default=1,
+    p_bserve.add_argument("--shards", type=int, default=4,
                           help="index shards; results are identical at any "
                                "count")
     p_bserve.add_argument("--shard-backend", default="bruteforce")

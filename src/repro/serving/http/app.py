@@ -11,7 +11,8 @@ blocking socket server (:mod:`repro.serving.http.server`) and a
 - **admission control** — work endpoints pass a bounded in-flight gate:
   past ``max_inflight`` concurrent requests the app sheds with
   :class:`~repro.errors.OverloadedError` (HTTP 429) *before* any work is
-  queued; once draining, with :class:`~repro.errors.ShutdownError` (503).
+  queued — ``handle_raw`` admits before it even decodes the body; once
+  draining, with :class:`~repro.errors.ShutdownError` (503).
   ``/stats`` and ``/health`` bypass the gate — operators must be able to
   observe an overloaded server.
 - **metrics** — one :class:`~repro.utils.metrics.LatencyHistogram` per
@@ -36,7 +37,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import json
 
@@ -112,13 +113,16 @@ class ServingApp:
             for endpoint in ("query", "add", "remove", "swap", "stats",
                              "health", "other")
         }
+        #: (method, path) -> (endpoint, handler, whether it is admitted).
+        #: Admitted handlers take ``(payload, state)``, the pinned
+        #: generation; the observability ones take ``(payload)``.
         self._routes = {
-            ("POST", "/query"): ("query", self._handle_query),
-            ("POST", "/add"): ("add", self._handle_add),
-            ("POST", "/remove"): ("remove", self._handle_remove),
-            ("POST", "/swap"): ("swap", self._handle_swap),
-            ("GET", "/stats"): ("stats", self._handle_stats),
-            ("GET", "/health"): ("health", self._handle_health),
+            ("POST", "/query"): ("query", self._handle_query, True),
+            ("POST", "/add"): ("add", self._handle_add, True),
+            ("POST", "/remove"): ("remove", self._handle_remove, True),
+            ("POST", "/swap"): ("swap", self._handle_swap, True),
+            ("GET", "/stats"): ("stats", self._handle_stats, False),
+            ("GET", "/health"): ("health", self._handle_health, False),
         }
 
     # -- observability ----------------------------------------------------------
@@ -180,8 +184,13 @@ class ServingApp:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def handle(self, method: str, path: str, payload: object = None):
-        """Route one request; returns ``(status, body_dict)``.
+    def handle(self, method: str, path: str, payload: object = None, *,
+               admitted: _ServiceState | None = None):
+        """Route one decoded request; returns ``(status, body_dict)``.
+
+        A work endpoint runs on ``admitted``, the generation
+        :meth:`handle_raw` pinned when it admitted the request; without
+        one, the request passes the admission gate here.
 
         Library errors map to their taxonomy status (see
         :func:`~repro.serving.http.schemas.status_for`); unknown routes
@@ -199,64 +208,68 @@ class ServingApp:
                         "message": f"no route for {method.upper()} {path}",
                     }
                 }
-            else:
+            elif not route[2]:
                 status, body = 200, route[1](payload)
+            else:
+                with (self._admitted() if admitted is None
+                      else nullcontext(admitted)) as state:
+                    status, body = 200, route[1](payload, state)
         except BaseException as exc:
             status, body = schemas.status_for(exc), schemas.error_body(exc)
-        finally:
-            self.metrics[endpoint].record(self._clock() - start)
-        with self._lock:
-            self._requests += 1
-            self._responses[status] += 1
+        self._count(endpoint, start, status)
         return status, body
 
     def handle_raw(self, method: str, path: str, body: bytes):
         """The byte-level entry the socket server dispatches to.
 
-        Decodes the JSON body (empty bodies parse as ``{}``), runs
-        :meth:`handle`, and encodes the response; returns
-        ``(status, response_bytes)``.
+        A work endpoint passes the admission gate *before* its body is
+        decoded, so ``max_inflight`` bounds decoding too and a shed
+        request costs no parse.  Then the JSON body is decoded (an empty
+        body is ``None``), :meth:`handle` runs on the pinned generation
+        and the response is encoded; returns ``(status, response_bytes)``.
         """
-        payload: object = None
-        if body:
-            try:
-                payload = json.loads(body)
-            except ValueError:
-                status, out = 400, schemas.error_body(
-                    ValidationError("request body is not valid JSON")
-                )
-                with self._lock:
-                    self._requests += 1
-                    self._responses[status] += 1
-                return status, json.dumps(out).encode()
-        status, out = self.handle(method, path, payload)
+        route = self._routes.get((method.upper(), path))
+        start = self._clock()
+        try:
+            with (self._admitted() if route is not None and route[2]
+                  else nullcontext()) as state:
+                status, out = self.handle(method, path, _decode(body),
+                                          admitted=state)
+        except (OverloadedError, ShutdownError, ValidationError) as exc:
+            status, out = schemas.status_for(exc), schemas.error_body(exc)
+            self._count(route[0] if route is not None else "other", start,
+                        status)
         return status, json.dumps(schemas.jsonable(out)).encode()
+
+    def _count(self, endpoint: str, start: float, status: int) -> None:
+        """Record one answered request's latency and status."""
+        self.metrics[endpoint].record(self._clock() - start)
+        with self._lock:
+            self._requests += 1
+            self._responses[status] += 1
 
     # -- endpoints --------------------------------------------------------------
 
-    def _handle_query(self, payload: object) -> dict:
+    def _handle_query(self, payload: object, state: _ServiceState) -> dict:
         request = schemas.parse_query(payload)
-        with self._admitted() as state:
-            ids, distances = state.service.query(
-                request.vectors, top_k=request.top_k,
-                deadline_s=request.deadline_s,
-            )
-            degraded = state.service.last_query_degraded
-        return schemas.query_response(ids, distances, degraded)
+        ids, distances = state.service.query(
+            request.vectors, top_k=request.top_k,
+            deadline_s=request.deadline_s,
+        )
+        return schemas.query_response(ids, distances,
+                                      state.service.last_query_degraded)
 
-    def _handle_add(self, payload: object) -> dict:
+    def _handle_add(self, payload: object, state: _ServiceState) -> dict:
         request = schemas.parse_add(payload)
-        with self._admitted() as state:
-            ids = state.service.add(request.vectors, ids=request.ids)
+        ids = state.service.add(request.vectors, ids=request.ids)
         return {"ids": ids.tolist()}
 
-    def _handle_remove(self, payload: object) -> dict:
+    def _handle_remove(self, payload: object, state: _ServiceState) -> dict:
         request = schemas.parse_remove(payload)
-        with self._admitted() as state:
-            removed = state.service.remove(request.ids)
+        removed = state.service.remove(request.ids)
         return {"removed": int(removed)}
 
-    def _handle_swap(self, payload: object) -> dict:
+    def _handle_swap(self, payload: object, state: _ServiceState) -> dict:
         request = schemas.parse_swap(payload)
         if self._factory is None:
             raise ConfigurationError(
@@ -268,16 +281,18 @@ class ServingApp:
                 raise OverloadedError("another swap is already in progress")
             self._swapping = True
         try:
-            with self._admitted():
-                # Built on this connection thread while the current
-                # generation keeps answering queries — the swap itself is
-                # just the reference switch below.
-                replacement = self._factory(request.model)
+            # Built on this connection thread while the current generation
+            # keeps answering queries — the swap itself is just the
+            # reference switch below.
+            replacement = self._factory(request.model)
             with self._lock:
                 old = self._state
                 self._state = _ServiceState(replacement)
                 old.retired = True
                 self._swaps += 1
+                # This request pins ``state``, which then closes as it
+                # leaves the gate; ``old`` differs only if another swap
+                # ran between this request's admission and its own.
                 retire_now = old.inflight == 0
             if retire_now:
                 self._close_service(old)
@@ -349,3 +364,13 @@ class ServingApp:
             retire_now = state.inflight == 0
         if retire_now:
             self._close_service(state)
+
+
+def _decode(body: bytes) -> object:
+    """The request's JSON payload; an empty body is ``None``."""
+    if not body:
+        return None
+    try:
+        return json.loads(body)
+    except ValueError:
+        raise ValidationError("request body is not valid JSON") from None

@@ -32,9 +32,12 @@ Lifecycle (``shutdown()`` / SIGTERM path):
 3. connections waiting for their next request are shut down, which wakes
    their blocked ``recv``; a connection mid-request finishes it, writes
    the response and closes;
-4. once every connection thread has exited, the app retires the service
-   (which flushes the batcher and joins the shard pool, leaving balanced
-   worker/shm counters).
+4. connections still open after :data:`DRAIN_TIMEOUT_S` — a response
+   stuck on a client that stopped reading — are shut down too, which
+   wakes their blocked ``sendall``;
+5. the app retires the service (which flushes the batcher and joins the
+   shard pool, leaving balanced worker/shm counters); a handler still
+   running past the deadline keeps its generation open until it returns.
 """
 
 from __future__ import annotations
@@ -57,8 +60,12 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: reads the error response rather than a connection reset.
 LINGER_S = 1.0
 #: Pause before accepting again after ``accept()`` failed (e.g. out of
-#: file descriptors), so a persistent failure does not spin.
+#: file descriptors) or a connection thread could not start (a thread or
+#: process limit), so a persistent failure does not spin.
 ACCEPT_RETRY_S = 0.1
+#: How long shutdown waits for in-flight requests to finish and write
+#: their responses before it cuts the connections still open.
+DRAIN_TIMEOUT_S = 30.0
 _RECV_BYTES = 1 << 16
 
 _REASONS = {
@@ -133,10 +140,12 @@ class HttpServer:
         #: connection threads and :meth:`shutdown`.
         self._lock = threading.Lock()
         self._stopping = False
-        self._threads: set[threading.Thread] = set()
-        #: Sockets of connections not inside a request: waiting for the
-        #: next one, or lingering after a framing error.  Only these may
-        #: be cut at shutdown; a socket leaves the set before it closes.
+        #: Every open connection's socket and the thread serving it.
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        #: The sockets not inside a request: waiting for the next one, or
+        #: lingering after a framing error.  Shutdown cuts these at once
+        #: and the rest after the drain.  A socket leaves both collections
+        #: before it closes.
         self._idle: set[socket.socket] = set()
 
     # -- lifecycle --------------------------------------------------------------
@@ -159,7 +168,7 @@ class HttpServer:
     def shutdown(self) -> None:
         """Graceful drain: refuse new work, finish in-flight requests and
         write their responses, close every connection, then retire the
-        app's service.
+        app's service.  Returns within about :data:`DRAIN_TIMEOUT_S`.
 
         Idempotent; a server that never started has nothing to drain.
         """
@@ -174,14 +183,15 @@ class HttpServer:
         self._acceptor.join()
         self._listener.close()
         with self._lock:
-            for sock in self._idle:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # the peer already reset it
-            threads = list(self._threads)
+            _cut(self._idle)
+            threads = list(self._conns.values())
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         for thread in threads:
-            thread.join()
+            thread.join(max(0.0, deadline - time.monotonic()))
+        # Past the deadline, cut the connections still open: this wakes a
+        # sendall() stuck on a client that stopped reading.
+        with self._lock:
+            _cut(self._conns)
         self.app.close()
 
     # -- connection handling ----------------------------------------------------
@@ -200,8 +210,14 @@ class HttpServer:
                 name=f"http-conn-{self.port}", daemon=True,
             )
             with self._lock:
-                self._threads.add(thread)
-            thread.start()
+                self._conns[sock] = thread
+            try:
+                thread.start()
+            except RuntimeError:  # can't start new thread
+                with self._lock:
+                    del self._conns[sock]
+                sock.close()
+                time.sleep(ACCEPT_RETRY_S)
 
     def _serve_connection(self, sock: socket.socket) -> None:
         buf = bytearray()
@@ -231,9 +247,9 @@ class HttpServer:
         except OSError:
             pass  # reset or broken pipe: the client is gone
         finally:
-            sock.close()
             with self._lock:
-                self._threads.discard(threading.current_thread())
+                del self._conns[sock]
+            sock.close()
 
     def _read_request(self, sock: socket.socket, buf: bytearray):
         """Read one request; ``buf`` carries bytes received past the
@@ -310,6 +326,16 @@ class HttpServer:
                 return
 
 
+def _cut(socks) -> None:
+    """Shut every socket in ``socks`` down both ways; on Linux this wakes
+    a thread blocked in its ``recv`` or ``sendall``."""
+    for sock in socks:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer already reset it
+
+
 class ServerThread(HttpServer):
     """An :class:`HttpServer` as the CLI, tests and benches embed it:
     ``start()`` returns the running server and ``stop()`` drains it.
@@ -321,7 +347,8 @@ class ServerThread(HttpServer):
     """
 
     def stop(self) -> None:
-        """Graceful shutdown: drain in-flight work, join every thread."""
+        """Graceful shutdown: drain in-flight work, close every
+        connection (see :meth:`HttpServer.shutdown`)."""
         self.shutdown()
 
 

@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.serving import EncodeBatcher, HashingService
 from repro.serving.http import ServingApp, run_server_in_thread
 from repro.serving.http import schemas
+from repro.serving.http import server as http_server
 from repro.serving.http.server import MAX_HEAD_BYTES
 from repro.utils.faults import FaultInjector
 
@@ -301,6 +302,39 @@ class TestServingApp:
         worker.join(10)
         assert results[0][0] == 200
         assert app.inflight == 0
+        app.close()
+
+    def test_shed_request_body_is_not_decoded(self):
+        encode, entered, release = gated_encoder(identity_network())
+        service = HashingService(encode, n_bits=BITS, backend="bruteforce",
+                                 max_batch=64)
+        release.set()
+        service.add(np.random.default_rng(7).standard_normal((10, DIM)))
+        release.clear()
+        entered.clear()
+        app = ServingApp(service, max_inflight=1)
+        body = json.dumps({"vector": [0.5] * DIM}).encode()
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(
+                app.handle_raw("POST", "/query", body)
+            )
+        )
+        worker.start()
+        assert entered.wait(10)
+        # The gate is full, so the body is never decoded: a 429, where
+        # decoding it would have answered 400.
+        status, raw = app.handle_raw("POST", "/query", b"{nope")
+        assert (status, json.loads(raw)["error"]["type"]) == (
+            429, "OverloadedError")
+        release.set()
+        worker.join(10)
+        assert results[0][0] == 200
+        assert app.handle_raw("POST", "/query", b"{nope")[0] == 400
+        server = app.handle("GET", "/stats", None)[1]["server"]
+        assert server["shed"] == 1 and server["inflight"] == 0
+        assert server["responses"] == {"200": 1, "400": 1, "429": 1}
+        assert server["latency"]["query"]["count"] == 3
         app.close()
 
     def test_draining_rejects_with_503(self):
@@ -636,6 +670,65 @@ class TestHttpServer:
             handle.stop()
             assert time.monotonic() - start < 1.0
             assert conn.recv(1) == b""  # EOF, not a hang or a reset
+
+    def test_failed_connection_thread_start_drops_only_that_connection(
+            self, monkeypatch):
+        service = make_service()
+        handle = run_server_in_thread(ServingApp(service))
+        name = f"http-conn-{handle.port}"
+        start = threading.Thread.start
+        refused = []
+
+        def start_or_fail_once(thread):
+            if thread.name == name and not refused:
+                refused.append(thread)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_or_fail_once)
+        with socket.create_connection(
+            ("127.0.0.1", handle.port), timeout=30
+        ) as conn:
+            assert conn.recv(1) == b""  # closed unanswered
+        assert len(refused) == 1
+        # The accept loop survived: the next connection is served.
+        assert post(handle.port, "/query", {"vector": [1.0] * DIM})[0] == 200
+        stopper = threading.Thread(target=handle.stop, daemon=True)
+        stopper.start()
+        stopper.join(10)
+        assert not stopper.is_alive() and service.closed
+
+    def test_stop_cuts_a_client_that_never_reads_after_the_drain(
+            self, monkeypatch):
+        monkeypatch.setattr(http_server, "DRAIN_TIMEOUT_S", 0.2)
+        service = make_service()
+        app = ServingApp(service)
+        answered = threading.Event()
+        large = b"0" * (16 << 20)  # more than both socket buffers hold
+
+        def handle_raw(method, path, body):
+            answered.set()
+            return 200, large
+
+        app.handle_raw = handle_raw
+        handle = run_server_in_thread(app)
+        conn = socket.socket()
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        with conn:
+            conn.connect(("127.0.0.1", handle.port))
+            conn.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert answered.wait(10)
+            began = time.monotonic()
+            stopper = threading.Thread(target=handle.stop, daemon=True)
+            stopper.start()
+            stopper.join(10)
+            assert not stopper.is_alive()
+            # It waited the drain out for the write, then cut it.
+            assert time.monotonic() - began >= 0.2
+            assert service.closed
+            assert wait_until(lambda: not any(
+                t.name == f"http-conn-{handle.port}"
+                for t in threading.enumerate()))
 
 
 def _post_bytes(path: str, payload: dict, *, close: bool = False) -> bytes:
