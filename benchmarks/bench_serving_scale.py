@@ -18,14 +18,24 @@ Acceptance gates for the sharded online serving layer
 
 from __future__ import annotations
 
-import numpy as np
+import os
 
-from repro.core.hashing_network import HashingNetwork
-from repro.pipeline import ArtifactStore
-from repro.retrieval import make_backend
-from repro.serving import INDEX_STAGE, HashingService
+# Pin BLAS to one thread *before* numpy loads (a no-op if numpy is already
+# imported, e.g. in a full-suite run): with BLAS's own threads the batched
+# leg's forward times went bimodal on a 2-core machine and the 3x gate
+# failed intermittently.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from conftest import assert_speedup, timed
+import numpy as np  # noqa: E402
+
+from repro.core.hashing_network import HashingNetwork  # noqa: E402
+from repro.pipeline import ArtifactStore  # noqa: E402
+from repro.retrieval import make_backend  # noqa: E402
+from repro.serving import INDEX_STAGE, HashingService  # noqa: E402
+
+from conftest import assert_speedup, timed  # noqa: E402
 
 N_DB = 10_000
 N_BITS = 64

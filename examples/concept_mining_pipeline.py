@@ -49,7 +49,7 @@ def main() -> None:
 
     # Second prompting pass over the clean set + Eq. 6.
     clean_distributions = miner.mine(images, result.kept_concepts)
-    q = similarity_from_distributions(clean_distributions)
+    q = similarity_from_distributions(clean_distributions).to_dense()
     off = ~np.eye(q.shape[0], dtype=bool)
     print(f"\nsimilarity matrix Q: shape={q.shape}, "
           f"mean={q[off].mean():.3f}, std={q[off].std():.3f}")

@@ -56,6 +56,7 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "DenseSimilarity",
+    "FactoredSimilarity",
     "NotFittedError",
     "ReproError",
     "ShapeError",
@@ -76,7 +77,8 @@ def __getattr__(name: str):
         from repro.core.uhscm import UHSCM
 
         return UHSCM
-    if name in ("SimilarityMatrix", "DenseSimilarity", "SparseTopKSimilarity"):
+    if name in ("SimilarityMatrix", "DenseSimilarity", "FactoredSimilarity",
+                "SparseTopKSimilarity"):
         from repro.core import similarity_matrix
 
         return getattr(similarity_matrix, name)

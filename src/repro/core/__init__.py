@@ -27,6 +27,7 @@ from repro.core.similarity import (
 )
 from repro.core.similarity_matrix import (
     DenseSimilarity,
+    FactoredSimilarity,
     SimilarityMatrix,
     SparseTopKSimilarity,
     as_similarity_matrix,
@@ -42,6 +43,7 @@ __all__ = [
     "ConceptMiner",
     "DenoisingResult",
     "DenseSimilarity",
+    "FactoredSimilarity",
     "HashingNetwork",
     "ImageFeatureSimilarityGenerator",
     "LossBreakdown",

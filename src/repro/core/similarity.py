@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.denoising import DenoisingResult, denoise_concepts
 from repro.core.mining import ConceptMiner, concept_distributions
 from repro.core.similarity_matrix import (
+    FactoredSimilarity,
     SimilarityMatrix,
     SparseTopKSimilarity,
     as_similarity_matrix,
@@ -34,7 +35,7 @@ from repro.pipeline import (
     run_stage,
     run_stage_streaming,
 )
-from repro.utils.mathops import cosine_similarity_matrix
+from repro.utils.mathops import l2_normalize
 from repro.vlp.clip import SimCLIP
 from repro.vlp.prompts import PromptTemplate
 
@@ -45,15 +46,17 @@ def similarity_from_distributions(
     dtype: np.dtype | str | None = None,
     workers: int | None = None,
     pool_backend: str | None = None,
-) -> "np.ndarray | SparseTopKSimilarity":
+) -> "FactoredSimilarity | SparseTopKSimilarity":
     """Eq. 3 / Eq. 6: pairwise cosine similarity of concept distributions.
 
-    ``sparse_topk=None`` (default) returns the dense (n, n) array exactly
-    as before; a positive k routes through the blocked kernel and returns
-    the top-k CSR form, never materializing n².  ``workers`` parallelizes
-    the blocked kernel's row tiles and ``pool_backend`` picks thread or
-    process execution (bit-identical either way at any count; the dense
-    route ignores both — one GEMM, BLAS threads as it likes).
+    ``sparse_topk=None`` (default) returns the exact Q as its factor, a
+    :class:`FactoredSimilarity` over the L2-normalised rows: ``n · m``
+    values, and ``to_dense()`` is the (n, n) array this function used to
+    return, bit for bit.  A positive k routes through the blocked kernel
+    and returns the top-k CSR form.  Neither route materializes n².
+    ``workers`` parallelizes the blocked kernel's row tiles and
+    ``pool_backend`` picks thread or process execution (bit-identical
+    either way at any count; the factored route ignores both).
     """
     dist = np.asarray(
         distributions, dtype=np.float64 if dtype is None else dtype
@@ -63,7 +66,7 @@ def similarity_from_distributions(
             f"distributions must be (n, m), got {dist.shape}"
         )
     if sparse_topk is None:
-        return cosine_similarity_matrix(dist, dtype=dist.dtype)
+        return FactoredSimilarity(l2_normalize(dist, dtype=dist.dtype))
     return SparseTopKSimilarity.from_features(
         dist, sparse_topk, dtype=dist.dtype, workers=workers,
         pool_backend=pool_backend,
@@ -125,6 +128,22 @@ def _run_build_q(
     )
 
 
+def _average(
+    matrices: "list[np.ndarray | SimilarityMatrix]",
+) -> "FactoredSimilarity | np.ndarray":
+    """Template averaging (``UHSCM_avg``): the mean of per-template Q.
+
+    Factored inputs stay factored, and their blocks average in template
+    order.  A dense per-template Q (a replayed pre-factor artifact) makes
+    the mean dense, computed exactly as before.
+    """
+    if all(isinstance(m, FactoredSimilarity) for m in matrices):
+        return FactoredSimilarity(*(f for m in matrices for f in m.factors))
+    return np.mean(
+        [as_similarity_matrix(m).to_dense() for m in matrices], axis=0
+    )
+
+
 def _sparsity_params(sparse_topk: int | None) -> dict:
     """Fingerprint fragment for the sparsity settings.
 
@@ -138,6 +157,13 @@ def _sparsity_params(sparse_topk: int | None) -> dict:
 @dataclass
 class SimilarityResult:
     """The similarity matrix Q plus provenance from the mining pipeline.
+
+    ``matrix`` is a :class:`~repro.core.similarity_matrix.FactoredSimilarity`
+    on every generator's default path, a
+    :class:`~repro.core.similarity_matrix.SparseTopKSimilarity` with
+    ``sparse_topk``, and a raw (n, n) array when a caller injects one or a
+    dense artifact replays from a store; ``as_similarity_matrix`` wraps any
+    of them for training.
 
     ``mined`` distinguishes a Q produced by the §3.3 pipeline (where
     ``concepts`` is the post-denoising set, possibly empty) from a Q that
@@ -174,15 +200,16 @@ class SemanticSimilarityGenerator:
     denoise:
         Apply Eq. 4–5 between the two mining passes.
     sparse_topk:
-        ``None`` (default) builds the dense (n, n) Q; a positive k builds
-        the top-k CSR form via the blocked kernel instead (exact for
-        ``k >= n - 1``, a weak-pair truncation below that).  Incompatible
-        with template averaging, which needs dense matrices to mix.
+        ``None`` (default) holds the exact Q as its (n, m) factor; a
+        positive k builds the top-k CSR form via the blocked kernel
+        instead (exact for ``k >= n - 1``, a weak-pair truncation below
+        that).  Incompatible with template averaging, which mixes
+        factors.
     out_of_core:
         Residency policy for staged sparse builds: the CSR Q streams
         straight into on-disk artifact buffers (and comes back as memmap
         views) instead of passing through the heap.  Ignored — with
-        identical outputs — on the dense, unstaged, or memory-only-store
+        identical outputs — on the factored, unstaged, or memory-only-store
         paths.
     workers:
         Worker count for the sparse kernel's row-tile fan-out (``None``
@@ -214,7 +241,7 @@ class SemanticSimilarityGenerator:
         if sparse_topk is not None and len(templates) > 1:
             raise ConfigurationError(
                 "sparse_topk cannot be combined with template averaging: "
-                "averaged Q requires dense per-template matrices"
+                "averaged Q requires exact per-template matrices"
             )
         self.clip = clip
         self.concepts = tuple(concepts)
@@ -342,7 +369,7 @@ class SemanticSimilarityGenerator:
         store: ArtifactStore | None = None,
         data_key: dict | None = None,
     ) -> SimilarityResult:
-        """Full §3.3 pipeline; averages matrices across templates if several.
+        """Full §3.3 pipeline; averages Q across templates if several.
 
         With a ``store`` and a ``data_key`` (the provenance of ``images``,
         see :func:`repro.pipeline.dataset_key`) the pipeline runs staged:
@@ -369,21 +396,20 @@ class SemanticSimilarityGenerator:
             avg_art = run_stage(
                 store,
                 avg_stage,
-                lambda: (
-                    {"concepts": list(results[0].concepts)},
-                    {"matrix": np.mean([r.matrix for r in results], axis=0)},
+                lambda: _q_payload(
+                    _average([r.matrix for r in results]),
+                    results[0].concepts,
                 ),
             )
             return SimilarityResult(
-                matrix=avg_art.arrays["matrix"],
+                matrix=similarity_from_payload(avg_art.meta, avg_art.arrays),
                 concepts=results[0].concepts,
                 denoising=results[0].denoising,
                 distributions=None,
                 fingerprint=avg_art.key,
             )
-        averaged = np.mean([r.matrix for r in results], axis=0)
         return SimilarityResult(
-            matrix=averaged,
+            matrix=_average([r.matrix for r in results]),
             concepts=results[0].concepts,
             denoising=results[0].denoising,
             distributions=None,
@@ -419,13 +445,10 @@ class ImageFeatureSimilarityGenerator:
 
     def _build_matrix(
         self, images: np.ndarray
-    ) -> "np.ndarray | SparseTopKSimilarity":
-        features = self.clip.image_features(images)
-        if self.sparse_topk is None:
-            return cosine_similarity_matrix(features)
-        return SparseTopKSimilarity.from_features(
-            features, self.sparse_topk, workers=self.workers,
-            pool_backend=self.pool_backend,
+    ) -> "FactoredSimilarity | SparseTopKSimilarity":
+        return similarity_from_distributions(
+            self.clip.image_features(images), sparse_topk=self.sparse_topk,
+            workers=self.workers, pool_backend=self.pool_backend,
         )
 
     def generate(

@@ -3,16 +3,27 @@
 Every layer of Algorithm 1 that touches the semantic similarity matrix only
 ever needs three operations: the t×t sub-block for a training mini-batch
 (:meth:`SimilarityMatrix.gather`), a dtype cast at ``fit`` time, and a
-serializable payload for the artifact store.  This module provides two
+serializable payload for the artifact store.  This module provides three
 interchangeable implementations behind that contract:
 
-- :class:`DenseSimilarity` — the existing (n, n) array, bit-identical to
-  the seed behavior and the default everywhere (paper parity);
+- :class:`FactoredSimilarity` — Q as its factor: Eq. 6 is
+  ``Q = clip(A·Aᵀ, -1, 1)`` for the (n, m) matrix A of L2-normalised
+  concept distributions, so holding A (``n · m · 8`` bytes) and computing
+  each batch block as ``clip(A[idx] @ A[idx].T)`` gives the paper's Q
+  without ever building n².  The default on every UHSCM path;
+- :class:`DenseSimilarity` — a materialized (n, n) array: a Q the caller
+  injects, or a dense artifact already in a store;
 - :class:`SparseTopKSimilarity` — a top-k CSR form built by the blocked
   kernel :func:`repro.utils.mathops.blocked_topk_cosine`, which keeps only
-  the k strongest entries per row (plus the diagonal) and never
-  materializes n².  At 1M rows a dense float64 Q is ~8 TB; the CSR form is
+  the k strongest entries per row (plus the diagonal).  The CSR form is
   ``n · (k + 1)`` values + indices, linear in n.
+
+The factored form's :meth:`~FactoredSimilarity.to_dense` is bit-identical
+to :func:`repro.utils.mathops.cosine_similarity_matrix`.  Its gathered
+blocks are t-row GEMMs where the dense build is one n-row GEMM, which
+BLAS may sum in a different order: measured with OpenBLAS, blocks match
+the dense gather bit for bit at most shapes and differ by at most 2.5
+eps at some (n = 513, 3500).
 
 With ``k >= n - 1`` the sparse form holds every entry and densifies to
 the dense matrix within 2 machine epsilons per entry: the kernel's row-block
@@ -38,15 +49,16 @@ from repro.utils.mathops import (
 PAYLOAD_FORMAT_KEY = "q_format"
 DENSE_FORMAT = "dense"
 CSR_FORMAT = "csr-topk"
+FACTOR_FORMAT = "factor"
 
 
 class SimilarityMatrix:
-    """Contract shared by both Q representations.
+    """Contract shared by every Q representation.
 
     Subclasses expose ``shape``/``dtype``/``nbytes``, batch gathering,
     casting, densification, and the store payload.  ``nbytes`` is the
-    memory model documented in the README: ``n² · itemsize`` dense versus
-    ``n · (k + 1)`` values + indices sparse.
+    memory model documented in the README: ``n · m · itemsize`` factored,
+    ``n² · itemsize`` dense, ``n · (k + 1)`` values + indices sparse.
     """
 
     @property
@@ -82,8 +94,83 @@ class SimilarityMatrix:
         raise NotImplementedError
 
 
+class FactoredSimilarity(SimilarityMatrix):
+    """Eq. 6's Q held as its factor: ``Q = clip(A·Aᵀ, -1, 1)``.
+
+    Each factor is an (n, m) matrix of L2-normalised rows.  With several
+    factors (template averaging, the ``UHSCM_avg`` ablation) Q is the mean
+    of the per-factor matrices, taken in factor order exactly as
+    ``np.mean(..., axis=0)`` averages the dense ones.
+
+    Blocks are computed in the factors' dtype and then cast to
+    :attr:`dtype`, so a float32 cast keeps the float64 factors and yields
+    the float32 cast of each float64 block — the same bits as casting the
+    dense Q.  Factors may be memmaps (a Q replayed from a raw-format store
+    artifact).
+    """
+
+    def __init__(
+        self, *factors: np.ndarray, dtype: np.dtype | str | None = None
+    ) -> None:
+        if not factors:
+            raise ConfigurationError("at least one factor is required")
+        rows = factors[0].shape[:1]
+        if any(f.ndim != 2 or f.shape[:1] != rows for f in factors):
+            raise ShapeError(
+                "factors must be 2-D with the same row count, got "
+                f"{[f.shape for f in factors]}"
+            )
+        self.factors = factors
+        self._dtype = np.dtype(factors[0].dtype if dtype is None else dtype)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.factors[0].shape[0]
+        return (n, n)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._dtype
+
+    @property
+    def nbytes(self) -> int:
+        return sum(factor.nbytes for factor in self.factors)
+
+    def astype(self, dtype: np.dtype | str) -> "FactoredSimilarity":
+        dtype = np.dtype(dtype)
+        if self._dtype == dtype:
+            return self
+        return FactoredSimilarity(*self.factors, dtype=dtype)
+
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        # The symmetric rank-m update of the batch rows: O(t² · m) per
+        # step, the same clip(a @ a.T) cosine_similarity_matrix runs on
+        # all n rows.
+        idx = np.asarray(idx, dtype=np.intp)
+        blocks = []
+        for factor in self.factors:
+            rows = factor[idx]
+            block = rows @ rows.T
+            blocks.append(np.clip(block, -1.0, 1.0, out=block))
+        block = blocks[0] if len(blocks) == 1 else np.mean(blocks, axis=0)
+        return block.astype(self._dtype, copy=False)
+
+    def to_dense(self) -> np.ndarray:
+        return self.gather(np.arange(self.n))
+
+    def payload(self) -> tuple[dict, dict[str, np.ndarray]]:
+        meta = {
+            PAYLOAD_FORMAT_KEY: FACTOR_FORMAT,
+            "factors": len(self.factors),
+            "dtype": self._dtype.name,
+        }
+        arrays = {f"factor_{i}": f for i, f in enumerate(self.factors)}
+        return meta, arrays
+
+
 class DenseSimilarity(SimilarityMatrix):
-    """The paper-parity dense (n, n) similarity matrix."""
+    """A materialized (n, n) similarity matrix: an injected array or a
+    dense artifact replayed from a store."""
 
     def __init__(self, matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix)
@@ -325,17 +412,23 @@ def as_similarity_matrix(
 
 def similarity_from_payload(
     meta: dict, arrays: dict[str, np.ndarray]
-) -> "np.ndarray | SparseTopKSimilarity":
+) -> "np.ndarray | FactoredSimilarity | SparseTopKSimilarity":
     """Reconstruct a stored Q from its archive body.
 
     The dense layout (also every pre-sparse artifact, which carries no
     format marker) comes back as the raw array so downstream consumers of
-    the historical contract are untouched; the CSR layout comes back as a
+    the historical contract are untouched; the factor layout comes back as
+    a :class:`FactoredSimilarity` and the CSR layout as a
     :class:`SparseTopKSimilarity`.
     """
     layout = meta.get(PAYLOAD_FORMAT_KEY, DENSE_FORMAT)
     if layout == DENSE_FORMAT:
         return arrays["matrix"]
+    if layout == FACTOR_FORMAT:
+        return FactoredSimilarity(
+            *(arrays[f"factor_{i}"] for i in range(int(meta["factors"]))),
+            dtype=meta["dtype"],
+        )
     if layout == CSR_FORMAT:
         return SparseTopKSimilarity(
             arrays["q_data"], arrays["q_indices"], arrays["q_indptr"],
@@ -345,10 +438,21 @@ def similarity_from_payload(
 
 
 def similarity_fingerprint(value: "np.ndarray | SimilarityMatrix") -> str:
-    """Content hash of either Q form (used for injected-Q train stages)."""
+    """Content hash of any Q form (used for injected-Q train stages).
+
+    The factored form hashes its factors, never the n² matrix they define.
+    """
     from repro.pipeline.fingerprint import array_fingerprint, fingerprint
 
     matrix = as_similarity_matrix(value)
+    if isinstance(matrix, FactoredSimilarity):
+        return fingerprint(
+            {
+                "kind": FACTOR_FORMAT,
+                "dtype": matrix.dtype.name,
+                "factors": [array_fingerprint(f) for f in matrix.factors],
+            }
+        )
     if isinstance(matrix, SparseTopKSimilarity):
         return fingerprint(
             {

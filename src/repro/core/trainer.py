@@ -116,8 +116,8 @@ class UHSCMTrainer:
         similarity:
             The (n, n) semantic similarity matrix Q — a dense array or any
             :class:`~repro.core.similarity_matrix.SimilarityMatrix` (the
-            top-k CSR form trains without ever densifying beyond the t×t
-            batch block; its CSR components may themselves be memmaps).
+            factored and top-k CSR forms train without ever densifying
+            beyond the t×t batch block; their arrays may be memmaps).
         epochs:
             Override for ``config.train.epochs``.
 
@@ -148,12 +148,12 @@ class UHSCMTrainer:
         batch_size = min(self.config.train.batch_size, n)
 
         def gather(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # Dense Q gathers the t² sub-block with one flat take; sparse Q
-            # densifies its stored batch entries into a zero block.  Either
-            # way only O(t²) is materialized per step.  Fancy indexing
-            # copies the input rows to the heap either way; the explicit
-            # cast only matters for the memmap path, whose rows still carry
-            # the on-disk dtype.
+            # Factored Q multiplies the batch's factor rows, dense Q takes
+            # the t² sub-block, sparse Q densifies its stored batch entries
+            # into a zero block: only O(t²) is materialized per step.
+            # Fancy indexing copies the input rows to the heap either way;
+            # the explicit cast only matters for the memmap path, whose
+            # rows still carry the on-disk dtype.
             return similarity.gather(idx), np.asarray(inputs[idx],
                                                       dtype=self.dtype)
 

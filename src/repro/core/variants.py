@@ -88,11 +88,11 @@ make_p2 = _make_prompt_variant("p2")
 def make_avg(config: UHSCMConfig, clip: SimCLIP) -> UHSCM:
     """Row 6 (UHSCM_avg): Q averaged across the three prompt templates.
 
-    Template averaging needs dense per-template matrices to mix, so this
-    variant always builds dense Q — ``config.sparse_topk`` is deliberately
-    cleared, keeping sparse Table 2 sweeps able to run every row and its
-    cached cells valid across the toggle (constructing a multi-template
-    generator with ``sparse_topk`` directly still raises).
+    Template averaging mixes exact per-template Q (their factors), so this
+    variant always builds the exact Q — ``config.sparse_topk`` is
+    deliberately cleared, keeping sparse Table 2 sweeps able to run every
+    row and its cached cells valid across the toggle (constructing a
+    multi-template generator with ``sparse_topk`` directly still raises).
     """
     config = replace(config, sparse_topk=None)
     generator = SemanticSimilarityGenerator(

@@ -192,12 +192,14 @@ def generate_dataset(
             instance_scale=spec.instance_scale,
         )
 
-    images = np.concatenate(
-        [
-            world.render(latents[start : start + _RENDER_CHUNK], rng=pixel_rng)
-            for start in range(0, total, _RENDER_CHUNK)
-        ]
-    )
+    # Each chunk renders into its slice of one preallocated array, so the
+    # images are never held twice (a list of chunks plus their concatenation).
+    c, s = world.config.channels, world.config.image_size
+    images = np.empty((total, c, s, s))
+    for start in range(0, total, _RENDER_CHUNK):
+        images[start : start + _RENDER_CHUNK] = world.render(
+            latents[start : start + _RENDER_CHUNK], rng=pixel_rng
+        )
 
     query_images = images[: sizes.query]
     query_labels = labels[: sizes.query]

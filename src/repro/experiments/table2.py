@@ -51,7 +51,7 @@ def run_table2(
     ``ours`` / ``wo_mcl`` / ``cl``, which differ only on the training side)
     reuse one mined Q per dataset, and finished cells replay on resume.
     ``sparse_topk`` routes the UHSCM-family variants through the top-k CSR
-    Q engine (the ``avg`` variant requires dense Q and rejects it);
+    Q engine (the ``avg`` variant needs the exact Q and ignores it);
     ``out_of_core`` streams those builds through disk-resident buffers
     without changing any cell; ``workers`` runs the fits' parallel kernels
     on that many threads, also without changing any cell.

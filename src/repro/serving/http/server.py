@@ -23,6 +23,11 @@ The protocol support is deliberately minimal — HTTP/1.1 with
 ``Content-Length`` bodies and keep-alive; no chunked encoding (a
 ``Transfer-Encoding`` request is answered with a 400 and a close), no TLS.
 
+A connection that sends nothing for :data:`IDLE_TIMEOUT_S` — idle between
+requests or stalled inside one — is closed, which frees its thread.  The
+same timeout bounds writing a response: one that takes longer than
+:data:`IDLE_TIMEOUT_S` to send (a client that stopped reading) is cut.
+
 Lifecycle (``shutdown()`` / SIGTERM path):
 
 1. the app begins draining — new work is refused with
@@ -66,6 +71,9 @@ ACCEPT_RETRY_S = 0.1
 #: How long shutdown waits for in-flight requests to finish and write
 #: their responses before it cuts the connections still open.
 DRAIN_TIMEOUT_S = 30.0
+#: How long a connection may wait for the next bytes of a request, and
+#: the longest writing one response may take, before it is closed.
+IDLE_TIMEOUT_S = 60.0
 _RECV_BYTES = 1 << 16
 
 _REASONS = {
@@ -223,6 +231,9 @@ class HttpServer:
         buf = bytearray()
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # A recv or sendall that times out raises TimeoutError, an
+            # OSError: the connection closes like one the client reset.
+            sock.settimeout(IDLE_TIMEOUT_S)
             while True:
                 with self._lock:
                     if self._stopping:

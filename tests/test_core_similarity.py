@@ -24,11 +24,12 @@ def class_images(world):
 class TestSimilarityFromDistributions:
     def test_diagonal_is_one(self, rng):
         d = rng.dirichlet(np.ones(5), size=8)
-        q = similarity_from_distributions(d)
+        q = similarity_from_distributions(d).to_dense()
         np.testing.assert_allclose(np.diag(q), 1.0)
 
     def test_nonnegative_for_distributions(self, rng):
-        q = similarity_from_distributions(rng.dirichlet(np.ones(4), size=6))
+        q = similarity_from_distributions(
+            rng.dirichlet(np.ones(4), size=6)).to_dense()
         assert np.all(q >= 0)
 
     def test_rank_check(self):
@@ -41,7 +42,7 @@ class TestSemanticSimilarityGenerator:
         images, labels = class_images
         gen = SemanticSimilarityGenerator(clip, NUS_WIDE_81)
         result = gen.generate(images)
-        q = result.matrix
+        q = result.matrix.to_dense()
         same = labels[:, None] == labels[None, :]
         off = ~np.eye(30, dtype=bool)
         assert q[same & off].mean() > q[~same].mean() + 0.3
@@ -68,7 +69,8 @@ class TestSemanticSimilarityGenerator:
             templates=("default", "p1", "p2"),
         ).generate(images)
         assert avg.matrix.shape == single.matrix.shape
-        assert not np.allclose(avg.matrix, single.matrix)
+        assert not np.allclose(avg.matrix.to_dense(),
+                               single.matrix.to_dense())
 
     def test_validation(self, clip):
         with pytest.raises(ConfigurationError):
@@ -80,7 +82,8 @@ class TestSemanticSimilarityGenerator:
 class TestImageFeatureGenerator:
     def test_symmetric_unit_diagonal(self, clip, class_images):
         images, _ = class_images
-        q = ImageFeatureSimilarityGenerator(clip).generate(images).matrix
+        q = ImageFeatureSimilarityGenerator(clip).generate(
+            images).matrix.to_dense()
         np.testing.assert_allclose(np.diag(q), 1.0)
         np.testing.assert_allclose(q, q.T)
 
@@ -97,7 +100,8 @@ class TestImageFeatureGenerator:
         def fidelity(q):
             return np.corrcoef(q[off], same[off])[0, 1]
 
-        assert fidelity(mined.matrix) > fidelity(raw.matrix)
+        assert (fidelity(mined.matrix.to_dense())
+                > fidelity(raw.matrix.to_dense()))
 
 
 class TestClusteredGenerator:

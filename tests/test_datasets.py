@@ -12,8 +12,10 @@ from repro.datasets import (
     load_dataset,
     paper_splits,
 )
-from repro.datasets.synthetic import DatasetSpec
+from repro.datasets.synthetic import _RENDER_CHUNK, DatasetSpec, _sample_image
 from repro.errors import ConfigurationError
+from repro.utils.rng import as_generator, spawn
+from repro.vlp.world import SemanticWorld
 
 
 class TestSplits:
@@ -133,3 +135,54 @@ class TestGeneratedDatasets:
     def test_class_balance_cifar(self, cifar_tiny):
         counts = cifar_tiny.database_labels.sum(axis=0)
         assert counts.min() > 0
+
+
+def _concatenated_reference(name: str, scale: float, seed: int):
+    """``load_dataset``'s images, labels and train rows, generated the way
+    the generator used to: each chunk rendered to its own array, then one
+    ``np.concatenate`` over all of them."""
+    spec = dataset_spec(name)
+    sizes = paper_splits(name, scale)
+    world = SemanticWorld()
+    label_rng, latent_rng, pixel_rng, split_rng = spawn(as_generator(seed), 4)
+    total = sizes.total_generated
+    labels = np.zeros((total, len(spec.class_names)), dtype=np.int8)
+    latents = np.zeros((total, world.config.latent_dim))
+    for i in range(total):
+        sample = _sample_image(spec, label_rng)
+        labels[i] = sample.label_mask
+        latents[i] = world.image_latent(
+            sample.concepts, np.asarray(sample.weights), rng=latent_rng,
+            instance_scale=spec.instance_scale,
+        )
+    images = np.concatenate([
+        world.render(latents[start:start + _RENDER_CHUNK], rng=pixel_rng)
+        for start in range(0, total, _RENDER_CHUNK)
+    ])
+    train = np.sort(
+        split_rng.choice(sizes.database, size=sizes.train, replace=False))
+    return sizes, images, labels, train
+
+
+@pytest.mark.parametrize(
+    "name, scale, seed",
+    [("cifar10", 0.02, 0), ("nuswide", 0.02, 3), ("mirflickr", 0.05, 1)],
+)
+def test_in_place_rendering_matches_concatenated_chunks(name, scale, seed):
+    data = load_dataset(name, scale=scale, seed=seed)
+    sizes, images, labels, train = _concatenated_reference(name, scale, seed)
+    # Several chunks, the last one partial.
+    assert sizes.total_generated > _RENDER_CHUNK
+    assert sizes.total_generated % _RENDER_CHUNK
+    q = sizes.query
+    for got, want in [
+        (data.query_images, images[:q]),
+        (data.database_images, images[q:]),
+        (data.train_images, images[q:][train]),
+        (data.query_labels, labels[:q]),
+        (data.database_labels, labels[q:]),
+        (data.train_labels, labels[q:][train]),
+        (data.train_indices, train),
+    ]:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

@@ -659,6 +659,35 @@ class TestHttpServer:
         finally:
             handle.stop()
 
+    def test_quiet_connections_time_out_and_free_their_threads(
+            self, monkeypatch):
+        monkeypatch.setattr(http_server, "IDLE_TIMEOUT_S", 0.2)
+        handle = run_server_in_thread(ServingApp(make_service()))
+        name = f"http-conn-{handle.port}"
+
+        def connection_threads():
+            return [t for t in threading.enumerate() if t.name == name]
+
+        try:
+            stalled = socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=5)
+            idle = socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=5)
+            with stalled, idle:
+                # A partial request head, then silence.
+                stalled.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\n")
+                # A full request on a keep-alive connection, then silence.
+                idle.sendall(_post_bytes("/query", {"vector": [1.0] * DIM}))
+                assert _read_response(idle)[0] == 200
+                assert stalled.recv(1) == b""  # EOF, not a hang or a reset
+                assert idle.recv(1) == b""
+                assert wait_until(lambda: not connection_threads())
+            # The server still serves the next client.
+            assert post(handle.port, "/query",
+                        {"vector": [1.0] * DIM})[0] == 200
+        finally:
+            handle.stop()
+
     def test_stop_closes_idle_keep_alive_connection_promptly(self):
         handle = run_server_in_thread(ServingApp(make_service()))
         with socket.create_connection(

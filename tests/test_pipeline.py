@@ -257,7 +257,8 @@ class TestStagedSimilarity:
         store = ArtifactStore()
         staged = gen.generate(images, store=store,
                               data_key=dataset_key("t", 0.01, 7))
-        np.testing.assert_array_equal(staged.matrix, direct.matrix)
+        np.testing.assert_array_equal(staged.matrix.to_dense(),
+                                      direct.matrix.to_dense())
         assert staged.concepts == direct.concepts
         assert staged.mined and staged.fingerprint is not None
         np.testing.assert_array_equal(
@@ -270,7 +271,8 @@ class TestStagedSimilarity:
         direct = gen.generate(images)
         staged = gen.generate(images, store=ArtifactStore(),
                               data_key=dataset_key("t", 0.01, 7))
-        np.testing.assert_array_equal(staged.matrix, direct.matrix)
+        np.testing.assert_array_equal(staged.matrix.to_dense(),
+                                      direct.matrix.to_dense())
 
     def test_second_generate_hits_every_stage(self, clip, cifar_tiny):
         images = cifar_tiny.train_images
@@ -321,7 +323,8 @@ class TestStagedSimilarity:
         direct = gen.generate(images)
         staged = gen.generate(images, store=ArtifactStore(),
                               data_key=dataset_key("t", 0.01, 7))
-        np.testing.assert_array_equal(staged.matrix, direct.matrix)
+        np.testing.assert_array_equal(staged.matrix.to_dense(),
+                                      direct.matrix.to_dense())
         assert staged.fingerprint is not None
 
 

@@ -193,7 +193,8 @@ class TestGeneratorsSparse:
             clip, NUS_WIDE_81, sparse_topk=n - 1
         ).generate(small_images)
         assert isinstance(sparse.matrix, SparseTopKSimilarity)
-        assert np.array_equal(sparse.matrix.to_dense(), dense.matrix)
+        assert np.array_equal(sparse.matrix.to_dense(),
+                              dense.matrix.to_dense())
 
     def test_image_feature_generator_sparse(self, clip, small_images):
         dense = ImageFeatureSimilarityGenerator(clip).generate(small_images)
@@ -201,7 +202,8 @@ class TestGeneratorsSparse:
         sparse = ImageFeatureSimilarityGenerator(
             clip, sparse_topk=n - 1
         ).generate(small_images)
-        assert np.array_equal(sparse.matrix.to_dense(), dense.matrix)
+        assert np.array_equal(sparse.matrix.to_dense(),
+                              dense.matrix.to_dense())
 
     def test_sparse_rejects_template_averaging(self, clip):
         with pytest.raises(ConfigurationError):
@@ -245,7 +247,7 @@ class TestGeneratorsSparse:
         dist = rng.dirichlet(np.ones(6), size=20)
         dense = similarity_from_distributions(dist)
         sparse = similarity_from_distributions(dist, sparse_topk=19)
-        assert np.array_equal(sparse.to_dense(), dense)
+        assert np.array_equal(sparse.to_dense(), dense.to_dense())
 
 
 class TestTrainerWithSparseQ:
