@@ -11,7 +11,7 @@ component (store reads, shard fan-out, encode forwards):
    requests hang (the batcher ends every phase with no pending ticket);
 2. **exactness** — queries that hit no fault (before the outage and after
    recovery) return results bit-identical to an unfaulted run, and even
-   *degraded* answers are bit-identical to a bruteforce search over the
+   *degraded* answers are bit-identical to a flat-index search over the
    surviving shards' rows (padded tail positions excepted);
 3. **recovery** — once the schedule disarms and the breaker reset timeout
    passes, the shard circuits close, ``health()`` returns to ``ok``, and
@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.hashing_network import HashingNetwork
 from repro.errors import ReproError, TransientError
 from repro.pipeline import ArtifactStore
-from repro.retrieval import make_backend
+from repro.retrieval import HammingIndex
 from repro.serving import INDEX_STAGE, HashingService
 from repro.utils import FaultInjector, RetryPolicy
 
@@ -70,10 +70,10 @@ def _network() -> HashingNetwork:
 
 def _service(store, faults, clock) -> HashingService:
     return HashingService(
-        _network(), store=store, n_shards=N_SHARDS,
-        shard_backend="bruteforce", faults=faults, clock=clock,
-        backend_options={"breaker_threshold": 3,
-                         "breaker_reset_s": BREAKER_RESET_S},
+        _network(), store=store, n_shards=N_SHARDS, faults=faults,
+        clock=clock,
+        index_options={"breaker_threshold": 3,
+                       "breaker_reset_s": BREAKER_RESET_S},
     )
 
 
@@ -86,17 +86,17 @@ def test_bench_fault_scale(results_dir, tmp_path):
     db = rng.normal(size=(N_DB, DIM))
     queries = rng.normal(size=(3 * N_QUERIES, DIM))
 
-    # -- unfaulted reference: bruteforce over the full database ---------------
+    # -- unfaulted reference: one flat index over the full database ----------
     encoder = _network()
     db_codes = encoder.encode(db)
-    reference = make_backend("bruteforce", N_BITS)
+    reference = HammingIndex(N_BITS)
     reference.add(db_codes)
     ref_ids, ref_dist = reference.search(encoder.encode(queries), top_k=TOP_K)
 
-    # The degraded-mode reference: bruteforce over the surviving shards'
+    # The degraded-mode reference: one flat index over the surviving shards'
     # rows only (hash partitioning assigns internal id i to shard i % 4).
     alive = np.flatnonzero(np.arange(N_DB) % N_SHARDS != DEAD_SHARD)
-    partial = make_backend("bruteforce", N_BITS)
+    partial = HammingIndex(N_BITS)
     partial.add(db_codes[alive])
     part_pos, part_dist = partial.search(
         encoder.encode(queries), top_k=TOP_K
@@ -145,7 +145,7 @@ def test_bench_fault_scale(results_dir, tmp_path):
     assert errs2, "the seeded schedule must inject encode failures"
     assert service.batcher.stats()["poisoned"] == len(errs2)
     # gate 2 (degraded exactness): answers under the dead shard match the
-    # bruteforce reference over the surviving shards, bit for bit.
+    # flat-index reference over the surviving shards, bit for bit.
     assert ok2 and all(degraded for _, degraded, _, _ in ok2)
     for qi, _, ids, dist in ok2:
         np.testing.assert_array_equal(ids[0], part_ids[N_QUERIES + qi])

@@ -83,8 +83,7 @@ def _network(rng: int = SEED) -> HashingNetwork:
 
 
 def _service(db: np.ndarray, *, rng: int = SEED) -> HashingService:
-    service = HashingService(_network(rng), backend="sharded", n_shards=4,
-                             max_batch=64)
+    service = HashingService(_network(rng), n_shards=4, max_batch=64)
     service.add(db)
     return service
 
@@ -227,8 +226,7 @@ def test_bench_http_scale(results_dir):
         release.wait(30)
         return network.encode(matrix)
 
-    shed_service = HashingService(gated_encode, n_bits=BITS,
-                                  backend="bruteforce", max_batch=64)
+    shed_service = HashingService(gated_encode, n_bits=BITS, max_batch=64)
     release.set()
     shed_service.add(db[:64])
     release.clear()

@@ -8,8 +8,9 @@ Acceptance gates for the sharded online serving layer
    flush, one fan-out search per batch) must beat the same service driven
    one request at a time (``max_batch=1``: one forward + one search per
    query) by >= 3x;
-2. **exactness** — merged sharded top-k results are bit-identical to the
-   ``multi-index`` backend over the same codes, for both drive modes;
+2. **exactness** — merged sharded top-k results are bit-identical to one
+   flat :class:`~repro.retrieval.HammingIndex` over the same codes, for
+   both drive modes;
 3. **warm snapshots** — a service restarted against the same
    (model, database) pair warm-loads its index from the
    :class:`~repro.pipeline.ArtifactStore` snapshot with **zero** database
@@ -32,7 +33,7 @@ import numpy as np  # noqa: E402
 
 from repro.core.hashing_network import HashingNetwork  # noqa: E402
 from repro.pipeline import ArtifactStore  # noqa: E402
-from repro.retrieval import make_backend  # noqa: E402
+from repro.retrieval import HammingIndex  # noqa: E402
 from repro.serving import INDEX_STAGE, HashingService  # noqa: E402
 
 from conftest import assert_speedup, timed  # noqa: E402
@@ -59,8 +60,7 @@ def _network() -> HashingNetwork:
 
 def _service(store: ArtifactStore, max_batch: int) -> HashingService:
     return HashingService(
-        _network(), store=store, n_shards=N_SHARDS,
-        shard_backend="bruteforce", max_batch=max_batch,
+        _network(), store=store, n_shards=N_SHARDS, max_batch=max_batch,
     )
 
 
@@ -98,9 +98,9 @@ def test_bench_serving_scale(results_dir, tmp_path):
     assert set(flush_sizes) == {MAX_BATCH}
     assert set(unbatched.batcher.stats()["flush_sizes"]) == {1}
 
-    # -- gate 2: bit-identical to the multi-index backend over the same codes
+    # -- gate 2: bit-identical to one flat index over the same codes
     encoder = _network()
-    reference = make_backend("multi-index", N_BITS, n_tables=N_SHARDS)
+    reference = HammingIndex(N_BITS)
     reference.add(encoder.encode(db))
     ids_r, dist_r = reference.search(encoder.encode(queries), top_k=TOP_K)
     np.testing.assert_array_equal(ids_b, ids_r)
@@ -140,7 +140,7 @@ def test_bench_serving_scale(results_dir, tmp_path):
             f"batched   : {t_batched * 1e3:9.1f} ms  "
             f"({N_QUERIES / t_batched:8.0f} q/s)  "
             f"flushes of {MAX_BATCH}",
-            "agreement : bit-identical to multi-index backend "
+            "agreement : bit-identical to one flat HammingIndex "
             "(batched, unbatched, and warm-restarted)",
             "snapshots : warm restarts re-encoded 0 database rows "
             f"(serve_index stage: {after})",

@@ -14,7 +14,8 @@ Acceptance gates for the sparse similarity engine at the gated scale
    ``MAP_TOL`` mAP of the dense-Q fit on the same data (sparse Q is a
    controlled approximation: only weak similarity entries are zeroed).
 
-``python -m repro.cli bench-similarity`` is the quick interactive variant.
+Run it from ``benchmarks/`` with
+``PYTHONPATH=../src python -m pytest -q -s bench_similarity_scale.py``.
 """
 
 from __future__ import annotations

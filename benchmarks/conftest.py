@@ -3,7 +3,7 @@
 Each benchmark regenerates one of the paper's tables/figures and writes the
 rendered output to ``benchmarks/results/`` so the reproduced numbers survive
 the run (pytest captures stdout).  The scale benchmarks
-(``bench_retrieval_scale.py``, ``bench_train_scale.py``, …) share
+(``bench_train_scale.py``, ``bench_serving_scale.py``, …) share
 :func:`timed` / :func:`assert_speedup` so every speedup gate measures and
 reports the same way, and :func:`measure_peak_memory` so every memory gate
 profiles the same way (tracemalloc tracks numpy buffers, so the peak

@@ -13,23 +13,10 @@ Subcommands::
     python -m repro.cli serve   --dataset cifar10 --model model.npz --queries 3
     python -m repro.cli serve   --dataset cifar10 --model <fingerprint> --repl
     python -m repro.cli serve-http --dataset cifar10 --port 8035
-    python -m repro.cli bench-retrieval --n 10000 --bits 64
-    python -m repro.cli bench-train --n 512 --bits 64 --batch 128
-    python -m repro.cli bench-serve --n 10000 --bits 64 --shards 4
-    python -m repro.cli bench-similarity --n 6000 --dim 256 --topk 128
 
-``eval`` accepts ``--backend`` to route retrieval through any registered
-serving backend (see :mod:`repro.retrieval.backend`); ``bench-retrieval``
-times every backend's build + batch-search path on random codes and checks
-them against each other (``--cache-size`` additionally reports each
-backend's query-result cache counters over a repeated pass);
-``bench-train`` times ``UHSCMTrainer.fit`` steps for both contrastive
-modes (mcl/cib) under both dtype policies (float64/float32);
-``bench-serve`` times the micro-batched vs unbatched single-query
-encode+search path of :class:`~repro.serving.HashingService`;
-``bench-similarity`` times + peak-memory-profiles the blocked sparse
-top-k Q build against the dense O(n²) build.  All commands run fully
-offline on the simulated substrate.
+All commands run fully offline on the simulated substrate.  Timing and
+cross-checking live in the scale smokes under ``benchmarks/`` and in the
+repository benchmark under ``perfbench/``, not in this CLI.
 
 ``--sparse-topk K`` on ``train`` / ``table1`` / ``table2`` builds the
 semantic similarity matrix Q in top-k CSR form (K strongest entries per
@@ -45,8 +32,8 @@ and ``serve`` encodes + registers its database in bounded-memory chunks.
 Outputs are bit-identical to the in-memory paths and share their
 fingerprints, so the two modes replay each other's caches.
 
-``--workers N`` (on ``train`` / ``table1`` / ``table2`` / ``serve`` and
-the bench subcommands; default ``$REPRO_WORKERS``, else 1) runs the
+``--workers N`` (on ``train`` / ``table1`` / ``table2`` / ``serve`` /
+``serve-http``; default ``$REPRO_WORKERS``, else 1) runs the
 parallel kernels — the sparse Q build's row tiles, the sharded search
 fan-out, the trainer's one-slot batch prefetch — on N workers through
 the shared :class:`~repro.utils.parallel.WorkerPool`.  Every parallel
@@ -81,8 +68,7 @@ on concurrent work, shed as HTTP 429), per-endpoint latency percentiles
 in ``/stats``, zero-drop model hot swap via ``POST /swap`` (needs
 ``--cache-dir``; target is a published fingerprint), and graceful
 SIGTERM/SIGINT drain.  ``serve`` and ``serve-http`` search one shard
-unless ``--shards`` says otherwise; ``bench-serve``, whose batched leg
-is one 200-row search, keeps four.
+unless ``--shards`` says otherwise.
 
 ``--cache-dir`` on ``train`` / ``table1`` / ``table2`` (or ``--resume``,
 which implies the default cache dir) attaches a content-addressed
@@ -103,7 +89,6 @@ from pathlib import Path
 
 from repro.config import PAPER_BIT_LENGTHS, paper_config
 from repro.datasets import DATASET_NAMES, load_dataset
-from repro.utils.mathops import _BLOCK_ROWS
 from repro.vlp import SimCLIP
 
 
@@ -233,54 +218,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     clip = SimCLIP(data.world)
     model = load_uhscm(args.model, clip)
-    print(evaluate_hashing(model, data, backend=args.backend))
-    return 0
-
-
-def _cmd_bench_retrieval(args: argparse.Namespace) -> int:
-    import time
-
-    import numpy as np
-
-    from repro.retrieval import backend_names, make_backend
-
-    rng = np.random.default_rng(args.seed)
-    db = np.where(rng.random((args.n, args.bits)) < 0.5, -1.0, 1.0)
-    queries = np.where(rng.random((args.queries, args.bits)) < 0.5, -1.0, 1.0)
-    names = [args.backend] if args.backend else list(backend_names())
-    reference = None
-    print(f"retrieval bench: n={args.n} bits={args.bits} "
-          f"queries={args.queries} top_k={args.top_k} "
-          f"cache_size={args.cache_size}")
-    for name in names:
-        kwargs = {"cache_size": args.cache_size} if args.cache_size else {}
-        index = make_backend(name, args.bits, **kwargs)
-        t0 = time.perf_counter()
-        index.add(db)
-        t_build = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ids, dist = index.search(queries, top_k=args.top_k)
-        t_search = time.perf_counter() - t0
-        agree = "n/a"
-        if reference is None:
-            reference = (ids, dist)
-        else:
-            same = (np.array_equal(reference[0], ids)
-                    and np.array_equal(reference[1], dist))
-            agree = "exact" if same else "MISMATCH"
-            if not same:
-                print(f"  {name}: results diverge from {names[0]}")
-                return 1
-        print(f"  {name:<12} build {t_build * 1e3:8.1f} ms   "
-              f"search {t_search * 1e3:8.1f} ms   agreement: {agree}")
-        if args.cache_size:
-            t0 = time.perf_counter()
-            index.search(queries, top_k=args.top_k)  # repeat pass: all hits
-            t_cached = time.perf_counter() - t0
-            cache = index.cache
-            print(f"  {'':<12} cached {t_cached * 1e3:8.1f} ms   "
-                  f"cache: {cache.hits} hits / {cache.misses} misses "
-                  f"(hit rate {cache.hit_rate:.0%})")
+    print(evaluate_hashing(model, data))
     return 0
 
 
@@ -317,9 +255,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service = HashingService(
         model, store=store, n_shards=args.shards,
-        shard_backend=args.shard_backend, cache_size=args.cache_size,
-        max_batch=args.batch, workers=args.workers,
-        pool_backend=args.pool_backend,
+        cache_size=args.cache_size, max_batch=args.batch,
+        workers=args.workers, pool_backend=args.pool_backend,
     )
     service.load_database(
         data.database_images,
@@ -426,9 +363,8 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     def build_service(encoder) -> HashingService:
         service = HashingService(
             encoder, store=store, n_shards=args.shards,
-            shard_backend=args.shard_backend, cache_size=args.cache_size,
-            max_batch=args.batch, workers=args.workers,
-            pool_backend=args.pool_backend,
+            cache_size=args.cache_size, max_batch=args.batch,
+            workers=args.workers, pool_backend=args.pool_backend,
         )
         service.load_database(
             data.database_images, key=db_key,
@@ -472,167 +408,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
                   f"p95 {snap['p95_s'] * 1e3:.1f} ms, "
                   f"p99 {snap['p99_s'] * 1e3:.1f} ms")
         print("shutdown complete: batcher flushed, shard pool joined")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import time
-
-    import numpy as np
-
-    from repro.core.hashing_network import HashingNetwork
-    from repro.retrieval import make_backend
-    from repro.serving import HashingService
-
-    rng = np.random.default_rng(args.seed)
-    db = rng.normal(size=(args.n, args.dim))
-    queries = rng.normal(size=(args.queries, args.dim))
-
-    def make_service(max_batch: int) -> HashingService:
-        network = HashingNetwork(
-            args.bits, mode="feature", feature_extractor=lambda x: x,
-            feature_dim=args.dim, rng=args.seed,
-        )
-        service = HashingService(network, n_shards=args.shards,
-                                 shard_backend=args.shard_backend,
-                                 max_batch=max_batch, workers=args.workers,
-                                 pool_backend=args.pool_backend)
-        service.load_database(db)
-        return service
-
-    print(f"serving bench: n={args.n} dim={args.dim} bits={args.bits} "
-          f"queries={args.queries} top_k={args.top_k} shards={args.shards}")
-    unbatched = make_service(max_batch=1)
-    t0 = time.perf_counter()
-    parts = [unbatched.query(queries[qi], top_k=args.top_k)
-             for qi in range(args.queries)]
-    t_unbatched = time.perf_counter() - t0
-    ids_u = np.concatenate([p[0] for p in parts])
-
-    batched = make_service(max_batch=args.batch)
-    t0 = time.perf_counter()
-    ids_b, dist_b = batched.query(queries, top_k=args.top_k)
-    t_batched = time.perf_counter() - t0
-
-    reference = make_backend("multi-index", args.bits)
-    reference.add(batched.encoder.encode(db))
-    ids_r, dist_r = reference.search(batched.encoder.encode(queries),
-                                     top_k=args.top_k)
-    agree = (np.array_equal(ids_b, ids_r) and np.array_equal(dist_b, dist_r)
-             and np.array_equal(ids_u, ids_r))
-    flushes = batched.batcher.stats()["flush_sizes"]
-    print(f"  unbatched: {t_unbatched * 1e3:8.1f} ms  "
-          f"({args.queries / t_unbatched:8.0f} q/s)")
-    print(f"  batched  : {t_batched * 1e3:8.1f} ms  "
-          f"({args.queries / t_batched:8.0f} q/s)  flush sizes {flushes}")
-    print(f"  speedup  : {t_unbatched / t_batched:.1f}x   "
-          f"agreement vs multi-index: {'exact' if agree else 'MISMATCH'}")
-    return 0 if agree else 1
-
-
-def _cmd_bench_similarity(args: argparse.Namespace) -> int:
-    import time
-    import tracemalloc
-
-    import numpy as np
-
-    from repro.core.similarity_matrix import SparseTopKSimilarity
-    from repro.utils.mathops import cosine_similarity_matrix
-
-    rng = np.random.default_rng(args.seed)
-    features = rng.normal(size=(args.n, args.dim))
-
-    def measure(fn):
-        """Wall-clock an untraced run, then trace a second run for the peak
-        (tracemalloc's per-allocation overhead would distort the timing)."""
-        t0 = time.perf_counter()
-        out = fn()
-        elapsed = time.perf_counter() - t0
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return elapsed, peak, out
-
-    print(f"similarity bench: n={args.n} dim={args.dim} k={args.topk} "
-          f"block_rows={args.block_rows}")
-    t_dense, peak_dense, dense = measure(
-        lambda: cosine_similarity_matrix(features)
-    )
-    t_sparse, peak_sparse, sparse = measure(
-        lambda: SparseTopKSimilarity.from_features(
-            features, args.topk, block_rows=args.block_rows,
-            workers=args.workers, pool_backend=args.pool_backend,
-        )
-    )
-    print(f"  dense  : {t_dense * 1e3:9.1f} ms   peak {peak_dense / 1e6:8.1f} MB"
-          f"   Q bytes {dense.nbytes / 1e6:8.1f} MB")
-    print(f"  sparse : {t_sparse * 1e3:9.1f} ms   peak {peak_sparse / 1e6:8.1f} MB"
-          f"   Q bytes {sparse.nbytes / 1e6:8.1f} MB")
-    print(f"  build speedup {t_dense / t_sparse:.1f}x   "
-          f"peak-memory ratio {peak_dense / peak_sparse:.1f}x   "
-          f"Q-bytes ratio {dense.nbytes / sparse.nbytes:.1f}x")
-
-    # Correctness spot checks at a small, affordable n.
-    n_small = min(args.n, 512)
-    small = features[:n_small]
-    exact = np.array_equal(
-        SparseTopKSimilarity.from_features(small, n_small - 1).to_dense(),
-        cosine_similarity_matrix(small),
-    )
-    sp = SparseTopKSimilarity.from_features(small, min(args.topk, n_small - 1))
-    oracle = sp.to_dense()
-    idx = rng.permutation(n_small)[: min(128, n_small)]
-    gathers = np.array_equal(sp.gather(idx), oracle[np.ix_(idx, idx)])
-    print(f"  exact at k=n-1 (n={n_small}): "
-          f"{'bit-identical' if exact else 'MISMATCH'}   "
-          f"batch gather vs oracle: {'exact' if gathers else 'MISMATCH'}")
-    return 0 if exact and gathers else 1
-
-
-def _cmd_bench_train(args: argparse.Namespace) -> int:
-    import time
-
-    import numpy as np
-
-    from repro.config import TrainConfig, UHSCMConfig
-    from repro.core.hashing_network import HashingNetwork
-    from repro.core.trainer import UHSCMTrainer
-
-    rng = np.random.default_rng(args.seed)
-    features = rng.normal(size=(args.n, args.dim))
-    labels = rng.integers(0, 10, size=args.n)
-    q = (labels[:, None] == labels[None, :]).astype(np.float64)
-    print(f"training bench: n={args.n} dim={args.dim} bits={args.bits} "
-          f"batch={args.batch} epochs={args.epochs}")
-    for mode in ("mcl", "cib"):
-        reference_final = None
-        for dtype in ("float64", "float32"):
-            config = UHSCMConfig(
-                n_bits=args.bits,
-                workers=args.workers,
-                train=TrainConfig(batch_size=args.batch, epochs=args.epochs,
-                                  dtype=dtype),
-            )
-            network = HashingNetwork(
-                args.bits, mode="feature", feature_extractor=lambda x: x,
-                feature_dim=args.dim, rng=args.seed, dtype=dtype,
-            )
-            trainer = UHSCMTrainer(network, config, contrastive=mode)
-            t0 = time.perf_counter()
-            history = trainer.fit(features, q, epochs=args.epochs)
-            elapsed = time.perf_counter() - t0
-            n_steps = sum(history.batches)
-            final = history.total[-1]
-            drift = ("n/a" if reference_final is None
-                     else f"{abs(final - reference_final) / abs(reference_final):.1e}")
-            if reference_final is None:
-                reference_final = final
-            print(f"  {mode:<4} {dtype:<8} {elapsed * 1e3:8.1f} ms   "
-                  f"{elapsed / n_steps * 1e3:6.2f} ms/step   "
-                  f"final loss {final:.6f}   drift vs f64: {drift}")
     return 0
 
 
@@ -734,29 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
     _add_common(p_eval)
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--backend", default=None,
-                        help="serving backend for retrieval "
-                             "(e.g. bruteforce, multi-index); "
-                             "default: direct BLAS distances")
     p_eval.set_defaults(func=_cmd_eval)
-
-    p_bench = sub.add_parser(
-        "bench-retrieval",
-        help="time serving backends on random codes and cross-check them",
-    )
-    p_bench.add_argument("--n", type=int, default=10_000,
-                         help="database size")
-    p_bench.add_argument("--bits", type=int, default=64)
-    p_bench.add_argument("--queries", type=int, default=100)
-    p_bench.add_argument("--top-k", type=int, default=10)
-    p_bench.add_argument("--backend", default=None,
-                         help="bench a single backend (default: all)")
-    p_bench.add_argument("--cache-size", type=int, default=0,
-                         help="per-backend query-result cache size; when "
-                              "positive a repeated search pass reports each "
-                              "backend's cache counters")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=_cmd_bench_retrieval)
 
     p_serve = sub.add_parser(
         "serve",
@@ -779,9 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shards", type=int, default=1,
                          help="index shards; results are identical at any "
                               "count")
-    p_serve.add_argument("--shard-backend", default="bruteforce",
-                         help="backend each shard runs "
-                              "(bruteforce, multi-index)")
     p_serve.add_argument("--cache-size", type=int, default=0,
                          help="merged query-result cache entries")
     p_serve.add_argument("--batch", type=int, default=256,
@@ -815,10 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_http.add_argument("--shards", type=int, default=1,
                         help="index shards; results are identical at any "
                              "count")
-    p_http.add_argument("--shard-backend", default="bruteforce",
-                        help="child backend for the sharded index")
     p_http.add_argument("--cache-size", type=int, default=0,
-                        help="per-shard query-result LRU capacity")
+                        help="merged query-result cache entries")
     p_http.add_argument("--batch", type=int, default=256,
                         help="most rows one encode forward carries")
     p_http.add_argument("--host", default="127.0.0.1")
@@ -829,59 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "work: requests beyond it are shed with "
                              "HTTP 429")
     p_http.set_defaults(func=_cmd_serve_http)
-
-    p_bserve = sub.add_parser(
-        "bench-serve",
-        help="time micro-batched vs unbatched single-query encode+search",
-    )
-    p_bserve.add_argument("--n", type=int, default=10_000,
-                          help="database size")
-    p_bserve.add_argument("--dim", type=int, default=64,
-                          help="feature dimensionality")
-    p_bserve.add_argument("--bits", type=int, default=64)
-    p_bserve.add_argument("--queries", type=int, default=200)
-    p_bserve.add_argument("--top-k", type=int, default=10)
-    p_bserve.add_argument("--shards", type=int, default=4,
-                          help="index shards; results are identical at any "
-                               "count")
-    p_bserve.add_argument("--shard-backend", default="bruteforce")
-    p_bserve.add_argument("--batch", type=int, default=256,
-                          help="encode micro-batch size for the batched run")
-    p_bserve.add_argument("--seed", type=int, default=0)
-    _add_workers(p_bserve)
-    p_bserve.set_defaults(func=_cmd_bench_serve)
-
-    p_btrain = sub.add_parser(
-        "bench-train",
-        help="time UHSCMTrainer.fit per contrastive mode and dtype policy",
-    )
-    p_btrain.add_argument("--n", type=int, default=512,
-                          help="training set size")
-    p_btrain.add_argument("--dim", type=int, default=128,
-                          help="feature dimensionality")
-    p_btrain.add_argument("--bits", type=int, default=64)
-    p_btrain.add_argument("--batch", type=int, default=128)
-    p_btrain.add_argument("--epochs", type=int, default=3)
-    p_btrain.add_argument("--seed", type=int, default=0)
-    _add_workers(p_btrain)
-    p_btrain.set_defaults(func=_cmd_bench_train)
-
-    p_bsim = sub.add_parser(
-        "bench-similarity",
-        help="time + peak-memory the blocked sparse top-k Q build vs the "
-             "dense build, with exactness spot checks",
-    )
-    p_bsim.add_argument("--n", type=int, default=6000,
-                        help="corpus rows")
-    p_bsim.add_argument("--dim", type=int, default=256,
-                        help="feature dimensionality")
-    p_bsim.add_argument("--topk", type=int, default=128,
-                        help="kept entries per Q row (plus the diagonal)")
-    p_bsim.add_argument("--block-rows", type=int, default=_BLOCK_ROWS,
-                        help="row-block height of the tiled GEMM")
-    p_bsim.add_argument("--seed", type=int, default=0)
-    _add_workers(p_bsim)
-    p_bsim.set_defaults(func=_cmd_bench_similarity)
 
     p_t1 = sub.add_parser("table1", help="regenerate Table 1")
     _add_common(p_t1)

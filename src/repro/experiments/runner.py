@@ -63,10 +63,6 @@ class ExperimentContext:
     scale: float = 0.02
     seed: int = 0
     epochs: int | None = None
-    #: Optional retrieval serving backend name (see repro.retrieval.backend);
-    #: None keeps the direct BLAS distance path.  All backends are exact, so
-    #: table/figure numbers are identical either way.
-    backend: str | None = None
     #: Optional artifact store making fits resumable and Q shareable across
     #: bit widths; None keeps the purely in-process cache.
     store: ArtifactStore | None = None
@@ -242,7 +238,6 @@ class ExperimentContext:
 
     def evaluate(self, fit: FitResult, **kwargs) -> RetrievalReport:
         """Run the full §4.2 evaluation on a fit's codes."""
-        kwargs.setdefault("backend", self.backend)
         return evaluate_codes(
             fit.query_codes,
             fit.database_codes,
@@ -253,7 +248,6 @@ class ExperimentContext:
 
     def evaluate_model(self, model, **kwargs) -> RetrievalReport:
         """Evaluate an already-fitted model object (used by Figure 4)."""
-        kwargs.setdefault("backend", self.backend)
         return evaluate_codes(
             model.encode(self.dataset.query_images),
             model.encode(self.dataset.database_images),

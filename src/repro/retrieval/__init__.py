@@ -1,21 +1,13 @@
 """Hamming retrieval engine and the paper's evaluation protocol (§4.2).
 
-The backend registry (:mod:`repro.retrieval.backend`) exposes every index
-through the :class:`RetrievalBackend` protocol: ``"bruteforce"`` is the
-bit-packed linear scan, ``"multi-index"`` the sublinear MIH structure, and
-``"sharded"`` hash-partitions rows across any of the others.  All support
-incremental ``add()``/``remove()`` plus an optional LRU query-result
-cache, and all agree bit-for-bit.
+:class:`HammingIndex` is the one index type: a bit-packed linear scan that
+gives the exact Hamming ranking.  :class:`ShardedIndex` hash-partitions
+rows across several of them, with per-shard circuit breakers and an
+optional LRU :class:`QueryResultCache` of merged results; its answers are
+bit-identical to one flat index over the same rows.  Both support
+incremental ``add()``/``remove()`` with stable insertion-order ids.
 """
 
-from repro.retrieval.backend import (
-    QueryResultCache,
-    RetrievalBackend,
-    backend_names,
-    backend_options,
-    make_backend,
-    register_backend,
-)
 from repro.retrieval.engine import (
     HammingIndex,
     Hasher,
@@ -27,12 +19,10 @@ from repro.retrieval.hamming import (
     PackedCodes,
     hamming_distance_matrix,
     pack_codes,
-    packed_distances_to_one,
     packed_hamming_distance,
     unpack_codes,
 )
-from repro.retrieval.multi_index import MultiIndexHammingIndex
-from repro.retrieval.sharded import ShardedIndex
+from repro.retrieval.sharded import QueryResultCache, ShardedIndex
 from repro.retrieval.metrics import (
     PAPER_MAP_DEPTH,
     PAPER_PN_POINTS,
@@ -48,30 +38,23 @@ from repro.retrieval.protocol import relevance_matrix
 __all__ = [
     "HammingIndex",
     "Hasher",
-    "MultiIndexHammingIndex",
     "PAPER_MAP_DEPTH",
     "PAPER_PN_POINTS",
     "PRCurve",
     "PackedCodes",
     "QueryResultCache",
-    "RetrievalBackend",
     "RetrievalReport",
     "ShardedIndex",
     "average_precision",
-    "backend_names",
-    "backend_options",
     "evaluate_codes",
     "evaluate_hashing",
     "hamming_distance_matrix",
-    "make_backend",
     "mean_average_precision",
     "mean_average_precision_from_distances",
     "pack_codes",
-    "packed_distances_to_one",
     "packed_hamming_distance",
     "pr_curve_hamming",
     "precision_at_n",
-    "register_backend",
     "relevance_matrix",
     "unpack_codes",
 ]

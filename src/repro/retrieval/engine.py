@@ -3,14 +3,11 @@
 :class:`HammingIndex` is the production-shaped piece: bit-packed storage,
 top-k Hamming ranking and radius lookup over an incrementally mutable corpus
 — what a deployed image-search system built on these hash codes would run.
-It registers as the ``"bruteforce"`` :mod:`~repro.retrieval.backend` and is
-the exactness reference for every other backend.
+It is the only index type; :class:`~repro.retrieval.sharded.ShardedIndex`
+partitions rows across several of them.
 
 :func:`evaluate_hashing` is the experiment-shaped piece: given a fitted
 hashing method and a dataset it computes every §4.2 metric in one pass.
-:func:`evaluate_codes` accepts an optional ``backend`` so the same metrics
-can be driven through any registered serving index instead of the direct
-BLAS distance path.
 
 Incremental semantics: ``add()`` appends (stable insertion-order ids),
 ``remove(ids)`` drops rows by id without renumbering survivors, and all
@@ -26,14 +23,6 @@ from typing import Protocol
 import numpy as np
 
 from repro.errors import NotFittedError, ShapeError
-from repro.retrieval.backend import (
-    QueryResultCache,
-    RetrievalBackend,
-    cached_radius,
-    cached_topk,
-    make_backend,
-    register_backend,
-)
 from repro.retrieval.hamming import (
     PackedCodes,
     hamming_distance_matrix,
@@ -57,7 +46,6 @@ class Hasher(Protocol):
         ...
 
 
-@register_backend("bruteforce")
 class HammingIndex:
     """Bit-packed brute-force Hamming index with incremental updates.
 
@@ -65,19 +53,15 @@ class HammingIndex:
     ----------
     n_bits:
         Code length ``k``.
-    cache_size:
-        If positive, keep an LRU :class:`QueryResultCache` of per-query
-        results, cleared on every ``add``/``remove``.
     """
 
-    def __init__(self, n_bits: int, cache_size: int = 0) -> None:
+    def __init__(self, n_bits: int) -> None:
         if n_bits <= 0:
             raise ShapeError(f"n_bits must be positive: {n_bits}")
         self.n_bits = n_bits
         self._bits = np.empty((0, (n_bits + 7) // 8), dtype=np.uint8)
         self._ids = np.empty(0, dtype=np.int64)
         self._next_id = 0
-        self._cache = QueryResultCache(cache_size) if cache_size else None
 
     # -- mutation ---------------------------------------------------------------
 
@@ -90,8 +74,6 @@ class HammingIndex:
             np.arange(self._next_id, self._next_id + len(packed), dtype=np.int64),
         ])
         self._next_id += len(packed)
-        if self._cache is not None:
-            self._cache.clear()
         return self
 
     def remove(self, ids: np.ndarray) -> int:
@@ -106,16 +88,12 @@ class HammingIndex:
         if removed:
             self._bits = self._bits[keep]
             self._ids = self._ids[keep]
-            if self._cache is not None:
-                self._cache.clear()
         return removed
 
     def clear(self) -> "HammingIndex":
         """Drop all rows (ids keep counting up across clears)."""
         self._bits = self._bits[:0]
         self._ids = self._ids[:0]
-        if self._cache is not None:
-            self._cache.clear()
         return self
 
     # -- introspection ----------------------------------------------------------
@@ -127,11 +105,6 @@ class HammingIndex:
     def storage_bytes(self) -> int:
         """Bytes used to store the database codes."""
         return int(self._bits.nbytes)
-
-    @property
-    def cache(self) -> QueryResultCache | None:
-        """The query-result cache, or ``None`` when caching is off."""
-        return self._cache
 
     # -- validation helpers -----------------------------------------------------
 
@@ -165,39 +138,28 @@ class HammingIndex:
                 f"top_k must be in [1, {len(packed_db)}], got {top_k}"
             )
         packed_q = self._pack(query_codes, "query_codes")
-
-        def compute(rows: PackedCodes) -> tuple[np.ndarray, np.ndarray]:
-            distances = packed_hamming_distance(rows, packed_db)
-            # Fold the id tie-break into one collision-free composite key
-            # (distance major, id minor): selection can then use O(n)
-            # argpartition instead of a full sort and still return exactly
-            # the stable (distance, id) ranking.  int32 keys when they fit
-            # (the common case) halve the partition's memory traffic.
-            ctype = (np.int32
-                     if (self.n_bits + 1) * self._next_id < 2**31
-                     else np.int64)
-            composite = distances.astype(ctype)
-            composite *= ctype(self._next_id)
-            composite += self._ids.astype(ctype)[None, :]
-            if top_k < distances.shape[1]:
-                part = np.argpartition(composite, top_k - 1, axis=1)[:, :top_k]
-                order = np.argsort(
-                    np.take_along_axis(composite, part, axis=1), axis=1
-                )
-                idx = np.take_along_axis(part, order, axis=1)
-            else:
-                idx = np.argsort(composite, axis=1)
-            dist = np.take_along_axis(distances, idx, axis=1).astype(np.float64)
-            return self._ids[idx], dist
-
-        if self._cache is None:
-            return compute(packed_q)
-        return cached_topk(
-            self._cache, packed_q.bits, top_k,
-            lambda misses: compute(
-                PackedCodes(bits=packed_q.bits[misses], n_bits=self.n_bits)
-            ),
-        )
+        distances = packed_hamming_distance(packed_q, packed_db)
+        # Fold the id tie-break into one collision-free composite key
+        # (distance major, id minor): selection can then use O(n)
+        # argpartition instead of a full sort and still return exactly
+        # the stable (distance, id) ranking.  int32 keys when they fit
+        # (the common case) halve the partition's memory traffic.
+        ctype = (np.int32
+                 if (self.n_bits + 1) * self._next_id < 2**31
+                 else np.int64)
+        composite = distances.astype(ctype)
+        composite *= ctype(self._next_id)
+        composite += self._ids.astype(ctype)[None, :]
+        if top_k < distances.shape[1]:
+            part = np.argpartition(composite, top_k - 1, axis=1)[:, :top_k]
+            order = np.argsort(
+                np.take_along_axis(composite, part, axis=1), axis=1
+            )
+            idx = np.take_along_axis(part, order, axis=1)
+        else:
+            idx = np.argsort(composite, axis=1)
+        dist = np.take_along_axis(distances, idx, axis=1).astype(np.float64)
+        return self._ids[idx], dist
 
     def radius_search(self, query_codes: np.ndarray, radius: int) -> list[np.ndarray]:
         """Hash-lookup: ids of all alive rows within Hamming radius per query."""
@@ -205,19 +167,8 @@ class HammingIndex:
         if not 0 <= radius <= self.n_bits:
             raise ShapeError(f"radius must be in [0, {self.n_bits}], got {radius}")
         packed_q = self._pack(query_codes, "query_codes")
-
-        def compute(rows: PackedCodes) -> list[np.ndarray]:
-            distances = packed_hamming_distance(rows, packed_db)
-            return [self._ids[row <= radius] for row in distances]
-
-        if self._cache is None:
-            return compute(packed_q)
-        return cached_radius(
-            self._cache, packed_q.bits, radius,
-            lambda misses: compute(
-                PackedCodes(bits=packed_q.bits[misses], n_bits=self.n_bits)
-            ),
-        )
+        distances = packed_hamming_distance(packed_q, packed_db)
+        return [self._ids[row <= radius] for row in distances]
 
 
 @dataclass(frozen=True)
@@ -234,46 +185,6 @@ class RetrievalReport:
         return f"RetrievalReport(k={self.n_bits}, MAP={self.map:.3f}, {pn})"
 
 
-def _backend_distance_matrix(
-    backend: str | RetrievalBackend,
-    query_codes: np.ndarray,
-    db_codes: np.ndarray,
-) -> np.ndarray:
-    """Full (n_query, n_db) distance matrix served through a backend.
-
-    A string builds a fresh index over ``db_codes`` from the registry; a
-    backend instance is used as-is (filled with ``db_codes`` when empty —
-    a prebuilt instance must hold exactly ``db_codes`` in order, with ids
-    0..n-1, for the metrics to be meaningful).
-    """
-    if isinstance(backend, str):
-        index = make_backend(backend, db_codes.shape[1])
-    else:
-        index = backend
-    if len(index) == 0:
-        index.add(db_codes)
-    n_db = db_codes.shape[0]
-    if len(index) != n_db:
-        raise ShapeError(
-            f"backend holds {len(index)} rows, database has {n_db}"
-        )
-    ids, dist = index.search(query_codes, top_k=len(index))
-    if ids.min() < 0 or ids.max() >= n_db:
-        raise ShapeError(
-            f"backend ids must cover 0..{n_db - 1} (a prebuilt index with "
-            f"removals has renumbered gaps); got id range "
-            f"[{ids.min()}, {ids.max()}]"
-        )
-    distances = np.full((query_codes.shape[0], n_db), np.inf)
-    rows = np.arange(query_codes.shape[0])[:, None]
-    distances[rows, ids] = dist
-    if np.isinf(distances).any():
-        raise ShapeError(
-            "backend search did not return every database id for every query"
-        )
-    return distances
-
-
 def evaluate_codes(
     query_codes: np.ndarray,
     db_codes: np.ndarray,
@@ -281,23 +192,14 @@ def evaluate_codes(
     db_labels: np.ndarray,
     top_n: int = PAPER_MAP_DEPTH,
     pn_points: tuple[int, ...] = PAPER_PN_POINTS,
-    backend: str | RetrievalBackend | None = None,
 ) -> RetrievalReport:
     """Full evaluation of precomputed hash codes.
-
-    ``backend`` optionally routes distance computation through a registered
-    serving backend (``"bruteforce"``, ``"multi-index"``, or an instance)
-    instead of the direct BLAS path; all backends are exact, so the metrics
-    are identical either way.
 
     One Hamming matrix serves every metric: it is ranked once, on integer
     keys, for MAP and P@N together, and counted for the PR curve.
     """
     relevance = relevance_matrix(query_labels, db_labels)
-    if backend is None:
-        distances = hamming_distance_matrix(query_codes, db_codes)
-    else:
-        distances = _backend_distance_matrix(backend, query_codes, db_codes)
+    distances = hamming_distance_matrix(query_codes, db_codes)
     keys = _sort_keys(distances)
     del distances  # free the float matrix before the sort
     n_db = db_codes.shape[0]

@@ -9,9 +9,6 @@ Hash codes live in {-1, +1}^k (paper §3.1).  Two distance paths are provided:
   numpy >= 2, byte-LUT fallback otherwise), the representation a production
   system would ship (64x smaller than float codes).  Tested to agree
   exactly with the BLAS path.
-- :func:`packed_distances_to_one` — single-query popcount against a packed
-  row subset, the candidate-verification primitive the multi-index serving
-  path uses (no float conversion, no re-validation).
 """
 
 from __future__ import annotations
@@ -31,21 +28,6 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint16)
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 _QUERY_CHUNK = 256
-
-
-def _popcount_rows(xor: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a (..., n_bytes) uint8 XOR buffer (uint16 out).
-
-    With a hardware popcount available, byte widths that are a multiple of
-    8 are reinterpreted as uint64 words first — for 64-bit codes that is a
-    single popcount per code pair instead of an 8-byte LUT gather.
-    """
-    if _HAS_BITWISE_COUNT:
-        if xor.shape[-1] % 8 == 0 and xor.shape[-1] > 0:
-            words = np.ascontiguousarray(xor).view(np.uint64)
-            return np.bitwise_count(words).sum(axis=-1, dtype=np.uint16)
-        return np.bitwise_count(xor).sum(axis=-1, dtype=np.uint16)
-    return _POPCOUNT[xor].sum(axis=-1, dtype=np.uint16)
 
 
 def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,28 +93,6 @@ def unpack_codes(packed: PackedCodes) -> np.ndarray:
     """Inverse of :func:`pack_codes`, recovering the ±1 matrix."""
     bools = np.unpackbits(packed.bits, axis=1)[:, : packed.n_bits]
     return np.where(bools.astype(bool), 1.0, -1.0)
-
-
-def packed_distances_to_one(
-    query_bits: np.ndarray, db_bits: np.ndarray
-) -> np.ndarray:
-    """Hamming distances from one packed query row to many packed db rows.
-
-    ``query_bits`` is a 1-D uint8 row (one code), ``db_bits`` a 2-D uint8
-    matrix of packed codes with the same byte width.  Returns a 1-D uint16
-    distance vector.  Padding bits must be zero on both sides (as produced
-    by :func:`pack_codes`), so they never contribute to the XOR popcount.
-    """
-    if query_bits.ndim != 1 or db_bits.ndim != 2:
-        raise ShapeError(
-            f"expected 1-D query and 2-D db, got {query_bits.shape} "
-            f"and {db_bits.shape}"
-        )
-    if query_bits.shape[0] != db_bits.shape[1]:
-        raise ShapeError(
-            f"byte widths differ: {query_bits.shape[0]} vs {db_bits.shape[1]}"
-        )
-    return _popcount_rows(db_bits ^ query_bits[None, :])
 
 
 def packed_hamming_distance(a: PackedCodes, b: PackedCodes) -> np.ndarray:

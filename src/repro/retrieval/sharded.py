@@ -1,8 +1,7 @@
-"""Hash-partitioned retrieval backend: N child indexes behind one facade.
+"""Hash-partitioned Hamming index: N flat indexes behind one facade.
 
-:class:`ShardedIndex` registers as the ``"sharded"``
-:mod:`~repro.retrieval.backend` and composes any registered backend as its
-shard type.  Rows are partitioned by stable id (``id % n_shards``) so
+:class:`ShardedIndex` holds one :class:`~repro.retrieval.engine.HammingIndex`
+per shard.  Rows are partitioned by stable id (``id % n_shards``) so
 ``add``/``remove`` route deterministically, ``search``/``radius_search``
 fan out across every shard, and per-shard top-k results merge with
 ``(distance, id)`` tie-breaking — bit-identical to the same rows held in a
@@ -10,11 +9,15 @@ single index, which is what lets the serving layer
 (:mod:`repro.serving`) scale the database out without changing a single
 result.
 
-Each child backend numbers its rows locally in its own insertion order; the
+Each shard numbers its rows locally in its own insertion order; the
 facade keeps one append-only ``local -> global`` id array per shard (global
 ids are assigned monotonically, so each array stays sorted and the reverse
-``global -> local`` lookup is a binary search).  Children never renumber on
+``global -> local`` lookup is a binary search).  Shards never renumber on
 ``remove``, so the arrays are valid for the lifetime of the index.
+
+**Query-result cache**: with ``cache_size > 0`` the facade keeps a
+:class:`QueryResultCache`, a bounded LRU of merged per-query results
+keyed on the packed query bytes, cleared on every ``add``/``remove``.
 
 **Graceful degradation** (PR 7): every shard sits behind a
 :class:`~repro.utils.retry.CircuitBreaker`.  A shard that raises during
@@ -51,7 +54,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable
+from collections import OrderedDict
+from collections.abc import Callable, Hashable
 
 import numpy as np
 
@@ -61,14 +65,7 @@ from repro.errors import (
     ShapeError,
     ShardUnavailableError,
 )
-from repro.retrieval.backend import (
-    QueryResultCache,
-    RetrievalBackend,
-    cached_radius,
-    cached_topk,
-    make_backend,
-    register_backend,
-)
+from repro.retrieval.engine import HammingIndex
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.parallel import WorkerPool, require_thread_backend
 from repro.utils.retry import CLOSED, CircuitBreaker
@@ -80,9 +77,116 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 MISSING_ID = -1
 
 
-@register_backend("sharded")
+class QueryResultCache:
+    """Bounded LRU cache for per-query retrieval results.
+
+    Keys are built by the owning index from the packed query bytes plus the
+    query parameters, so identical queries at identical settings hit.  The
+    index clears the cache on every ``add``/``remove``.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries <= 0:
+            raise ConfigurationError(
+                f"cache max_entries must be positive, got {max_entries}"
+            )
+        self.max_entries = max_entries
+        self.hits = 0
+        self.misses = 0
+        self._data: OrderedDict[Hashable, object] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the cache (0.0 before any)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def get(self, key: Hashable):
+        """Return the cached value (refreshing recency) or ``None``."""
+        try:
+            value = self._data.pop(key)
+        except KeyError:
+            self.misses += 1
+            return None
+        self._data[key] = value
+        self.hits += 1
+        return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        self._data.pop(key, None)
+        self._data[key] = value
+        while len(self._data) > self.max_entries:
+            self._data.popitem(last=False)
+
+    def clear(self) -> None:
+        self._data.clear()
+
+
+def cached_topk(
+    cache: QueryResultCache,
+    packed_bits: np.ndarray,
+    top_k: int,
+    compute: Callable[[list[int]], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Miss/fill loop for cached batched top-k serving.
+
+    ``packed_bits`` is the per-query key material (one packed uint8 row per
+    query); ``compute(miss_positions)`` returns ``(ids, distances)`` for
+    just that subset of queries.  Cached entries are stored as copies so a
+    caller mutating its results never corrupts the cache.
+    """
+    n_queries = packed_bits.shape[0]
+    out_ids = np.empty((n_queries, top_k), dtype=np.int64)
+    out_dist = np.empty((n_queries, top_k), dtype=np.float64)
+    misses = []
+    for qi in range(n_queries):
+        hit = cache.get(("top_k", top_k, packed_bits[qi].tobytes()))
+        if hit is None:
+            misses.append(qi)
+        else:
+            out_ids[qi], out_dist[qi] = hit
+    if misses:
+        fresh_ids, fresh_dist = compute(misses)
+        for pos, qi in enumerate(misses):
+            out_ids[qi], out_dist[qi] = fresh_ids[pos], fresh_dist[pos]
+            cache.put(
+                ("top_k", top_k, packed_bits[qi].tobytes()),
+                (fresh_ids[pos].copy(), fresh_dist[pos].copy()),
+            )
+    return out_ids, out_dist
+
+
+def cached_radius(
+    cache: QueryResultCache,
+    packed_bits: np.ndarray,
+    radius: int,
+    compute: Callable[[list[int]], "list[np.ndarray]"],
+) -> "list[np.ndarray]":
+    """Miss/fill loop for cached batched radius serving.
+
+    Like :func:`cached_topk` but for per-query hit lists: the cache keeps
+    the canonical arrays and every caller receives copies.
+    """
+    results: list[np.ndarray | None] = [None] * packed_bits.shape[0]
+    misses = []
+    for qi in range(packed_bits.shape[0]):
+        hit = cache.get(("radius", radius, packed_bits[qi].tobytes()))
+        if hit is None:
+            misses.append(qi)
+        else:
+            results[qi] = hit.copy()
+    if misses:
+        for qi, hits in zip(misses, compute(misses)):
+            cache.put(("radius", radius, packed_bits[qi].tobytes()), hits)
+            results[qi] = hits.copy()
+    return results
+
+
 class ShardedIndex:
-    """Hash-partitioned Hamming index over ``n_shards`` child backends.
+    """Hash-partitioned Hamming index over ``n_shards`` flat indexes.
 
     Parameters
     ----------
@@ -90,15 +194,9 @@ class ShardedIndex:
         Code length ``k``.
     n_shards:
         Number of partitions; rows route to shard ``id % n_shards``.
-    shard_backend:
-        Registered backend name used for every shard (``"bruteforce"``,
-        ``"multi-index"``, ... — anything except ``"sharded"`` itself).
     cache_size:
         If positive, keep an LRU :class:`QueryResultCache` of merged
         per-query results at the facade level, cleared on every mutation.
-    shard_options:
-        Extra keyword arguments forwarded to every shard's constructor
-        (e.g. ``{"n_tables": 4}`` for multi-index shards).
     breaker_threshold / breaker_reset_s / clock:
         Per-shard :class:`~repro.utils.retry.CircuitBreaker` tuning:
         consecutive failures before a shard's circuit opens, seconds until
@@ -124,9 +222,7 @@ class ShardedIndex:
         self,
         n_bits: int,
         n_shards: int = 4,
-        shard_backend: str = "bruteforce",
         cache_size: int = 0,
-        shard_options: dict | None = None,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
@@ -138,12 +234,8 @@ class ShardedIndex:
             raise ShapeError(f"n_bits must be positive: {n_bits}")
         if n_shards <= 0:
             raise ConfigurationError(f"n_shards must be positive: {n_shards}")
-        if shard_backend == "sharded":
-            raise ConfigurationError("sharded shards cannot nest")
         self.n_bits = n_bits
         self.n_shards = n_shards
-        self.shard_backend = shard_backend
-        self.shard_options = dict(shard_options or {})
         self.faults = faults
         self._init_shard_state(breaker_threshold, breaker_reset_s, clock)
         #: Per-thread state behind :attr:`last_query_degraded`.
@@ -165,19 +257,16 @@ class ShardedIndex:
         """Build all per-shard state in one pass — the single seam both the
         serial and the pooled fan-out initialize through.
 
-        Per shard: the child backend, its circuit breaker, and the
+        Per shard: the flat index, its circuit breaker, and the
         append-only ``local -> global`` id array (global ids are assigned
         monotonically, so each array stays sorted ascending by
         construction).
         """
-        self._shards: list[RetrievalBackend] = []
+        self._shards: list[HammingIndex] = []
         self._breakers: list[CircuitBreaker] = []
         self._shard_gids: list[np.ndarray] = []
         for _ in range(self.n_shards):
-            self._shards.append(
-                make_backend(self.shard_backend, self.n_bits,
-                             **self.shard_options)
-            )
+            self._shards.append(HammingIndex(self.n_bits))
             self._breakers.append(
                 CircuitBreaker(failure_threshold=breaker_threshold,
                                reset_timeout_s=breaker_reset_s, clock=clock)
@@ -217,7 +306,7 @@ class ShardedIndex:
                 continue
             local = np.searchsorted(self._shard_gids[si], sel)
             # Every in-range id routed here was added here, so the lookup
-            # always lands; the child ignores already-removed locals.
+            # always lands; the shard ignores already-removed locals.
             removed += self._shards[si].remove(local)
         self._n_alive -= removed
         if removed and self._cache is not None:
@@ -240,8 +329,8 @@ class ShardedIndex:
         return tuple(len(shard) for shard in self._shards)
 
     @property
-    def shards(self) -> tuple[RetrievalBackend, ...]:
-        """The child backends (read-only view; do not mutate directly)."""
+    def shards(self) -> tuple[HammingIndex, ...]:
+        """The per-shard indexes (read-only view; do not mutate directly)."""
         return tuple(self._shards)
 
     @property

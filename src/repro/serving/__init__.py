@@ -2,10 +2,11 @@
 
 This package turns the reproduction's pieces into a deployable service:
 
-- :class:`~repro.retrieval.sharded.ShardedIndex` — the ``"sharded"``
-  retrieval backend (it lives in :mod:`repro.retrieval` so the backend
-  registry never imports upward; re-exported here): rows hash-partitioned
-  across N child backends, merged top-k bit-identical to a single index.
+- :class:`~repro.retrieval.sharded.ShardedIndex` — the serving index (it
+  lives in :mod:`repro.retrieval` next to the flat
+  :class:`~repro.retrieval.engine.HammingIndex` it partitions; re-exported
+  here): rows hash-partitioned across N flat indexes, merged top-k
+  bit-identical to a single index.
   :class:`~repro.serving.service.HashingService` uses one shard unless
   told otherwise: a one-row search pays every shard's fixed cost, and
   shards pay off only on large batched searches (README, "Shard
@@ -25,10 +26,9 @@ This package turns the reproduction's pieces into a deployable service:
   thread per connection: concurrent connections feed the shared batcher
   so independent clients coalesce into micro-batched encodes.
 
-CLI entry points: ``python -m repro.cli serve`` (one-shot or REPL),
-``python -m repro.cli serve-http`` (network daemon), and
-``python -m repro.cli bench-serve``; the gated scale smokes are
-``benchmarks/bench_serving_scale.py`` and
+CLI entry points: ``python -m repro.cli serve`` (one-shot or REPL) and
+``python -m repro.cli serve-http`` (network daemon); the gated scale
+smokes are ``benchmarks/bench_serving_scale.py`` and
 ``benchmarks/bench_http_scale.py``.
 """
 

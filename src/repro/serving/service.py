@@ -12,12 +12,13 @@ isolation into one request/response surface:
 - **encoding** — single-query requests coalesce through an
   :class:`~repro.serving.batcher.EncodeBatcher` into batched network
   forwards.
-- **index** — a registered retrieval backend (default ``"sharded"``),
-  warm-loadable: the encoded database persists as a store artifact (packed
-  code bits under the ``serve_index`` stage), so a restarted service
-  rebuilds its index without re-encoding a single database row.  The
-  store's per-stage hit/miss counters are the audit trail — a warm restart
-  shows up as a ``serve_index`` hit and zero new encodes.
+- **index** — a :class:`~repro.retrieval.sharded.ShardedIndex` (one
+  shard by default), warm-loadable: the encoded database persists as a
+  store artifact (packed code bits under the ``serve_index`` stage), so a
+  restarted service rebuilds its index without re-encoding a single
+  database row.  The store's per-stage hit/miss counters are the audit
+  trail — a warm restart shows up as a ``serve_index`` hit and zero new
+  encodes.
 
 External ids: callers may attach their own int64 ids to added rows;
 ``query``/``remove`` speak external ids throughout, mapped over the
@@ -48,9 +49,8 @@ from repro.pipeline import (
     fingerprint,
     run_stage,
 )
-from repro.retrieval.backend import make_backend
 from repro.retrieval.hamming import PackedCodes, unpack_codes
-from repro.retrieval.sharded import MISSING_ID
+from repro.retrieval.sharded import MISSING_ID, ShardedIndex
 from repro.serving.batcher import EncodeBatcher
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.metrics import LatencyHistogram
@@ -139,13 +139,17 @@ class HashingService:
     store:
         Optional :class:`~repro.pipeline.ArtifactStore` enabling index
         snapshots (and recording serve-stage counters).
-    backend / backend_options:
-        Registered index backend name plus its constructor options.  The
-        default is a ``"sharded"`` index; ``n_shards`` / ``shard_backend``
-        / ``cache_size`` are conveniences folded into the options.  One
-        shard is the default: results are bit-identical at any shard
+    n_shards:
+        Partitions of the :class:`~repro.retrieval.sharded.ShardedIndex`.
+        One shard is the default: results are bit-identical at any shard
         count, a one-row search pays every shard's fixed cost, and more
         shards only pay off on large batched searches.
+    cache_size:
+        Entries of the index's merged query-result LRU cache (0 = off).
+    index_options:
+        Further :class:`~repro.retrieval.sharded.ShardedIndex` keyword
+        options, e.g. the circuit breakers' ``breaker_threshold`` and
+        ``breaker_reset_s``.
     max_batch:
         The most rows one :class:`EncodeBatcher` forward carries.
     clock:
@@ -165,10 +169,10 @@ class HashingService:
         an explicit ``deadline_s``; ``None`` disables the budget.
     faults:
         :class:`~repro.utils.faults.FaultInjector` threaded into the
-        batcher (``encode.forward``) and, for the sharded backend, into
-        per-shard fan-out (``shard.search``).
+        batcher (``encode.forward``) and into the index's per-shard
+        fan-out (``shard.search``).
     workers:
-        Worker count for the sharded backend's concurrent fan-out
+        Worker count for the index's concurrent shard fan-out
         (``None`` reads ``$REPRO_WORKERS``; ``1`` keeps the serial probe
         loop).  Surfaced in :meth:`stats` and :meth:`health`; merged
         results are bit-identical at any value.
@@ -187,11 +191,9 @@ class HashingService:
         encoder,
         *,
         store: ArtifactStore | None = None,
-        backend: str = "sharded",
         n_shards: int = 1,
-        shard_backend: str = "bruteforce",
         cache_size: int = 0,
-        backend_options: dict | None = None,
+        index_options: dict | None = None,
         max_batch: int = 256,
         clock: Callable[[], float] = time.monotonic,
         model_key: str | None = None,
@@ -202,8 +204,7 @@ class HashingService:
         workers: int | None = None,
         pool_backend: str | None = None,
     ) -> None:
-        # Fail fast, and with the call-site name, even when the backend
-        # below is not sharded (the knob would otherwise be dropped).
+        # Validated here too, so the error names this call site.
         self.pool_backend = require_thread_backend(
             pool_backend, "HashingService fan-out"
         )
@@ -220,24 +221,17 @@ class HashingService:
         self._encode = encoder.encode if hasattr(encoder, "encode") else encoder
         self.n_bits = n_bits if n_bits is not None else _encoder_bits(encoder)
         self.store = store
-        self.backend_name = backend
         self.model_key = (model_key if model_key is not None
                           else _encoder_fingerprint(encoder, self.n_bits))
         self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
         self.faults = faults
         self._clock = clock
-        options = dict(backend_options or {})
-        if backend == "sharded":
-            options.setdefault("n_shards", n_shards)
-            options.setdefault("shard_backend", shard_backend)
-            options.setdefault("faults", faults)
-            options.setdefault("clock", clock)
-            options.setdefault("workers", workers)
-            options.setdefault("pool_backend", self.pool_backend)
-        if cache_size:
-            options.setdefault("cache_size", cache_size)
-        self.index = make_backend(backend, self.n_bits, **options)
+        self.index = ShardedIndex(
+            self.n_bits, n_shards=n_shards, cache_size=cache_size,
+            faults=faults, clock=clock, workers=workers,
+            pool_backend=self.pool_backend, **(index_options or {}),
+        )
         self.batcher = EncodeBatcher(encoder, max_batch=max_batch,
                                      faults=faults)
         #: Guards ``_deadline_exceeded``, bumped from handler threads.
@@ -462,7 +456,7 @@ class HashingService:
         ``deadline_s`` budget (defaulting to ``default_deadline_s``) is
         checked between the encode and search stages and raises
         :class:`~repro.errors.DeadlineExceededError` once blown.  Under a
-        degraded sharded index, rows lost with a downed shard come back
+        degraded index, rows lost with a downed shard come back
         padded: external id ``-1`` with distance ``n_bits + 1``;
         :attr:`last_query_degraded`, read on the thread that called
         ``query``, reports whether this query was partial.
@@ -516,7 +510,7 @@ class HashingService:
     def last_query_degraded(self) -> bool:
         """Whether the calling thread's most recent query returned partial
         (padded) results; concurrent callers each read their own."""
-        return bool(getattr(self.index, "last_query_degraded", False))
+        return self.index.last_query_degraded
 
     def __len__(self) -> int:
         return len(self.index)
@@ -540,16 +534,14 @@ class HashingService:
         New ``query``/``add``/``remove`` calls are refused with
         :class:`~repro.errors.ShutdownError`; any encodes still pending in
         the batcher flush first so no ticket is stranded, and the index's
-        fan-out pool (when it has one) joins its workers, leaving balanced
-        submitted/completed counters and zero live shared-memory segments.
+        fan-out pool joins its workers, leaving balanced submitted/completed
+        counters and zero live shared-memory segments.
         """
         if self._closed:
             return
         self._closed = True
         self.batcher.flush()
-        index_close = getattr(self.index, "close", None)
-        if index_close is not None:
-            index_close()
+        self.index.close()
 
     # -- reporting --------------------------------------------------------------
 
@@ -563,17 +555,16 @@ class HashingService:
         counters, the batcher's poison counters, and the service-level
         shed/deadline counters.
         """
-        degraded = bool(getattr(self.index, "degraded", False))
-        circuits = getattr(self.index, "circuit_states", None)
+        degraded = self.index.degraded
         batcher = self.batcher.stats()
         report: dict = {
             "status": ("shutdown" if self._closed
                        else "degraded" if degraded else "ok"),
             "degraded": degraded,
             "closed": self._closed,
-            "workers": int(getattr(self.index, "workers", 1)),
+            "workers": self.index.workers,
             "pool_backend": self.pool_backend,
-            "circuits": circuits() if circuits is not None else [],
+            "circuits": self.index.circuit_states(),
             "batcher": {
                 key: batcher[key]
                 for key in ("pending", "flush_failures",
@@ -598,13 +589,10 @@ class HashingService:
         and per-stage (encode/search/total) query latency percentiles."""
         batcher = self.batcher.stats()
         out: dict = {
-            "backend": self.backend_name,
             "n_bits": self.n_bits,
             "size": len(self.index),
-            "shards": list(
-                getattr(self.index, "shard_sizes", (len(self.index),))
-            ),
-            "workers": int(getattr(self.index, "workers", 1)),
+            "shards": list(self.index.shard_sizes),
+            "workers": self.index.workers,
             "pool_backend": self.pool_backend,
             "batcher": batcher,
             "shed": batcher["shed"],
@@ -620,25 +608,15 @@ class HashingService:
                 "snapshot_mmapped": self._snapshot_mmap,
             },
             "caches": {},
+            "pool": self.index.pool_stats(),
         }
-        pool_stats = getattr(self.index, "pool_stats", None)
-        if pool_stats is not None:
-            out["pool"] = pool_stats()
-        cache = getattr(self.index, "cache", None)
+        cache = self.index.cache
         if cache is not None:
             out["caches"]["index"] = {
                 "hits": cache.hits,
                 "misses": cache.misses,
                 "hit_rate": cache.hit_rate,
             }
-        for si, shard in enumerate(getattr(self.index, "shards", ())):
-            shard_cache = getattr(shard, "cache", None)
-            if shard_cache is not None:
-                out["caches"][f"shard{si}"] = {
-                    "hits": shard_cache.hits,
-                    "misses": shard_cache.misses,
-                    "hit_rate": shard_cache.hit_rate,
-                }
         if self.store is not None:
             stages = self.store.stats()["stages"]
             out["store_stages"] = {

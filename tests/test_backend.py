@@ -1,22 +1,21 @@
-"""Tests for the retrieval serving layer: backend protocol, registry,
-incremental add/remove semantics, and the query-result LRU cache."""
+"""Tests for the retrieval indexes: incremental add/remove semantics of the
+flat and the sharded index, the sharded index's query-result LRU cache, and
+its concurrent fan-out."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, NotFittedError, ShapeError
-from repro.retrieval import (
-    HammingIndex,
-    MultiIndexHammingIndex,
-    QueryResultCache,
-    RetrievalBackend,
-    backend_names,
-    evaluate_codes,
-    make_backend,
-)
+from repro.errors import ConfigurationError, NotFittedError
+from repro.retrieval import HammingIndex, QueryResultCache, ShardedIndex
 
-#: Every registered backend, including the serving layer's "sharded".
-BACKENDS = backend_names()
+#: The flat brute-force scan and the sharded facade over three of them.
+INDEXES = ("bruteforce", "sharded")
+
+
+def make_index(name, n_bits):
+    if name == "bruteforce":
+        return HammingIndex(n_bits)
+    return ShardedIndex(n_bits, n_shards=3)
 
 
 def random_codes(n, k, seed=0):
@@ -32,58 +31,13 @@ def distinct_codes(n, k, seed=0):
     return np.where(bits.astype(bool), 1.0, -1.0)
 
 
-class TestRegistry:
-    def test_builtin_names(self):
-        names = backend_names()
-        assert "bruteforce" in names
-        assert "multi-index" in names
-
-    def test_make_backend_types(self):
-        assert isinstance(make_backend("bruteforce", 16), HammingIndex)
-        assert isinstance(make_backend("multi-index", 16), MultiIndexHammingIndex)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            make_backend("faiss", 16)
-
-    def test_kwargs_pass_through(self):
-        index = make_backend("multi-index", 16, n_tables=2, cache_size=8)
-        assert index.n_tables == 2
-        assert index.cache is not None
-
-    def test_sharded_registered(self):
-        from repro.serving import ShardedIndex
-
-        index = make_backend("sharded", 16, n_shards=3,
-                             shard_backend="multi-index",
-                             shard_options={"n_tables": 2})
-        assert isinstance(index, ShardedIndex)
-        assert index.n_shards == 3
-        assert all(shard.n_tables == 2 for shard in index.shards)
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_unknown_kwargs_raise_configuration_error(self, name):
-        # Unexpected constructor options must not escape as bare TypeError;
-        # the error names the backend and its accepted options.
-        with pytest.raises(ConfigurationError) as excinfo:
-            make_backend(name, 16, bogus_option=3)
-        message = str(excinfo.value)
-        assert name in message
-        assert "bogus_option" in message
-        assert "cache_size" in message  # every backend accepts it
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_satisfies_protocol(self, name):
-        assert isinstance(make_backend(name, 8), RetrievalBackend)
-
-
 class TestIncrementalAdd:
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", INDEXES)
     def test_chunked_add_equals_one_shot(self, name):
         db = random_codes(120, 16, seed=1)
         queries = random_codes(6, 16, seed=2)
-        one_shot = make_backend(name, 16).add(db)
-        chunked = make_backend(name, 16)
+        one_shot = make_index(name, 16).add(db)
+        chunked = make_index(name, 16)
         for chunk in np.array_split(db, 5):
             chunked.add(chunk)
         assert len(chunked) == len(one_shot) == 120
@@ -99,11 +53,11 @@ class TestIncrementalAdd:
                                   chunked.radius_search(queries, arg)):
                     np.testing.assert_array_equal(ra, rb)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", INDEXES)
     def test_ids_are_stable_across_adds(self, name):
         first = random_codes(10, 8, seed=3)
         second = random_codes(10, 8, seed=4)
-        index = make_backend(name, 8).add(first).add(second)
+        index = make_index(name, 8).add(first).add(second)
         # Searching for an exact code from the second batch must return its
         # insertion-order id (10 + offset), not a renumbered position.
         ids, dist = index.search(second[:1], top_k=1)
@@ -112,11 +66,11 @@ class TestIncrementalAdd:
 
 
 class TestRemove:
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", INDEXES)
     def test_remove_excludes_ids(self, name):
         db = random_codes(50, 16, seed=5)
         queries = random_codes(4, 16, seed=6)
-        index = make_backend(name, 16).add(db)
+        index = make_index(name, 16).add(db)
         removed = index.remove([0, 7, 49])
         assert removed == 3
         assert len(index) == 47
@@ -125,28 +79,28 @@ class TestRemove:
         for hits in index.radius_search(queries, 16):
             assert not set(hits) & {0, 7, 49}
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", INDEXES)
     def test_remove_unknown_ids_ignored(self, name):
-        index = make_backend(name, 8).add(random_codes(5, 8))
+        index = make_index(name, 8).add(random_codes(5, 8))
         assert index.remove([99, -3]) == 0
         assert index.remove([2, 2, 99]) == 1
         assert index.remove([2]) == 0  # already gone
         assert len(index) == 4
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", INDEXES)
     def test_remove_all_then_search_raises(self, name):
-        index = make_backend(name, 8).add(random_codes(3, 8))
+        index = make_index(name, 8).add(random_codes(3, 8))
         assert index.remove([0, 1, 2]) == 3
         with pytest.raises(NotFittedError):
             index.search(random_codes(1, 8), top_k=1)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", INDEXES)
     def test_remove_then_add_id_stability(self, name):
         """Rows added after a removal get fresh ids; dead ids never return."""
         k = 16
         pool = distinct_codes(40, k, seed=40)  # pairwise-distinct rows
         first, second = pool[:30], pool[30:]
-        index = make_backend(name, k).add(first)
+        index = make_index(name, k).add(first)
         assert index.remove(np.arange(10)) == 10
         index.add(second)
         assert len(index) == 30
@@ -163,59 +117,16 @@ class TestRemove:
         all_ids, _ = index.search(second[:3], top_k=30)
         assert not set(all_ids.ravel()) & set(range(10))
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", INDEXES)
     def test_readding_removed_content_gets_fresh_ids(self, name):
         k = 16
         codes = distinct_codes(12, k, seed=42)
-        index = make_backend(name, k).add(codes)
+        index = make_index(name, k).add(codes)
         assert index.remove([3, 4]) == 2
         index.add(codes[3:5])  # identical content, new rows
         ids, dist = index.search(codes[3:5], top_k=1)
         assert (dist.ravel() == 0).all()
         np.testing.assert_array_equal(ids.ravel(), [12, 13])
-
-    def test_mih_vacuum_preserves_results(self):
-        db = random_codes(80, 16, seed=7)
-        queries = random_codes(5, 16, seed=8)
-        mih = MultiIndexHammingIndex(16, n_tables=4).add(db)
-        mih.remove(np.arange(0, 80, 3))
-        before = mih.search(queries, top_k=10)
-        mih.vacuum()
-        after = mih.search(queries, top_k=10)
-        np.testing.assert_array_equal(before[0], after[0])
-        np.testing.assert_array_equal(before[1], after[1])
-
-
-class TestBackendsAgreeUnderChurn:
-    """Brute force and MIH must stay bit-identical through add/remove cycles."""
-
-    @pytest.mark.parametrize("n_tables", [1, 3, 4])
-    def test_agreement_after_cycles(self, n_tables):
-        rng = np.random.default_rng(9)
-        k = 16
-        brute = HammingIndex(k)
-        mih = MultiIndexHammingIndex(k, n_tables=n_tables)
-        alive = 0
-        for step in range(4):
-            batch = random_codes(40, k, seed=100 + step)
-            brute.add(batch)
-            mih.add(batch)
-            alive += 40
-            # Draw removals from the whole id space seen so far; ids that
-            # were already removed in a previous cycle are ignored.
-            drop = rng.choice(np.arange((step + 1) * 40), size=8, replace=False)
-            alive -= brute.remove(drop)
-            mih.remove(drop)
-            assert len(brute) == len(mih) == alive
-        queries = random_codes(8, k, seed=10)
-        b_ids, b_dist = brute.search(queries, top_k=12)
-        m_ids, m_dist = mih.search(queries, top_k=12)
-        np.testing.assert_array_equal(b_ids, m_ids)
-        np.testing.assert_array_equal(b_dist, m_dist)
-        for radius in (0, 3, k):
-            for rb, rm in zip(brute.radius_search(queries, radius),
-                              mih.radius_search(queries, radius)):
-                np.testing.assert_array_equal(np.sort(rb), rm)
 
 
 class TestQueryResultCache:
@@ -233,12 +144,11 @@ class TestQueryResultCache:
         with pytest.raises(ConfigurationError):
             QueryResultCache(0)
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_cached_results_match_uncached(self, name):
+    def test_cached_results_match_uncached(self):
         db = random_codes(60, 16, seed=11)
         queries = random_codes(5, 16, seed=12)
-        plain = make_backend(name, 16).add(db)
-        cached = make_backend(name, 16, cache_size=32).add(db)
+        plain = ShardedIndex(16, n_shards=3).add(db)
+        cached = ShardedIndex(16, n_shards=3, cache_size=32).add(db)
         for _ in range(2):  # second pass served from cache
             p = plain.search(queries, top_k=6)
             c = cached.search(queries, top_k=6)
@@ -249,10 +159,9 @@ class TestQueryResultCache:
                 np.testing.assert_array_equal(rp, rc)
         assert cached.cache.hits > 0
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_cache_invalidated_on_mutation(self, name):
+    def test_cache_invalidated_on_mutation(self):
         db = random_codes(30, 8, seed=13)
-        index = make_backend(name, 8, cache_size=16).add(db)
+        index = ShardedIndex(8, n_shards=3, cache_size=16).add(db)
         query = random_codes(1, 8, seed=14)
         index.search(query, top_k=3)
         assert len(index.cache) > 0
@@ -264,58 +173,20 @@ class TestQueryResultCache:
 
     def test_cache_returns_copies(self):
         db = random_codes(20, 8, seed=16)
-        index = make_backend("bruteforce", 8, cache_size=8).add(db)
+        index = ShardedIndex(8, n_shards=3, cache_size=8).add(db)
         query = random_codes(1, 8, seed=17)
         hits = index.radius_search(query, 8)[0]
         hits[:] = -1  # caller mutates their copy
         fresh = index.radius_search(query, 8)[0]
         assert (fresh >= 0).all()
-
-
-class TestEvaluateCodesBackend:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_backend_matches_blas_path(self, name):
-        q = random_codes(5, 16, seed=18)
-        db = random_codes(30, 16, seed=19)
-        rng = np.random.default_rng(20)
-        ql = rng.integers(0, 2, size=(5, 3))
-        ql[ql.sum(axis=1) == 0, 0] = 1
-        dl = rng.integers(0, 2, size=(30, 3))
-        dl[dl.sum(axis=1) == 0, 0] = 1
-        base = evaluate_codes(q, db, ql, dl, pn_points=(5, 10))
-        served = evaluate_codes(q, db, ql, dl, pn_points=(5, 10), backend=name)
-        assert served.map == pytest.approx(base.map)
-        assert served.precision_at_n == pytest.approx(base.precision_at_n)
-
-    def test_backend_instance_accepted(self):
-        q = random_codes(3, 8, seed=21)
-        db = random_codes(12, 8, seed=22)
-        ql = np.ones((3, 2), dtype=int)
-        dl = np.ones((12, 2), dtype=int)
-        index = MultiIndexHammingIndex(8, n_tables=2)
-        report = evaluate_codes(q, db, ql, dl, pn_points=(4,), backend=index)
-        base = evaluate_codes(q, db, ql, dl, pn_points=(4,))
-        assert report.map == pytest.approx(base.map)
-
-    def test_prebuilt_backend_with_id_gaps_raises(self):
-        # Right row count but renumbered ids (remove + re-add) must raise
-        # ShapeError, not crash or feed garbage into the metrics.
-        q = random_codes(2, 8, seed=26)
-        db = random_codes(6, 8, seed=27)
-        gappy = HammingIndex(8).add(db)
-        gappy.remove([2])
-        gappy.add(random_codes(1, 8, seed=28))  # len matches, ids have a gap
-        with pytest.raises(ShapeError):
-            evaluate_codes(q, db, np.ones((2, 1), int), np.ones((6, 1), int),
-                           pn_points=(2,), backend=gappy)
-
-    def test_backend_size_mismatch_raises(self):
-        q = random_codes(2, 8, seed=23)
-        db = random_codes(10, 8, seed=24)
-        stale = HammingIndex(8).add(random_codes(4, 8, seed=25))
-        with pytest.raises(ShapeError):
-            evaluate_codes(q, db, np.ones((2, 1), int), np.ones((10, 1), int),
-                           pn_points=(2,), backend=stale)
+        ids, dist = index.search(query, top_k=5)
+        want_ids, want_dist = ids.copy(), dist.copy()
+        ids[:] = -1
+        dist[:] = -1.0
+        again_ids, again_dist = index.search(query, top_k=5)
+        np.testing.assert_array_equal(again_ids, want_ids)
+        np.testing.assert_array_equal(again_dist, want_dist)
+        assert index.cache.hits == 2  # both repeats were served cached
 
 
 class TestShardedWorkers:
@@ -328,7 +199,7 @@ class TestShardedWorkers:
         # merged top-k must fall back to pure id order regardless of which
         # worker thread returned its shard first.
         codes = np.tile(random_codes(1, 16), (12, 1))
-        index = make_backend("sharded", 16, n_shards=3, workers=workers)
+        index = ShardedIndex(16, n_shards=3, workers=workers)
         index.add(codes)
         ids, dist = index.search(codes[:2], top_k=6)
         np.testing.assert_array_equal(ids, [[0, 1, 2, 3, 4, 5]] * 2)
@@ -341,7 +212,7 @@ class TestShardedWorkers:
         # must interleave id-ascending, exactly like one flat index.
         base = distinct_codes(10, 16, seed=7)
         codes = np.repeat(base, 2, axis=0)
-        sharded = make_backend("sharded", 16, n_shards=4, workers=workers)
+        sharded = ShardedIndex(16, n_shards=4, workers=workers)
         sharded.add(codes)
         ids, dist = sharded.search(base, top_k=8)
         reference = HammingIndex(16).add(codes)
@@ -355,8 +226,8 @@ class TestShardedWorkers:
     def test_pooled_results_match_serial(self):
         codes = random_codes(60, 16, seed=9)
         queries = random_codes(5, 16, seed=10)
-        serial = make_backend("sharded", 16, n_shards=4, workers=1).add(codes)
-        pooled = make_backend("sharded", 16, n_shards=4, workers=4).add(codes)
+        serial = ShardedIndex(16, n_shards=4, workers=1).add(codes)
+        pooled = ShardedIndex(16, n_shards=4, workers=4).add(codes)
         for got, want in zip(pooled.search(queries, top_k=7),
                              serial.search(queries, top_k=7)):
             np.testing.assert_array_equal(got, want)
@@ -364,6 +235,6 @@ class TestShardedWorkers:
                              serial.radius_search(queries, 6)):
             np.testing.assert_array_equal(got, want)
         # The effective count may clamp to os.cpu_count() on small boxes;
-        # the pre-clamp request is what the backend plumbing owes us.
+        # the pre-clamp request is what the pool plumbing owes us.
         assert pooled.pool_stats()["requested"] == 4
         assert serial.pool_stats()["serial"] is True

@@ -47,7 +47,6 @@ def identity_network(bits=BITS, dim=DIM, rng=0):
 
 
 def make_service(**kwargs):
-    kwargs.setdefault("backend", "bruteforce")
     kwargs.setdefault("max_batch", 64)
     service = HashingService(identity_network(), **kwargs)
     service.add(np.random.default_rng(7).standard_normal((40, DIM)))
@@ -226,7 +225,7 @@ class TestServingApp:
         # Only the first shard-0 probe fails: the first query degrades,
         # every later one is healthy (one failure keeps the breaker closed).
         faults.rule("shard.search", match={"shard": 0}, nth=1)
-        service = make_service(backend="sharded", n_shards=2, faults=faults)
+        service = make_service(n_shards=2, faults=faults)
         app = ServingApp(service)
         searched, healthy_done = threading.Event(), threading.Event()
         query = service.query
@@ -274,8 +273,7 @@ class TestServingApp:
             assert release.wait(10)
             return net.encode(matrix)
 
-        service = HashingService(slow_encode, n_bits=BITS,
-                                 backend="bruteforce", max_batch=64)
+        service = HashingService(slow_encode, n_bits=BITS, max_batch=64)
         release.set()  # let the database load through
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -306,8 +304,7 @@ class TestServingApp:
 
     def test_shed_request_body_is_not_decoded(self):
         encode, entered, release = gated_encoder(identity_network())
-        service = HashingService(encode, n_bits=BITS, backend="bruteforce",
-                                 max_batch=64)
+        service = HashingService(encode, n_bits=BITS, max_batch=64)
         release.set()
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -413,8 +410,7 @@ class TestServingApp:
             assert release.wait(10)
             return net.encode(matrix)
 
-        old = HashingService(gate_encode, n_bits=BITS, backend="bruteforce",
-                             max_batch=64)
+        old = HashingService(gate_encode, n_bits=BITS, max_batch=64)
         release.set()
         db = np.random.default_rng(7).standard_normal((10, DIM))
         old.add(db)
@@ -536,9 +532,8 @@ class TestHttpServer:
             assert release.wait(10)
             return net.encode(matrix)
 
-        service = HashingService(gate_encode, n_bits=BITS,
-                                 backend="sharded", n_shards=2, workers=2,
-                                 max_batch=64)
+        service = HashingService(gate_encode, n_bits=BITS, n_shards=2,
+                                 workers=2, max_batch=64)
         release.set()
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -927,7 +922,7 @@ class TestBatcherThreadSafety:
     def test_close_during_inflight_forward_resolves_every_ticket(self):
         net = identity_network()
         encode, entered, release = gated_encoder(net)
-        service = HashingService(encode, n_bits=BITS, backend="bruteforce")
+        service = HashingService(encode, n_bits=BITS)
         release.set()
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -968,7 +963,7 @@ class TestBatcherThreadSafety:
         # training mode would change its codes.
         for _ in range(3):
             network.net(rng.normal(1.0, 3.0, size=(64, DIM)))
-        service = HashingService(network, backend="bruteforce")
+        service = HashingService(network)
         service.load_database(rng.standard_normal((200, DIM)))
         n_threads, per_thread = 8, 25
         queries = rng.standard_normal((n_threads, per_thread, DIM))
@@ -1000,7 +995,7 @@ class TestBatcherThreadSafety:
         encode, entered, release = gated_encoder(net)
         bound, n_threads, rows_each = 6, 12, 2
         service = HashingService(
-            encode, n_bits=BITS, backend="bruteforce", max_pending=bound,
+            encode, n_bits=BITS, max_pending=bound,
             clock=itertools.count().__next__, default_deadline_s=0.5,
         )
         release.set()

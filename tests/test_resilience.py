@@ -667,7 +667,7 @@ class TestServiceResilience:
         store = ArtifactStore(tmp_path / "cache")
         service = HashingService(
             identity_network(), n_shards=3, store=store, faults=faults,
-            backend_options={"breaker_threshold": 1},
+            index_options={"breaker_threshold": 1},
         )
         service.load_database(
             np.random.default_rng(10).normal(size=(9, 8)),
@@ -689,7 +689,7 @@ class TestServiceResilience:
         faults.rule("shard.search", match={"shard": 1})
         service = HashingService(
             identity_network(), n_shards=3, faults=faults, clock=clock,
-            backend_options={"breaker_threshold": 2, "breaker_reset_s": 5.0},
+            index_options={"breaker_threshold": 2, "breaker_reset_s": 5.0},
         )
         rng = np.random.default_rng(11)
         db = rng.normal(size=(15, 8))

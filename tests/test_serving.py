@@ -12,7 +12,7 @@ from repro.core.persistence import save_uhscm
 from repro.core.uhscm import UHSCM
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.pipeline import ArtifactStore
-from repro.retrieval import HammingIndex, make_backend
+from repro.retrieval import HammingIndex
 from repro.serving import (
     INDEX_STAGE,
     EncodeBatcher,
@@ -39,11 +39,10 @@ class TestShardedIndex:
         assert index.shard_sizes == (4, 3, 3)  # ids 0,3,6,9 / 1,4,7 / 2,5,8
         assert len(index) == 10
 
-    @pytest.mark.parametrize("shard_backend", ["bruteforce", "multi-index"])
-    def test_merge_identical_to_single_index_under_churn(self, shard_backend):
+    def test_merge_identical_to_single_index_under_churn(self):
         k = 32
         single = HammingIndex(k)
-        sharded = ShardedIndex(k, n_shards=3, shard_backend=shard_backend)
+        sharded = ShardedIndex(k, n_shards=3)
         rng = np.random.default_rng(3)
         for step in range(3):
             batch = random_codes(50, k, seed=50 + step)
@@ -78,15 +77,8 @@ class TestShardedIndex:
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             ShardedIndex(8, n_shards=0)
-        with pytest.raises(ConfigurationError):
-            ShardedIndex(8, shard_backend="sharded")
         with pytest.raises(ShapeError):
             ShardedIndex(0)
-
-    def test_shard_options_forwarded(self):
-        index = ShardedIndex(16, n_shards=2, shard_backend="multi-index",
-                             shard_options={"n_tables": 2})
-        assert all(shard.n_tables == 2 for shard in index.shards)
 
 
 class TestEncodeBatcher:
@@ -155,7 +147,7 @@ class TestHashingService:
         service.load_database(db)
         ids, dist = service.query(queries, top_k=7)
         net = identity_network()
-        reference = make_backend("multi-index", 16).add(net.encode(db))
+        reference = HammingIndex(16).add(net.encode(db))
         r_ids, r_dist = reference.search(net.encode(queries), top_k=7)
         np.testing.assert_array_equal(ids, r_ids)
         np.testing.assert_array_equal(dist, r_dist)
@@ -215,7 +207,6 @@ class TestHashingService:
         service.query(rng.normal(size=(2, 8)), top_k=2)
         service.query(rng.normal(size=(2, 8)), top_k=2)
         stats = service.stats()
-        assert stats["backend"] == "sharded"
         assert stats["size"] == 12
         assert len(stats["shards"]) == 3
         assert stats["batcher"]["requests"] == 4
@@ -267,9 +258,10 @@ class TestHashingService:
         # no inspectable state -> no model key -> snapshots disabled
         assert service.model_key is None
 
-    def test_backend_override(self):
-        service = HashingService(identity_network(), backend="bruteforce")
+    def test_default_service_has_one_shard(self):
+        service = HashingService(identity_network())
         service.load_database(np.random.default_rng(11).normal(size=(6, 8)))
+        assert service.index.n_shards == 1
         assert service.stats()["shards"] == [6]
 
 
