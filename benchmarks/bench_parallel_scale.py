@@ -1,31 +1,22 @@
 """Parallel-scale benchmark: the shared worker-pool layer end to end.
 
-Acceptance gates for the PR 8 parallel kernels and the PR 9 process
-backend:
+Acceptance gates for the two pooled sites, the top-k Q build and the
+sharded search fan-out:
 
 1. **Bit-identity everywhere** (asserted on any machine): the parallel
    Q build returns byte-identical CSR ``data``/``indices``/``indptr`` to
-   the serial oracle (heap and streaming/out-of-core builders, thread
-   *and* process backends), the concurrent shard fan-out merges
-   byte-identical ``(ids, distances)`` top-k and radius results, and
-   training with the one-slot prefetch reproduces the serial loss
-   history exactly.
+   the serial oracle (heap and streaming/out-of-core builders), and the
+   concurrent shard fan-out merges byte-identical ``(ids, distances)``
+   top-k and radius results.
 2. **Serial fallback + clean shutdown** (asserted on any machine):
    ``workers=1`` creates no threads — submissions run inline on the
    calling thread and the pool reports ``serial=True`` with matching
    submitted/completed counters.  Every pool closes with
-   ``submitted == completed`` and ``shm_published == shm_released``
-   (no shared-memory segment outlives its pool).
-3. **In-worker BLAS pinning** (asserted whenever the process pool runs
-   real children): a probe mapped over the spawned workers must see the
-   single-thread BLAS environment the bench pinned before numpy loaded.
-4. **Wall-clock** (gated only on machines with >= 4 cores, like the CI
+   ``submitted == completed``.
+3. **Wall-clock** (gated only on machines with >= 4 cores, like the CI
    runners): the thread-parallel Q build and the concurrent shard
    fan-out must each clear ``REQUIRED_SPEEDUP`` (1.7x) over their
-   serial oracles at 4 workers, and the process-backed Q build — which
-   moves the GIL-bound tile remainder (top-k selection, sort) into
-   spawned workers — must clear ``REQUIRED_PROCESS_SPEEDUP`` (2.5x),
-   breaking the ~2x thread ceiling.
+   serial oracles at 4 workers.
 
 The combined report lands in ``results/BENCH_parallel.txt`` with a
 machine-readable mirror in ``results/BENCH_parallel.json``.
@@ -44,28 +35,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 
-from repro.config import TrainConfig, UHSCMConfig  # noqa: E402
-from repro.core.hashing_network import HashingNetwork  # noqa: E402
-from repro.core.trainer import UHSCMTrainer  # noqa: E402
 from repro.retrieval.sharded import ShardedIndex  # noqa: E402
 from repro.utils.mathops import (  # noqa: E402
     blocked_topk_cosine,
     streaming_topk_cosine,
 )
-from repro.utils.parallel import (  # noqa: E402
-    BLAS_ENV_VARS,
-    WorkerPool,
-    pool_worker_probe,
-    resolve_workers,
-)
+from repro.utils.parallel import WorkerPool, resolve_workers  # noqa: E402
 
 from conftest import save_result, timed  # noqa: E402
 
 #: Worker count the parallel legs run at (CI pins $REPRO_WORKERS to this).
 WORKERS = 4
 REQUIRED_SPEEDUP = 1.7
-#: The process backend must beat the thread ceiling, not just serial.
-REQUIRED_PROCESS_SPEEDUP = 2.5
 
 # Q-build leg: big enough that per-tile GEMM dominates dispatch overhead.
 Q_ROWS = 6_000
@@ -80,12 +61,6 @@ N_SHARDS = 4
 N_QUERIES = 64
 TOP_K = 10
 
-# Training leg: identity of the loss history under the one-slot prefetch.
-TRAIN_ROWS = 256
-TRAIN_DIM = 64
-TRAIN_BITS = 32
-TRAIN_EPOCHS = 3
-
 
 def _gate_active() -> bool:
     return (os.cpu_count() or 1) >= 4
@@ -95,19 +70,6 @@ def _q_build(features: np.ndarray, workers) -> tuple[np.ndarray, ...]:
     return blocked_topk_cosine(
         features, Q_TOPK, block_rows=Q_BLOCK_ROWS, workers=workers
     )
-
-
-def _train_history(features, q, workers: int) -> list[float]:
-    config = UHSCMConfig(
-        n_bits=TRAIN_BITS, workers=workers,
-        train=TrainConfig(batch_size=64, epochs=TRAIN_EPOCHS),
-    )
-    network = HashingNetwork(
-        TRAIN_BITS, mode="feature", feature_extractor=lambda x: x,
-        feature_dim=TRAIN_DIM, rng=0,
-    )
-    history = UHSCMTrainer(network, config).fit(features, q)
-    return history.total
 
 
 def _build_index(codes: np.ndarray, workers: int) -> ShardedIndex:
@@ -127,7 +89,6 @@ def test_bench_parallel_scale(results_dir):
         "workers": WORKERS,
         "cores": os.cpu_count(),
         "required_speedup": REQUIRED_SPEEDUP,
-        "required_process_speedup": REQUIRED_PROCESS_SPEEDUP,
         "gate_active": gate,
     }
 
@@ -137,10 +98,8 @@ def test_bench_parallel_scale(results_dir):
     main_thread_results = pool.map(lambda i: i * i, range(8))
     assert main_thread_results == [i * i for i in range(8)]
     stats = pool.stats()
-    assert stats == {"backend": "thread", "workers": 1, "requested": 1,
-                     "serial": True, "submitted": 8, "completed": 8,
-                     "rejected": 0, "shm_published": 0, "shm_released": 0,
-                     "shm_active": 0}
+    assert stats == {"workers": 1, "requested": 1, "serial": True,
+                     "submitted": 8, "completed": 8, "rejected": 0}
     pool.close()
     assert resolve_workers(None) == resolve_workers(0) == 1 or \
         os.environ.get("REPRO_WORKERS")  # env may legitimately override None
@@ -174,52 +133,8 @@ def test_bench_parallel_scale(results_dir):
                           "parallel_seconds": t_parallel,
                           "speedup": q_speedup}
 
-    # -- Q build, process backend: identity + pinning + speedup (1, 2, 3, 4) -
-    shm_dir = "/dev/shm"
-    shm_before = (set(os.listdir(shm_dir)) if os.path.isdir(shm_dir)
-                  else set())
-    proc_pool = WorkerPool(WORKERS, name="bench-topk-proc", backend="process")
-    try:
-        if not proc_pool.serial:
-            # Warm every spawned worker and assert the BLAS pinning the
-            # bench set before numpy loaded actually reached them.
-            probes = proc_pool.map(pool_worker_probe, range(2 * WORKERS))
-            assert os.getpid() not in {probe["pid"] for probe in probes}
-            for probe in probes:
-                for var in BLAS_ENV_VARS:
-                    assert probe["env"][var] == "1", (var, probe)
-                for entry in probe["threadpools"] or []:
-                    assert entry["num_threads"] == 1, probe
-        t_process, process_csr = timed(
-            lambda: _q_build(features, proc_pool), repeats=2
-        )
-        proc_stats = proc_pool.stats()
-    finally:
-        proc_pool.close()
-    for s_arr, p_arr in zip(serial_csr, process_csr):
-        assert np.array_equal(s_arr, p_arr)
-    final = proc_pool.stats()
-    assert final["submitted"] == final["completed"]  # clean shutdown
-    assert final["shm_published"] == final["shm_released"]  # no leaks
-    assert final["shm_active"] == 0
-    shm_after = (set(os.listdir(shm_dir)) if os.path.isdir(shm_dir)
-                 else set())
-    assert not (shm_after - shm_before), shm_after - shm_before
-    process_speedup = t_serial / t_process
-    lines.append(f"Q build    : serial {t_serial * 1e3:8.1f} ms   "
-                 f"process x{WORKERS} {t_process * 1e3:8.1f} ms   "
-                 f"speedup {process_speedup:.2f}x   CSR bit-identical, "
-                 f"shm balanced ({proc_stats['shm_published']} published)")
-    payload["q_build_process"] = {"serial_seconds": t_serial,
-                                  "process_seconds": t_process,
-                                  "speedup": process_speedup,
-                                  "shm_published": final["shm_published"],
-                                  "shm_released": final["shm_released"]}
-
-    # Streaming (out-of-core) builder: same identity at 4 workers on both
-    # backends (the process pool reads the scratch memmap by path instead
-    # of a shared-memory segment).
-    def stream(workers, backend=None):
+    # Streaming (out-of-core) builder: same identity at 4 workers.
+    def stream(workers):
         bufs: dict[str, np.ndarray] = {}
 
         def create(name, shape, dtype):
@@ -228,15 +143,13 @@ def test_bench_parallel_scale(results_dir):
 
         return streaming_topk_cosine(
             features[:1500], Q_TOPK, create, block_rows=Q_BLOCK_ROWS,
-            workers=workers, pool_backend=backend,
+            workers=workers,
         )
 
-    stream_serial = stream(1)
-    for backend in ("thread", "process"):
-        for s_arr, p_arr in zip(stream_serial, stream(WORKERS, backend)):
-            assert np.array_equal(np.asarray(s_arr), np.asarray(p_arr)), backend
+    for s_arr, p_arr in zip(stream(1), stream(WORKERS)):
+        assert np.array_equal(np.asarray(s_arr), np.asarray(p_arr))
     lines.append("streaming  : out-of-core CSR bit-identical at "
-                 f"{WORKERS} workers (thread and process)")
+                 f"{WORKERS} workers")
 
     # -- shard fan-out: identity + speedup (gates 1 and 3) ------------------
     codes = np.where(rng.random((DB_ROWS, N_BITS)) < 0.5, -1.0, 1.0)
@@ -269,29 +182,13 @@ def test_bench_parallel_scale(results_dir):
                           "parallel_seconds": t_fan_parallel,
                           "speedup": fan_speedup}
 
-    # -- training: loss-history identity under prefetch (gate 1) ------------
-    train_features = rng.normal(size=(TRAIN_ROWS, TRAIN_DIM))
-    labels = rng.integers(0, 8, size=TRAIN_ROWS)
-    q = (labels[:, None] == labels[None, :]).astype(np.float64)
-    serial_history = _train_history(train_features, q, workers=1)
-    parallel_history = _train_history(train_features, q, workers=WORKERS)
-    assert serial_history == parallel_history
-    lines.append(f"training   : {TRAIN_EPOCHS}-epoch loss history "
-                 f"bit-identical under one-slot prefetch")
-    payload["training"] = {"epochs": TRAIN_EPOCHS,
-                           "loss_history": serial_history,
-                           "identical": True}
-
     if gate:
         lines.append(f"speedup gate: Q build {q_speedup:.2f}x, fan-out "
                      f"{fan_speedup:.2f}x (required >= "
-                     f"{REQUIRED_SPEEDUP:.1f}x each); process Q build "
-                     f"{process_speedup:.2f}x (required >= "
-                     f"{REQUIRED_PROCESS_SPEEDUP:.1f}x)")
+                     f"{REQUIRED_SPEEDUP:.1f}x each)")
     report = "\n".join(lines)
     print("\n" + report)
     save_result(results_dir, "BENCH_parallel", report, payload=payload)
     if gate:
         assert q_speedup >= REQUIRED_SPEEDUP, report
         assert fan_speedup >= REQUIRED_SPEEDUP, report
-        assert process_speedup >= REQUIRED_PROCESS_SPEEDUP, report

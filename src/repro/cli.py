@@ -33,21 +33,13 @@ Outputs are bit-identical to the in-memory paths and share their
 fingerprints, so the two modes replay each other's caches.
 
 ``--workers N`` (on ``train`` / ``table1`` / ``table2`` / ``serve`` /
-``serve-http``; default ``$REPRO_WORKERS``, else 1) runs the
-parallel kernels — the sparse Q build's row tiles, the sharded search
-fan-out, the trainer's one-slot batch prefetch — on N workers through
-the shared :class:`~repro.utils.parallel.WorkerPool`.  Every parallel
-output is bit-identical to the serial path, so ``--workers`` composes
-freely with caching, ``--sparse-topk``, and ``--out-of-core``.
-
-``--pool-backend {thread,process}`` (default ``$REPRO_POOL``, else
-``thread``) picks the pool's execution mode for the sparse Q build:
-``process`` spawns worker interpreters that attach the normalized
-features zero-copy through shared memory, sidestepping the GIL on the
-non-BLAS tile work.  Outputs are bit-identical across backends.  The
-trainer's prefetch and the serving fan-out are thread-only — they keep
-threads under ``--pool-backend process`` on ``train``, and ``serve``
-rejects an explicit ``process`` with a configuration error.
+``serve-http``; default ``$REPRO_WORKERS``, else 1) runs the two pooled
+sites — the sparse Q build's row tiles (``train`` / ``table1`` /
+``table2``) and the sharded search fan-out (``serve`` / ``serve-http``)
+— on N threads of the shared :class:`~repro.utils.parallel.WorkerPool`.
+Every parallel output is bit-identical to the serial path, so
+``--workers`` composes freely with caching, ``--sparse-topk``, and
+``--out-of-core``.
 
 ``serve`` stands up the online serving facade over a dataset's database
 split: the model comes from a persistence archive (``--model model.npz``),
@@ -149,17 +141,10 @@ def _add_sparse_topk(parser: argparse.ArgumentParser) -> None:
 
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="workers for the parallel kernels "
-                             "(Q-build tiles, shard fan-out, training "
-                             "prefetch); outputs are bit-identical at any "
-                             "count (default: $REPRO_WORKERS, else serial)")
-    parser.add_argument("--pool-backend", choices=("thread", "process"),
-                        default=None,
-                        help="pool execution mode for the Q-build kernels: "
-                             "process spawns workers over shared-memory "
-                             "operands to beat the thread GIL ceiling; "
-                             "outputs are bit-identical either way "
-                             "(default: $REPRO_POOL, else thread)")
+                        help="threads for the parallel kernels "
+                             "(sparse Q-build tiles, shard fan-out); "
+                             "outputs are bit-identical at any count "
+                             "(default: $REPRO_WORKERS, else serial)")
 
 
 def _add_out_of_core(parser: argparse.ArgumentParser) -> None:
@@ -194,8 +179,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         config = replace(config, out_of_core=True)
     if args.workers is not None:
         config = replace(config, workers=args.workers)
-    if args.pool_backend is not None:
-        config = replace(config, pool_backend=args.pool_backend)
     model = UHSCM(config, clip=clip)
     model.fit(data.train_images, store=store,
               data_key=dataset_key(args.dataset, args.scale, args.seed))
@@ -256,7 +239,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = HashingService(
         model, store=store, n_shards=args.shards,
         cache_size=args.cache_size, max_batch=args.batch,
-        workers=args.workers, pool_backend=args.pool_backend,
+        workers=args.workers,
     )
     service.load_database(
         data.database_images,
@@ -364,7 +347,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         service = HashingService(
             encoder, store=store, n_shards=args.shards,
             cache_size=args.cache_size, max_batch=args.batch,
-            workers=args.workers, pool_backend=args.pool_backend,
+            workers=args.workers,
         )
         service.load_database(
             data.database_images, key=db_key,
@@ -420,8 +403,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
                        epochs=args.epochs, store=store,
                        sparse_topk=args.sparse_topk,
                        out_of_core=args.out_of_core,
-                       workers=args.workers,
-                       pool_backend=args.pool_backend)
+                       workers=args.workers)
     print(table.render())
     _print_store_summary(store)
     return 0
@@ -436,8 +418,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
                        epochs=args.epochs, store=store,
                        sparse_topk=args.sparse_topk,
                        out_of_core=args.out_of_core,
-                       workers=args.workers,
-                       pool_backend=args.pool_backend)
+                       workers=args.workers)
     print(table.render())
     _print_store_summary(store)
     return 0

@@ -116,20 +116,12 @@ class UHSCMConfig:
         bit-identical to the in-memory path, so this flag never enters
         fingerprints.
     workers:
-        Execution policy like ``out_of_core``: worker count for the shared
-        pool behind the parallel kernels (sparse Q row tiles, the
-        trainer's one-slot batch prefetch; the serving layer has its own
-        knob).  ``None`` defers to ``$REPRO_WORKERS`` (else serial);
-        ``1`` forces the serial fallback.  Every parallel output is
-        bit-identical to serial, so this never enters fingerprints either.
-    pool_backend:
-        Execution backend for the pooled top-k Q-build kernels:
-        ``"thread"`` (the default), or ``"process"`` to run the GIL-bound
-        tile portions in spawned workers with shared-memory operand
-        transport.  ``None`` defers to ``$REPRO_POOL`` (else thread).
-        Applies only to the process-safe Q builders — the trainer's
-        prefetch and the serving fan-out stay thread-backed regardless.
-        Bit-identical across backends, so it never enters fingerprints.
+        Execution policy like ``out_of_core``: thread count for the
+        sparse Q build's row tiles (the serving layer has its own knob;
+        training always runs one loop on the calling thread).  ``None``
+        defers to ``$REPRO_WORKERS`` (else serial); ``1`` forces the
+        serial fallback.  Every parallel output is bit-identical to
+        serial, so this never enters fingerprints either.
     prompt_template:
         Template used to turn a concept into text for the VLP model.
     train:
@@ -148,7 +140,6 @@ class UHSCMConfig:
     sparse_topk: int | None = None
     out_of_core: bool = False
     workers: int | None = None
-    pool_backend: str | None = None
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
@@ -171,13 +162,6 @@ class UHSCMConfig:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1 (or None): {self.workers}"
-            )
-        if self.pool_backend is not None and self.pool_backend not in (
-            "thread", "process",
-        ):
-            raise ConfigurationError(
-                "pool_backend must be 'thread', 'process', or None: "
-                f"{self.pool_backend!r}"
             )
         if "{concept}" not in self.prompt_template:
             raise ConfigurationError(
@@ -204,11 +188,9 @@ class UHSCMConfig:
         # Residency policy, not math: in-core and out-of-core runs produce
         # bit-identical artifacts, so they must share fingerprints.
         payload.pop("out_of_core", None)
-        # Same for worker count and pool backend — parallel kernels are
-        # bit-identical to serial on every backend, so any combination
-        # replays the serial run's artifacts.
+        # Same for worker count — parallel kernels are bit-identical to
+        # serial, so any count replays the serial run's artifacts.
         payload.pop("workers", None)
-        payload.pop("pool_backend", None)
         return payload
 
     def tau(self, n_concepts: int) -> float:

@@ -97,6 +97,9 @@ def restore_uhscm(
 
     config_dict = dict(meta["config"])
     config_dict["train"] = TrainConfig(**config_dict["train"])
+    # Archives and snapshots saved while the config carried a pool backend
+    # still hold the key; it never changed outputs, so it is dropped.
+    config_dict.pop("pool_backend", None)
     config = UHSCMConfig(**config_dict)
     model = UHSCM(
         config,

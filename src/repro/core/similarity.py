@@ -45,7 +45,6 @@ def similarity_from_distributions(
     sparse_topk: int | None = None,
     dtype: np.dtype | str | None = None,
     workers: int | None = None,
-    pool_backend: str | None = None,
 ) -> "FactoredSimilarity | SparseTopKSimilarity":
     """Eq. 3 / Eq. 6: pairwise cosine similarity of concept distributions.
 
@@ -54,9 +53,8 @@ def similarity_from_distributions(
     values, and ``to_dense()`` is the (n, n) array this function used to
     return, bit for bit.  A positive k routes through the blocked kernel
     and returns the top-k CSR form.  Neither route materializes n².
-    ``workers`` parallelizes the blocked kernel's row tiles and
-    ``pool_backend`` picks thread or process execution (bit-identical
-    either way at any count; the factored route ignores both).
+    ``workers`` parallelizes the blocked kernel's row tiles (bit-identical
+    at any count; the factored route ignores it).
     """
     dist = np.asarray(
         distributions, dtype=np.float64 if dtype is None else dtype
@@ -69,7 +67,6 @@ def similarity_from_distributions(
         return FactoredSimilarity(l2_normalize(dist, dtype=dist.dtype))
     return SparseTopKSimilarity.from_features(
         dist, sparse_topk, dtype=dist.dtype, workers=workers,
-        pool_backend=pool_backend,
     )
 
 
@@ -89,7 +86,6 @@ def _run_build_q(
     sparse_topk: int | None,
     out_of_core: bool,
     workers: int | None = None,
-    pool_backend: str | None = None,
 ):
     """Execute a build_q stage, streaming CSR buffers to disk when asked.
 
@@ -98,10 +94,9 @@ def _run_build_q(
     route needs the sparse form and a disk-backed store; anything else
     falls back to the heap build.  Both routes share the stage fingerprint
     and produce bit-identical payloads, so they replay each other's cached
-    artifacts freely.  ``workers``/``pool_backend`` fan the kernel's row
-    tiles out to the pool on both routes without changing a single output
-    bit — like ``workers`` and ``out_of_core``, the backend never enters
-    stage fingerprints.
+    artifacts freely.  ``workers`` fans the kernel's row tiles out to the
+    pool on both routes without changing a single output bit — like
+    ``out_of_core``, it never enters stage fingerprints.
     """
     if (out_of_core and sparse_topk is not None
             and store.cache_dir is not None):
@@ -109,7 +104,6 @@ def _run_build_q(
         def build(writer) -> dict:
             matrix = SparseTopKSimilarity.from_features_streaming(
                 get_features(), sparse_topk, writer.create, workers=workers,
-                pool_backend=pool_backend,
             )
             meta, _ = matrix.payload()
             return {"concepts": list(concepts), **meta}
@@ -121,7 +115,6 @@ def _run_build_q(
         lambda: _q_payload(
             similarity_from_distributions(
                 get_features(), sparse_topk=sparse_topk, workers=workers,
-                pool_backend=pool_backend,
             ),
             concepts,
         ),
@@ -215,11 +208,6 @@ class SemanticSimilarityGenerator:
         Worker count for the sparse kernel's row-tile fan-out (``None``
         reads ``$REPRO_WORKERS``).  Pure execution policy: outputs are
         bit-identical at any value, so it never enters stage fingerprints.
-    pool_backend:
-        Pool execution mode for that fan-out — ``"thread"`` (default via
-        ``None`` → ``$REPRO_POOL``) or ``"process"`` for spawned workers
-        over shared-memory operands.  Execution policy like ``workers``:
-        bit-identical outputs, never fingerprinted.
     """
 
     def __init__(
@@ -232,7 +220,6 @@ class SemanticSimilarityGenerator:
         sparse_topk: int | None = None,
         out_of_core: bool = False,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> None:
         if not concepts:
             raise ConfigurationError("candidate concept set is empty")
@@ -251,7 +238,6 @@ class SemanticSimilarityGenerator:
         self.sparse_topk = sparse_topk
         self.out_of_core = out_of_core
         self.workers = workers
-        self.pool_backend = pool_backend
 
     def _generate_single(
         self, images: np.ndarray, template: PromptTemplate | str | None
@@ -268,7 +254,7 @@ class SemanticSimilarityGenerator:
         return SimilarityResult(
             matrix=similarity_from_distributions(
                 distributions, sparse_topk=self.sparse_topk,
-                workers=self.workers, pool_backend=self.pool_backend,
+                workers=self.workers,
             ),
             concepts=concepts,
             denoising=denoising,
@@ -353,7 +339,6 @@ class SemanticSimilarityGenerator:
         q_art = _run_build_q(
             store, q_stage, lambda: final_distributions, concepts,
             self.sparse_topk, self.out_of_core, workers=self.workers,
-            pool_backend=self.pool_backend,
         )
         return SimilarityResult(
             matrix=similarity_from_payload(q_art.meta, q_art.arrays),
@@ -435,20 +420,18 @@ class ImageFeatureSimilarityGenerator:
         sparse_topk: int | None = None,
         out_of_core: bool = False,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> None:
         self.clip = clip
         self.sparse_topk = sparse_topk
         self.out_of_core = out_of_core
         self.workers = workers
-        self.pool_backend = pool_backend
 
     def _build_matrix(
         self, images: np.ndarray
     ) -> "FactoredSimilarity | SparseTopKSimilarity":
         return similarity_from_distributions(
             self.clip.image_features(images), sparse_topk=self.sparse_topk,
-            workers=self.workers, pool_backend=self.pool_backend,
+            workers=self.workers,
         )
 
     def generate(
@@ -473,7 +456,6 @@ class ImageFeatureSimilarityGenerator:
                     store, stage,
                     lambda: self.clip.image_features(images), (),
                     self.sparse_topk, self.out_of_core, workers=self.workers,
-                    pool_backend=self.pool_backend,
                 )
             else:
                 art = run_stage(

@@ -29,8 +29,8 @@ With ``k >= n - 1`` the sparse form holds every entry and densifies to
 the dense matrix within 2 machine epsilons per entry: the kernel's row-block
 GEMMs can sum in a different order than the one whole-matrix GEMM (measured
 with OpenBLAS: at most 1 eps, and some shapes match bit for bit).  Builds
-are bit-identical to each other across worker counts, pool backends, and
-heap vs streaming buffers at equal tile height.
+are bit-identical to each other across worker counts and between heap
+and streaming buffers at equal tile height.
 """
 
 from __future__ import annotations
@@ -275,20 +275,16 @@ class SparseTopKSimilarity(SimilarityMatrix):
         block_rows: int = _BLOCK_ROWS,
         dtype: np.dtype | str | None = None,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> "SparseTopKSimilarity":
         """Build from raw feature rows via the blocked pairwise-cosine kernel.
 
         ``workers`` dispatches the kernel's row-block tiles to the shared
-        worker pool (``None`` = ``$REPRO_WORKERS``); ``pool_backend``
-        selects its execution mode (``None`` = ``$REPRO_POOL`` → thread,
-        ``"process"`` for spawned workers over shared memory).  Results
-        are bit-identical at any worker count on either backend.
+        thread pool (``None`` = ``$REPRO_WORKERS``).  Results are
+        bit-identical at any worker count.
         """
         features = np.atleast_2d(features)
         data, indices, indptr = blocked_topk_cosine(
             features, k, block_rows=block_rows, dtype=dtype, workers=workers,
-            pool_backend=pool_backend,
         )
         return cls(data, indices, indptr, n=features.shape[0], k=k)
 
@@ -302,7 +298,6 @@ class SparseTopKSimilarity(SimilarityMatrix):
         dtype: np.dtype | str | None = None,
         max_block_bytes: int = _MAX_BLOCK_BYTES,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> "SparseTopKSimilarity":
         """Out-of-core build: CSR buffers allocated via ``create_array``.
 
@@ -310,16 +305,14 @@ class SparseTopKSimilarity(SimilarityMatrix):
         disk-resident) destination arrays — see
         :func:`repro.utils.mathops.streaming_topk_cosine`, which this
         wraps.  Values are bit-identical to :meth:`from_features` at equal
-        effective block height (and, via ``workers``/``pool_backend``, at
-        any worker count on either backend — pooled tiles GEMM against
-        the one scratch memmap, which process workers open by path, and
-        the disjoint CSR row ranges are written exactly once).
+        effective block height, and at any worker count — pooled tiles
+        GEMM against the one scratch memmap, and the disjoint CSR row
+        ranges are written exactly once.
         """
         features = np.atleast_2d(features)
         data, indices, indptr = streaming_topk_cosine(
             features, k, create_array, block_rows=block_rows, dtype=dtype,
             max_block_bytes=max_block_bytes, workers=workers,
-            pool_backend=pool_backend,
         )
         return cls(data, indices, indptr, n=features.shape[0], k=k)
 

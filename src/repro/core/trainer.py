@@ -24,7 +24,6 @@ from repro.core.similarity_matrix import SimilarityMatrix, as_similarity_matrix
 from repro.errors import ConfigurationError
 from repro.nn.optim import SGD
 from repro.nn.parameter import resolve_dtype
-from repro.utils.parallel import as_pool
 from repro.utils.rng import as_generator
 
 
@@ -120,14 +119,6 @@ class UHSCMTrainer:
             beyond the t×t batch block; their arrays may be memmaps).
         epochs:
             Override for ``config.train.epochs``.
-
-        With ``config.workers > 1`` the next batch's Q-gather/densify and
-        input-row copy run on the shared pool while the current optimizer
-        step executes (a one-slot prefetch).  The gather is a pure
-        function of ``(similarity, inputs, idx)`` — no RNG, no network
-        state — and consecutive gathers never overlap (slot i+1 is
-        submitted only after slot i was consumed), so the loss history is
-        bit-identical to the serial loop, which remains the oracle path.
         """
         if not isinstance(inputs, np.memmap):
             # The historical path: one upfront cast.  For a memmap this
@@ -146,63 +137,28 @@ class UHSCMTrainer:
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive: {epochs}")
         batch_size = min(self.config.train.batch_size, n)
-
-        def gather(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # Factored Q multiplies the batch's factor rows, dense Q takes
-            # the t² sub-block, sparse Q densifies its stored batch entries
-            # into a zero block: only O(t²) is materialized per step.
-            # Fancy indexing copies the input rows to the heap either way;
-            # the explicit cast only matters for the memmap path, whose
-            # rows still carry the on-disk dtype.
-            return similarity.gather(idx), np.asarray(inputs[idx],
-                                                      dtype=self.dtype)
-
-        def step(batch: np.ndarray, q_batch: np.ndarray) -> LossBreakdown:
-            if self.contrastive == "mcl":
-                return self._step_mcl(batch, q_batch)
-            return self._step_cib(batch, q_batch)
+        step = self._step_mcl if self.contrastive == "mcl" else self._step_cib
 
         history = TrainHistory()
         self.network.train()
-        # Always thread-backed: the prefetch closure captures the model's
-        # inputs and Q in-process (unpicklable, and latency-bound anyway).
-        # config.pool_backend deliberately reaches only the Q-build
-        # kernels, so a process-backend training config still trains.
-        pool, owned = as_pool(self.config.workers, name="train",
-                              backend="thread")
-        try:
-            for _ in range(epochs):
-                order = self.rng.permutation(n)
-                breakdowns: list[LossBreakdown] = []
-                if pool.serial:
-                    # The oracle path: gather and step strictly interleaved.
-                    for start in range(0, n, batch_size):
-                        idx = order[start:start + batch_size]
-                        if idx.size < 2:
-                            continue  # pairwise losses need >= 2 images
-                        q_batch, batch = gather(idx)
-                        breakdowns.append(step(batch, q_batch))
-                else:
-                    # One-slot prefetch: slot i+1 gathers on the pool while
-                    # step i runs; gathers therefore never overlap, which
-                    # keeps SparseTopKSimilarity's shared scratch safe.
-                    batches = [
-                        order[start:start + batch_size]
-                        for start in range(0, n, batch_size)
-                        if order[start:start + batch_size].size >= 2
-                    ]
-                    pending = (
-                        pool.submit(gather, batches[0]) if batches else None
-                    )
-                    for i, _idx in enumerate(batches):
-                        q_batch, batch = pending.result()
-                        if i + 1 < len(batches):
-                            pending = pool.submit(gather, batches[i + 1])
-                        breakdowns.append(step(batch, q_batch))
-                history.append_epoch(breakdowns)
-        finally:
-            if owned:
-                pool.close()
+        for _ in range(epochs):
+            order = self.rng.permutation(n)
+            breakdowns: list[LossBreakdown] = []
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                if idx.size < 2:
+                    continue  # pairwise losses need >= 2 images
+                # Factored Q multiplies the batch's factor rows, dense Q
+                # takes the t² sub-block, sparse Q densifies its stored
+                # batch entries into a zero block: only O(t²) is
+                # materialized per step.  Fancy indexing copies the input
+                # rows to the heap either way; the explicit cast only
+                # matters for the memmap path, whose rows still carry the
+                # on-disk dtype.
+                q_batch = similarity.gather(idx)
+                batch = np.asarray(inputs[idx], dtype=self.dtype)
+                breakdowns.append(step(batch, q_batch))
+            history.append_epoch(breakdowns)
         return history
 
     def _step_mcl(self, batch: np.ndarray, q_batch: np.ndarray) -> LossBreakdown:

@@ -95,7 +95,6 @@ class UHSCM:
                 sparse_topk=self.config.sparse_topk,
                 out_of_core=self.config.out_of_core,
                 workers=self.config.workers,
-                pool_backend=self.config.pool_backend,
             )
         )
         self.network_mode = network_mode

@@ -76,10 +76,6 @@ class ExperimentContext:
     #: outputs, never fingerprinted); see
     #: :attr:`repro.config.UHSCMConfig.workers`.
     workers: int | None = None
-    #: Pool backend for the Q-build kernels (thread/process; bit-identical
-    #: outputs, never fingerprinted); see
-    #: :attr:`repro.config.UHSCMConfig.pool_backend`.
-    pool_backend: str | None = None
     dataset: HashingDataset = field(init=False)
     clip: SimCLIP = field(init=False)
     _cache: dict[tuple[str, int], FitResult] = field(default_factory=dict)
@@ -149,8 +145,6 @@ class ExperimentContext:
             config = replace(config, out_of_core=True)
         if self.workers is not None:
             config = replace(config, workers=self.workers)
-        if self.pool_backend is not None:
-            config = replace(config, pool_backend=self.pool_backend)
         return config
 
     def build_variant(self, key: str, n_bits: int) -> UHSCM:
@@ -266,7 +260,6 @@ def make_contexts(
     sparse_topk: int | None = None,
     out_of_core: bool = False,
     workers: int | None = None,
-    pool_backend: str | None = None,
 ) -> dict[str, ExperimentContext]:
     """Build one context per dataset."""
     if not datasets:
@@ -274,7 +267,6 @@ def make_contexts(
     return {
         name: ExperimentContext(name, scale=scale, seed=seed, epochs=epochs,
                                 store=store, sparse_topk=sparse_topk,
-                                out_of_core=out_of_core, workers=workers,
-                                pool_backend=pool_backend)
+                                out_of_core=out_of_core, workers=workers)
         for name in datasets
     }

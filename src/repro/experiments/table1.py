@@ -73,7 +73,6 @@ def run_table1(
     sparse_topk: int | None = None,
     out_of_core: bool = False,
     workers: int | None = None,
-    pool_backend: str | None = None,
 ) -> MapTable:
     """Regenerate Table 1 at the requested reproduction scale.
 
@@ -91,8 +90,7 @@ def run_table1(
     table = MapTable(title="Table 1: MAP of Hamming ranking")
     contexts = make_contexts(datasets, scale=scale, seed=seed, epochs=epochs,
                              store=store, sparse_topk=sparse_topk,
-                             out_of_core=out_of_core, workers=workers,
-                             pool_backend=pool_backend)
+                             out_of_core=out_of_core, workers=workers)
     for dataset, ctx in contexts.items():
         for bits in bit_lengths:
             for method in methods:

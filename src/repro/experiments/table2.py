@@ -43,7 +43,6 @@ def run_table2(
     sparse_topk: int | None = None,
     out_of_core: bool = False,
     workers: int | None = None,
-    pool_backend: str | None = None,
 ) -> MapTable:
     """Regenerate Table 2 (variant ablations) at the requested scale.
 
@@ -59,8 +58,7 @@ def run_table2(
     table = MapTable(title="Table 2: MAPs of UHSCM and its variants")
     contexts = make_contexts(datasets, scale=scale, seed=seed, epochs=epochs,
                              store=store, sparse_topk=sparse_topk,
-                             out_of_core=out_of_core, workers=workers,
-                             pool_backend=pool_backend)
+                             out_of_core=out_of_core, workers=workers)
     for dataset, ctx in contexts.items():
         for bits in bit_lengths:
             for key in variants:

@@ -24,14 +24,13 @@ build_q chain; ``train`` and ``encode`` fingerprints additionally fold in
 the model configuration, which is what makes interrupted table runs
 resumable per (method, n_bits) cell.
 
-Execution policy never enters ``Stage.params``: the ``workers`` count,
-the ``pool_backend`` (thread/process), and the ``out_of_core`` residency
-flag all produce bit-identical artifacts, so a stage built serially, by
-a thread pool, or by spawned processes replays from — and is replayed
-by — the same address.  Callers enforce this by construction (those
-knobs are plumbed beside the stage, not into it); see
-:meth:`repro.config.UHSCMConfig.fingerprint_payload` for the same rule
-applied to whole-config fingerprints.
+Execution policy never enters ``Stage.params``: the ``workers`` count and
+the ``out_of_core`` residency flag both produce bit-identical artifacts,
+so a stage built serially, by a thread pool, or into on-disk buffers
+replays from — and is replayed by — the same address.  Callers enforce
+this by construction (those knobs are plumbed beside the stage, not into
+it); see :meth:`repro.config.UHSCMConfig.fingerprint_payload` for the
+same rule applied to whole-config fingerprints.
 """
 
 from __future__ import annotations

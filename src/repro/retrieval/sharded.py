@@ -67,7 +67,7 @@ from repro.errors import (
 )
 from repro.retrieval.engine import HammingIndex
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
-from repro.utils.parallel import WorkerPool, require_thread_backend
+from repro.utils.parallel import WorkerPool
 from repro.utils.retry import CLOSED, CircuitBreaker
 from repro.utils.validation import check_binary_codes
 
@@ -208,14 +208,6 @@ class ShardedIndex:
         Worker count for the concurrent shard fan-out (``None`` reads
         ``$REPRO_WORKERS``; ``1`` keeps the serial probe loop).  Pure
         execution policy — merged results are bit-identical at any value.
-    pool_backend:
-        Must be ``"thread"`` or ``None``: the fan-out submits closures
-        over live shard/breaker state and is latency-bound, so it cannot
-        run in child processes.  An explicit ``"process"`` raises
-        :class:`~repro.errors.ConfigurationError` rather than silently
-        degrading (``None`` never consults ``$REPRO_POOL`` here — an
-        environment-wide process default reaches only the Q-build
-        kernels).
     """
 
     def __init__(
@@ -228,7 +220,6 @@ class ShardedIndex:
         clock: Callable[[], float] = time.monotonic,
         faults: FaultInjector = NULL_INJECTOR,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> None:
         if n_bits <= 0:
             raise ShapeError(f"n_bits must be positive: {n_bits}")
@@ -243,10 +234,7 @@ class ShardedIndex:
         self._next_id = 0
         self._n_alive = 0
         self._cache = QueryResultCache(cache_size) if cache_size else None
-        self._pool = WorkerPool(
-            workers, name="shard",
-            backend=require_thread_backend(pool_backend, "ShardedIndex fan-out"),
-        )
+        self._pool = WorkerPool(workers, name="shard")
 
     def _init_shard_state(
         self,

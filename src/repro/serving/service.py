@@ -54,7 +54,6 @@ from repro.retrieval.sharded import MISSING_ID, ShardedIndex
 from repro.serving.batcher import EncodeBatcher
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.metrics import LatencyHistogram
-from repro.utils.parallel import require_thread_backend
 
 #: Store stage names owned by the serving layer.
 MODEL_STAGE = "serve_model"
@@ -176,14 +175,6 @@ class HashingService:
         (``None`` reads ``$REPRO_WORKERS``; ``1`` keeps the serial probe
         loop).  Surfaced in :meth:`stats` and :meth:`health`; merged
         results are bit-identical at any value.
-    pool_backend:
-        Must be ``"thread"`` or ``None`` — the serving fan-out is
-        latency-bound and shares live index state, so it is thread-only;
-        an explicit ``"process"`` raises
-        :class:`~repro.errors.ConfigurationError` at construction (the
-        process backend belongs to the offline Q-build kernels).  The
-        effective backend is surfaced in :meth:`stats` and
-        :meth:`health`.
     """
 
     def __init__(
@@ -202,12 +193,7 @@ class HashingService:
         default_deadline_s: float | None = None,
         faults: FaultInjector = NULL_INJECTOR,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> None:
-        # Validated here too, so the error names this call site.
-        self.pool_backend = require_thread_backend(
-            pool_backend, "HashingService fan-out"
-        )
         if max_pending is not None and max_pending <= 0:
             raise ConfigurationError(
                 f"max_pending must be positive (or None): {max_pending}"
@@ -230,7 +216,7 @@ class HashingService:
         self.index = ShardedIndex(
             self.n_bits, n_shards=n_shards, cache_size=cache_size,
             faults=faults, clock=clock, workers=workers,
-            pool_backend=self.pool_backend, **(index_options or {}),
+            **(index_options or {}),
         )
         self.batcher = EncodeBatcher(encoder, max_batch=max_batch,
                                      faults=faults)
@@ -535,7 +521,7 @@ class HashingService:
         :class:`~repro.errors.ShutdownError`; any encodes still pending in
         the batcher flush first so no ticket is stranded, and the index's
         fan-out pool joins its workers, leaving balanced submitted/completed
-        counters and zero live shared-memory segments.
+        counters.
         """
         if self._closed:
             return
@@ -563,7 +549,6 @@ class HashingService:
             "degraded": degraded,
             "closed": self._closed,
             "workers": self.index.workers,
-            "pool_backend": self.pool_backend,
             "circuits": self.index.circuit_states(),
             "batcher": {
                 key: batcher[key]
@@ -593,7 +578,6 @@ class HashingService:
             "size": len(self.index),
             "shards": list(self.index.shard_sizes),
             "workers": self.index.workers,
-            "pool_backend": self.pool_backend,
             "batcher": batcher,
             "shed": batcher["shed"],
             "deadline_exceeded": self._deadline_exceeded,

@@ -12,14 +12,7 @@ from repro.utils.mathops import (
     stable_exp,
 )
 from repro.utils.metrics import DEFAULT_BOUNDS, LatencyHistogram, geometric_bounds
-from repro.utils.parallel import (
-    POOL_BACKEND_ENV,
-    WORKERS_ENV,
-    WorkerPool,
-    require_thread_backend,
-    resolve_pool_backend,
-    resolve_workers,
-)
+from repro.utils.parallel import WORKERS_ENV, WorkerPool, resolve_workers
 from repro.utils.retry import CircuitBreaker, RetryPolicy
 from repro.utils.rng import RngMixin, as_generator, spawn
 from repro.utils.tables import format_float, render_table
@@ -39,7 +32,6 @@ __all__ = [
     "FaultRule",
     "LatencyHistogram",
     "NULL_INJECTOR",
-    "POOL_BACKEND_ENV",
     "RetryPolicy",
     "RngMixin",
     "Timer",
@@ -57,8 +49,6 @@ __all__ = [
     "l2_normalize",
     "pairwise_inner",
     "render_table",
-    "require_thread_backend",
-    "resolve_pool_backend",
     "resolve_workers",
     "sign",
     "softmax",

@@ -19,12 +19,11 @@ import math
 import os
 import tempfile
 import threading
-from collections import deque
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.utils.parallel import WorkerPool, as_pool, attach_shared_array
+from repro.utils.parallel import WorkerPool, as_pool
 
 #: Elements with L2 norm below this are treated as zero vectors when
 #: normalizing, to avoid division blow-ups.
@@ -139,7 +138,6 @@ def blocked_topk_cosine(
     dtype: np.dtype | str | None = None,
     max_block_bytes: int = _MAX_BLOCK_BYTES,
     workers: "int | WorkerPool | None" = None,
-    pool_backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR top-k rows of the cosine-similarity matrix, built blockwise.
 
@@ -151,30 +149,20 @@ def blocked_topk_cosine(
 
     ``workers`` (a count, an existing :class:`~repro.utils.parallel.
     WorkerPool`, or ``None`` = ``$REPRO_WORKERS``) dispatches the row-block
-    tiles to a shared worker pool: every tile computes the same GEMM over
+    tiles to a shared thread pool: every tile computes the same GEMM over
     the same fixed block shape and writes its own disjoint ``data``/
     ``indices`` row range, so the parallel build is bit-identical to the
     serial one at any worker count — the serial path (``workers <= 1``) is
     the oracle the parallel-scale bench gates against.
-
-    ``pool_backend`` selects the pool's execution mode (``None`` resolves
-    ``$REPRO_POOL`` → ``thread``).  The ``process`` backend sidesteps the
-    GIL contention of the non-BLAS tile portions (selection, sort, CSR
-    writes): the normalized features are published **once** per
-    build into shared memory, spawned workers attach zero-copy and ship
-    back only their O(block · keep) selections, and the tile geometry is
-    unchanged — so process results are bit-identical to thread and serial
-    results.  When ``workers`` is an existing pool its own backend
-    governs and ``pool_backend`` is ignored.
 
     Returns ``(data, indices, indptr)`` in canonical CSR form: column
     indices sorted ascending within each row, every row holding exactly
     ``min(k, n - 1) + 1`` entries — the diagonal plus a true top-k of the
     row's other entries (exact ties may keep different, equally strong
     columns).  Values are the tile's dot products clipped to [-1, 1].
-    They are bit-identical across worker counts, pool backends, and the
-    heap and streaming builders at equal effective tile height.  BLAS
-    summation order is only stable for a fixed tile shape, so a different
+    They are bit-identical across worker counts and between the heap and
+    streaming builders at equal effective tile height.  BLAS summation
+    order is only stable for a fixed tile shape, so a different
     tile height, or the one whole-matrix GEMM of
     :func:`cosine_similarity_matrix`, can move an entry by up to 2
     machine epsilons (1 eps measured with OpenBLAS): with ``k >= n - 1``
@@ -207,8 +195,7 @@ def blocked_topk_cosine(
     )
     data = np.empty((n, keep), dtype=a_n.dtype)
     indices = np.empty((n, keep), dtype=index_dtype)
-    _fill_topk_blocks(a_n, keep, block_rows, data, indices, workers=workers,
-                      pool_backend=pool_backend)
+    _fill_topk_blocks(a_n, keep, block_rows, data, indices, workers=workers)
     indptr = np.arange(n + 1, dtype=indptr_dtype) * indptr_dtype(keep)
     return data.reshape(-1), indices.reshape(-1), indptr
 
@@ -255,12 +242,9 @@ def _topk_select(
     """Per-row top-(keep) selection on one computed (unclipped) GEMM tile.
 
     Returns ``(order, values)`` — ascending column indices and the
-    corresponding clipped similarities for rows ``start:stop``.  Shared
-    by the in-process tile writer (:func:`_topk_block`) and the
-    process-pool task (:func:`_topk_tile_task`), so every backend runs
-    the identical selection arithmetic.  Only the kept values are
-    clipped: clip is monotone, so a top-(keep) of the raw dot products is
-    a top-(keep) of the clipped ones.
+    corresponding clipped similarities for rows ``start:stop``.  Only the
+    kept values are clipped: clip is monotone, so a top-(keep) of the raw
+    dot products is a top-(keep) of the clipped ones.
     """
     n = block.shape[1]
     if keep == n:
@@ -314,67 +298,6 @@ def _topk_columns(block: np.ndarray, keep: int) -> np.ndarray:
     return np.take_along_axis(candidates, pick, axis=1)
 
 
-#: Per-process caches for the pool workers: the attached operand (one
-#: shared-memory segment or scratch memmap per build — re-attaching per
-#: tile would add a syscall + mmap to every task) and the reusable GEMM
-#: tile buffer.  Single-slot with eviction: a worker only ever serves one
-#: build's geometry at a time.
-_WORKER_OPERAND: dict = {}
-_WORKER_BUF: dict = {}
-
-
-def _attach_operand(ref: tuple) -> np.ndarray:
-    """Worker-side resolve of an operand ref to a read-only ndarray.
-
-    ``("shm", name, shape, dtype)`` attaches a shared-memory segment
-    published by :meth:`~repro.utils.parallel.WorkerPool.publish`;
-    ``("mmap", path)`` opens the streaming builder's on-disk normalized
-    scratch.  Either way the attachment is cached for the build's
-    remaining tiles and evicted when a different ref arrives.
-    """
-    cached = _WORKER_OPERAND.get("operand")
-    if cached is not None and cached[0] == ref:
-        return cached[1]
-    if cached is not None and cached[2] is not None:
-        cached[2].close()
-    _WORKER_OPERAND.clear()
-    if ref[0] == "shm":
-        array, shm = attach_shared_array(ref)
-    elif ref[0] == "mmap":
-        array = np.lib.format.open_memmap(ref[1], mode="r")
-        shm = None
-    else:
-        raise ConfigurationError(f"unknown operand ref: {ref!r}")
-    _WORKER_OPERAND["operand"] = (ref, array, shm)
-    return array
-
-
-def _topk_tile_task(
-    ref: tuple, keep: int, block_rows: int, start: int, stop: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """One row-block tile, run inside a spawned pool worker.
-
-    Module-level and picklable (the process-backend requirement); reads
-    the build's operand zero-copy via :func:`_attach_operand`, computes
-    the same GEMM + selection as :func:`_topk_block` over the same
-    fixed tile shape (⇒ identical BLAS summation order ⇒ bit-identical
-    values), and returns ``(start, order, values)`` — the O(block · keep)
-    selection, never the O(block · n) GEMM tile — for the parent to write
-    into its CSR row range.
-    """
-    a_n = _attach_operand(ref)
-    n = a_n.shape[0]
-    key = (block_rows, n, a_n.dtype.str)
-    buf = _WORKER_BUF.get(key)
-    if buf is None:
-        _WORKER_BUF.clear()
-        buf = _WORKER_BUF[key] = np.empty((block_rows, n), dtype=a_n.dtype)
-    block = buf[: stop - start]
-    np.dot(a_n[start:stop], a_n.T, out=block)
-    order, values = _topk_select(block, keep, start, stop)
-    return start, order, values
-
-
 def _fill_topk_blocks(
     a_n: np.ndarray,
     keep: int,
@@ -382,8 +305,6 @@ def _fill_topk_blocks(
     data: np.ndarray,
     indices: np.ndarray,
     workers: "int | WorkerPool | None" = 1,
-    pool_backend: str | None = None,
-    operand_ref: tuple | None = None,
 ) -> None:
     """The tiled-GEMM top-k loop shared by the heap and streaming builders.
 
@@ -403,19 +324,11 @@ def _fill_topk_blocks(
     fixed by :func:`_capped_block_rows` regardless of the worker count —
     the same-summation-order property the bit-identity guarantee rests
     on.
-
-    With a ``process``-backend pool the tiles instead dispatch as
-    :func:`_topk_tile_task` to spawned workers: ``operand_ref`` names the
-    zero-copy operand (a streaming build passes its on-disk normalized
-    scratch; ``None`` publishes ``a_n`` into shared memory for the
-    build's duration), workers return their O(block · keep) selections,
-    and this parent writes each into its CSR row range.  Submission is
-    windowed so at most a few tiles' results are in flight at once.
     """
     n = a_n.shape[0]
     block_rows = min(block_rows, n)
     starts = range(0, n, block_rows)
-    pool, owned = as_pool(workers, name="topk", backend=pool_backend)
+    pool, owned = as_pool(workers, name="topk")
     try:
         if pool.serial:
             a_t = a_n.T  # transposed view; BLAS consumes it without a copy
@@ -423,11 +336,6 @@ def _fill_topk_blocks(
             for start in starts:
                 stop = min(start + block_rows, n)
                 _topk_block(a_n, a_t, keep, start, stop, buf, data, indices)
-            return
-        if pool.backend == "process":
-            _fill_topk_blocks_process(
-                pool, a_n, keep, block_rows, data, indices, operand_ref
-            )
             return
         a_t = a_n.T
         scratch = threading.local()
@@ -446,57 +354,6 @@ def _fill_topk_blocks(
             pool.close()
 
 
-def _fill_topk_blocks_process(
-    pool: WorkerPool,
-    a_n: np.ndarray,
-    keep: int,
-    block_rows: int,
-    data: np.ndarray,
-    indices: np.ndarray,
-    operand_ref: tuple | None,
-) -> None:
-    """Process-backend tile loop: shared operand out, selections back.
-
-    Publishes the normalized features once (unless the caller already has
-    a disk-resident operand to name), streams the tiles through the pool
-    with a bounded submission window — outstanding results cost
-    O(window · block · keep), never O(n²) — and writes each returned
-    selection into its disjoint CSR row range.  The publish/release pair
-    is balanced in ``finally``; a tile raising mid-build therefore still
-    unlinks the segment (workers' existing mappings stay valid, POSIX
-    semantics), and the pool's own close would catch it regardless.
-    """
-    n = a_n.shape[0]
-    handle = None
-    try:
-        if operand_ref is None:
-            handle = pool.publish(a_n)
-            ref = handle.ref
-        else:
-            ref = operand_ref
-
-        def drain(future) -> None:
-            start, order, values = future.result()
-            stop = start + order.shape[0]
-            indices[start:stop] = order
-            data[start:stop] = values
-
-        window = max(4, 2 * pool.workers)
-        pending: deque = deque()
-        for start in range(0, n, block_rows):
-            stop = min(start + block_rows, n)
-            pending.append(
-                pool.submit(_topk_tile_task, ref, keep, block_rows, start, stop)
-            )
-            if len(pending) >= window:
-                drain(pending.popleft())
-        while pending:
-            drain(pending.popleft())
-    finally:
-        if handle is not None:
-            pool.release(handle)
-
-
 #: Row-block height used when streaming features through normalization.
 _STREAM_NORM_ROWS = 8192
 
@@ -509,7 +366,6 @@ def streaming_topk_cosine(
     dtype: np.dtype | str | None = None,
     max_block_bytes: int = _MAX_BLOCK_BYTES,
     workers: "int | WorkerPool | None" = None,
-    pool_backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`blocked_topk_cosine` with every O(n)-sized buffer on disk.
 
@@ -537,15 +393,11 @@ def streaming_topk_cosine(
     documented on :func:`blocked_topk_cosine`.
     Returns the three (filled) created arrays.
 
-    ``workers``/``pool_backend`` parallelize the tile loop exactly as in
-    :func:`blocked_topk_cosine`: every worker reads the one shared
+    ``workers`` parallelizes the tile loop exactly as in
+    :func:`blocked_topk_cosine`: every worker thread reads the one shared
     normalized scratch memmap and writes its own row range of the
     on-disk CSR buffers, so the out-of-core build scales across cores
-    with the same bit-identity guarantee as the heap build.  Under the
-    ``process`` backend the scratch file doubles as the zero-copy operand
-    — its unlink is deferred until the fill completes so spawned workers
-    can open it by path (no second copy into shared memory), with the
-    unlink re-attempted in ``finally`` so a failed build cannot leak it.
+    with the same bit-identity guarantee as the heap build.
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive: {k}")
@@ -571,58 +423,35 @@ def streaming_topk_cosine(
     keep = min(k, n - 1) + 1
     index_dtype, indptr_dtype = _topk_index_dtypes(n, keep)
 
-    pool, owned = as_pool(workers, name="topk", backend=pool_backend)
-    process_mode = not pool.serial and pool.backend == "process"
-
     # Normalized features live in an anonymous scratch memmap: unlinking a
     # mapped file keeps the mapping valid (POSIX), so the scratch needs no
     # cleanup path and its disk space is reclaimed when the map dies.
-    # Process-backend builds keep the name alive until the fill is done —
-    # spawned workers open the scratch by path as their zero-copy operand.
     fd, scratch_name = tempfile.mkstemp(prefix="repro-topk-", suffix=".npy")
     os.close(fd)
     a_n = np.lib.format.open_memmap(
         scratch_name, mode="w+", dtype=work_dtype, shape=(n, dim)
     )
-
-    def unlink_scratch() -> None:
-        try:
-            os.unlink(scratch_name)
-        except OSError:
-            pass  # already gone, or non-POSIX; worst case it lingers
-
-    if not process_mode:
-        unlink_scratch()
     try:
-        for start in range(0, n, _STREAM_NORM_ROWS):
-            stop = min(start + _STREAM_NORM_ROWS, n)
-            # Row-wise, so per-block normalization == whole-array
-            # normalization.
-            a_n[start:stop] = l2_normalize(
-                features[start:stop], dtype=work_dtype
-            )
-        if process_mode:
-            a_n.flush()  # workers read the file; their view must be current
+        os.unlink(scratch_name)
+    except OSError:
+        pass  # non-POSIX; worst case the scratch file lingers
+    for start in range(0, n, _STREAM_NORM_ROWS):
+        stop = min(start + _STREAM_NORM_ROWS, n)
+        # Row-wise, so per-block normalization == whole-array normalization.
+        a_n[start:stop] = l2_normalize(features[start:stop], dtype=work_dtype)
 
-        block_rows = _capped_block_rows(
-            n, work_dtype.itemsize, block_rows, max_block_bytes
-        )
-
-        data = create_array("q_data", (n * keep,), work_dtype)
-        indices = create_array("q_indices", (n * keep,), index_dtype)
-        indptr = create_array("q_indptr", (n + 1,), indptr_dtype)
-        _fill_topk_blocks(
-            a_n, keep, block_rows, data.reshape(n, keep),
-            indices.reshape(n, keep), workers=pool,
-            operand_ref=("mmap", scratch_name) if process_mode else None,
-        )
-        indptr[:] = np.arange(n + 1, dtype=indptr_dtype) * indptr_dtype(keep)
-        return data, indices, indptr
-    finally:
-        if process_mode:
-            unlink_scratch()
-        if owned:
-            pool.close()
+    block_rows = _capped_block_rows(
+        n, work_dtype.itemsize, block_rows, max_block_bytes
+    )
+    data = create_array("q_data", (n * keep,), work_dtype)
+    indices = create_array("q_indices", (n * keep,), index_dtype)
+    indptr = create_array("q_indptr", (n + 1,), indptr_dtype)
+    _fill_topk_blocks(
+        a_n, keep, block_rows, data.reshape(n, keep),
+        indices.reshape(n, keep), workers=workers,
+    )
+    indptr[:] = np.arange(n + 1, dtype=indptr_dtype) * indptr_dtype(keep)
+    return data, indices, indptr
 
 
 def sign(x: np.ndarray) -> np.ndarray:

@@ -105,6 +105,25 @@ class TestPersistence:
         assert loaded.concepts_mined is True
         assert loaded.mined_concepts == fitted_model.mined_concepts
 
+    def test_archive_with_legacy_config_key_loads(
+        self, fitted_model, clip, cifar_tiny, tmp_path
+    ):
+        # Archives written while the config still named a pool backend
+        # carry that key; it changed no output, so loading drops it.
+        from repro.core.persistence import model_payload
+        from repro.pipeline import write_archive
+
+        meta, arrays = model_payload(fitted_model)
+        meta["config"]["pool_backend"] = "process"
+        path = tmp_path / "legacy.npz"
+        write_archive(path, meta, arrays)
+        loaded = load_uhscm(path, clip)
+        np.testing.assert_array_equal(
+            fitted_model.encode(cifar_tiny.query_images),
+            loaded.encode(cifar_tiny.query_images),
+        )
+        assert loaded.config == fitted_model.config
+
     def test_old_format_rejected_with_clear_error(self, clip, tmp_path):
         from repro.pipeline import write_archive
 

@@ -2,13 +2,9 @@
 
 The pool's contract is what every parallel kernel's bit-identity rests
 on: deterministic index-ordered collection, a serial fallback that is a
-plain inline call, exception transparency across all three modes
-(inline, thread, process), and two knobs resolved argument → env →
-default (``workers`` via ``$REPRO_WORKERS``, ``pool_backend`` via
-``$REPRO_POOL``).  The process backend additionally owes spawn-safe
-determinism (same CSR bytes as serial), original-type exception
-propagation across the pickle boundary, and leak-free shared-memory
-cleanup.  The kernels themselves are covered where they live
+plain inline call, exception transparency in both modes (inline and
+thread), and one knob resolved argument → env → default (``workers`` via
+``$REPRO_WORKERS``).  The kernels themselves are covered where they live
 (``test_utils_mathops``, ``test_backend``, ``test_resilience``, the
 parallel-scale bench); this file pins the substrate.
 """
@@ -16,19 +12,14 @@ parallel-scale bench); this file pins the substrate.
 import os
 import threading
 
-import numpy as np
 import pytest
 
 from repro.config import UHSCMConfig
 from repro.errors import ConfigurationError
 from repro.utils.parallel import (
-    POOL_BACKEND_ENV,
     WORKERS_ENV,
     WorkerPool,
     as_pool,
-    pool_worker_probe,
-    require_thread_backend,
-    resolve_pool_backend,
     resolve_workers,
 )
 
@@ -45,7 +36,6 @@ def _isolated_pool_env(monkeypatch):
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(POOL_BACKEND_ENV, raising=False)
 
 
 class TestResolveWorkers:
@@ -80,66 +70,22 @@ class TestResolveWorkers:
             assert resolve_workers(16) == 2
         assert any("clamping" in record.message for record in caplog.records)
 
-    def test_requested_count_survives_clamp_in_stats(self, monkeypatch):
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_requested_count_survives_clamp_in_stats(
+        self, from_env, monkeypatch, caplog
+    ):
+        # The request is read once and clamped once, whether it came as
+        # an argument or from $REPRO_WORKERS.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with WorkerPool(16) as pool:
-            stats = pool.stats()
+        if from_env:
+            monkeypatch.setenv(WORKERS_ENV, "16")
+        with caplog.at_level("WARNING", logger="repro.parallel"):
+            with WorkerPool(None if from_env else 16) as pool:
+                stats = pool.stats()
         assert stats["workers"] == 2
         assert stats["requested"] == 16
-
-
-class TestResolvePoolBackend:
-    def test_default_is_thread(self):
-        assert resolve_pool_backend(None) == "thread"
-
-    def test_blank_env_is_thread(self, monkeypatch):
-        monkeypatch.setenv(POOL_BACKEND_ENV, "  ")
-        assert resolve_pool_backend(None) == "thread"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(POOL_BACKEND_ENV, "process")
-        assert resolve_pool_backend(None) == "process"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(POOL_BACKEND_ENV, "process")
-        assert resolve_pool_backend("thread") == "thread"
-
-    @pytest.mark.parametrize("bad", ["fork", "THREAD", "procs"])
-    def test_invalid_argument_raises(self, bad):
-        with pytest.raises(ConfigurationError, match="pool backend"):
-            resolve_pool_backend(bad)
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(POOL_BACKEND_ENV, "fork")
-        with pytest.raises(ConfigurationError, match="pool backend"):
-            resolve_pool_backend(None)
-
-
-class TestRequireThreadBackend:
-    def test_none_resolves_thread_without_consulting_env(self, monkeypatch):
-        # An environment-wide process default must reach only the
-        # process-safe Q-build kernels, never the thread-only sites.
-        monkeypatch.setenv(POOL_BACKEND_ENV, "process")
-        assert require_thread_backend(None, "test site") == "thread"
-
-    def test_explicit_thread_passes(self):
-        assert require_thread_backend("thread", "test site") == "thread"
-
-    def test_explicit_process_raises_with_site_name(self):
-        with pytest.raises(ConfigurationError, match="shard fan-out site"):
-            require_thread_backend("process", "shard fan-out site")
-
-    def test_sharded_index_rejects_process(self):
-        from repro.retrieval.sharded import ShardedIndex
-
-        with pytest.raises(ConfigurationError, match="thread-only"):
-            ShardedIndex(16, pool_backend="process")
-
-    def test_hashing_service_rejects_process(self):
-        from repro.serving.service import HashingService
-
-        with pytest.raises(ConfigurationError, match="thread-only"):
-            HashingService(lambda x: x, n_bits=16, pool_backend="process")
+        clamps = [r for r in caplog.records if "clamping" in r.message]
+        assert len(clamps) == 1
 
 
 class TestSerialPool:
@@ -170,9 +116,8 @@ class TestSerialPool:
         pool = WorkerPool(0)  # clamps to serial
         pool.map(str, range(5))
         assert pool.stats() == {
-            "backend": "thread", "workers": 1, "requested": 1,
-            "serial": True, "submitted": 5, "completed": 5, "rejected": 0,
-            "shm_published": 0, "shm_released": 0, "shm_active": 0,
+            "workers": 1, "requested": 1, "serial": True,
+            "submitted": 5, "completed": 5, "rejected": 0,
         }
 
 
@@ -211,104 +156,6 @@ class TestThreadedPool:
         assert all(name.startswith("probe-worker") for name in names)
 
 
-class TestProcessPool:
-    """The spawn-backed pool: real child processes, pickled tasks."""
-
-    def test_work_runs_in_child_processes_in_order(self):
-        with WorkerPool(2, backend="process") as pool:
-            assert not pool.serial
-            assert pool.stats()["backend"] == "process"
-            probes = pool.map(pool_worker_probe, range(4))
-        pids = {probe["pid"] for probe in probes}
-        assert os.getpid() not in pids
-
-    def test_exception_crosses_pickle_boundary_with_original_type(self):
-        with WorkerPool(2, backend="process") as pool:
-            with pytest.raises(TypeError):
-                pool.map(len, [3, 4])  # len(3) raises TypeError in a child
-
-    def test_blocked_topk_bit_identical_across_backends(self):
-        # Satellite: spawn-safe determinism.  Fixed tile geometry means
-        # identical BLAS summation order at any worker count on any
-        # backend, so the CSR bytes must match the serial oracle exactly.
-        from repro.utils.mathops import blocked_topk_cosine
-
-        rng = np.random.default_rng(7)
-        features = rng.normal(size=(300, 24))
-        serial = blocked_topk_cosine(features, 16, block_rows=64)
-        for workers in (1, 4):
-            for backend in ("thread", "process"):
-                got = blocked_topk_cosine(
-                    features, 16, block_rows=64,
-                    workers=workers, pool_backend=backend,
-                )
-                for oracle, candidate in zip(serial, got):
-                    assert oracle.tobytes() == candidate.tobytes(), (
-                        workers, backend,
-                    )
-
-    def test_streaming_topk_bit_identical_under_process_pool(self, tmp_path):
-        # The out-of-core build hands workers the scratch memmap by path
-        # instead of a shared-memory segment; same bytes either way.
-        from repro.utils.mathops import blocked_topk_cosine, streaming_topk_cosine
-
-        rng = np.random.default_rng(7)
-        features = rng.normal(size=(300, 24))
-        serial = blocked_topk_cosine(features, 16, block_rows=64)
-
-        def create(name, shape, dtype):
-            return np.lib.format.open_memmap(
-                tmp_path / f"{name}.npy", mode="w+", dtype=dtype, shape=shape
-            )
-
-        with WorkerPool(4, backend="process") as pool:
-            streamed = streaming_topk_cosine(
-                features, 16, create, block_rows=64, workers=pool
-            )
-            stats = pool.stats()
-        assert stats["submitted"] == stats["completed"] > 0
-        for oracle, candidate in zip(serial, streamed):
-            assert oracle.tobytes() == np.asarray(candidate).tobytes()
-
-    def test_shared_memory_released_by_kernel(self):
-        # The heap-build path publishes the operand once and must release
-        # it in its finally — balanced counters, nothing left in /dev/shm.
-        from repro.utils.mathops import blocked_topk_cosine
-
-        shm_dir = "/dev/shm"
-        before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
-        rng = np.random.default_rng(7)
-        features = rng.normal(size=(300, 24))
-        with WorkerPool(2, backend="process") as pool:
-            blocked_topk_cosine(features, 16, block_rows=64, workers=pool)
-            stats = pool.stats()
-        assert stats["shm_published"] == 1
-        assert stats["shm_released"] == 1
-        assert stats["shm_active"] == 0
-        after = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
-        assert not (after - before)
-
-    def test_close_unlinks_segments_a_failed_build_left_behind(self):
-        # Abnormal-exit backstop: publish without release (as a kernel
-        # that raised mid-build would), then close; the pool must unlink.
-        shm_dir = "/dev/shm"
-        before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
-        pool = WorkerPool(2, backend="process")
-        handle = pool.publish(np.arange(32, dtype=np.float64))
-        assert pool.stats()["shm_active"] == 1
-        pool.close()
-        assert handle.released
-        assert pool.stats()["shm_released"] == 1
-        after = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
-        assert not (after - before)
-
-    def test_closed_pool_rejects_publish(self):
-        pool = WorkerPool(2, backend="process")
-        pool.close()
-        with pytest.raises(ConfigurationError, match="closed"):
-            pool.publish(np.arange(4, dtype=np.float64))
-
-
 class TestLifecycle:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_closed_pool_rejects_submissions(self, workers):
@@ -333,12 +180,6 @@ class TestAsPool:
         assert pool is shared and not owned
         shared.close()
 
-    def test_instance_keeps_its_own_backend(self):
-        shared = WorkerPool(1, backend="process")
-        pool, _ = as_pool(shared, backend="thread")
-        assert pool.backend == "process"  # backend applies only when built
-        shared.close()
-
     @pytest.mark.parametrize("workers", [None, 1, 3])
     def test_counts_build_owned_pools(self, workers):
         pool, owned = as_pool(workers, name="kernel")
@@ -354,67 +195,10 @@ class TestConfigIntegration:
         with pytest.raises(ConfigurationError, match="workers"):
             UHSCMConfig(workers=0)
 
-    def test_pool_backend_field_validated(self):
-        assert UHSCMConfig(pool_backend="process").pool_backend == "process"
-        assert UHSCMConfig(pool_backend="thread").pool_backend == "thread"
-        assert UHSCMConfig().pool_backend is None
-        with pytest.raises(ConfigurationError, match="pool_backend"):
-            UHSCMConfig(pool_backend="fork")
-
     def test_execution_policy_excluded_from_fingerprint(self):
         # Execution policy, not semantics: artifacts built at any worker
-        # count on any backend are bit-identical, so they must share
-        # cache keys.
+        # count are bit-identical, so they must share cache keys.
         serial = UHSCMConfig().fingerprint_payload()
-        pooled = UHSCMConfig(workers=8,
-                             pool_backend="process").fingerprint_payload()
+        pooled = UHSCMConfig(workers=8).fingerprint_payload()
         assert serial == pooled
         assert "workers" not in pooled
-        assert "pool_backend" not in pooled
-
-    def test_trainer_prefetch_bit_identical(self):
-        # End-to-end pin at unit-test scale (the scale bench re-checks at
-        # size): pooled one-slot prefetch reproduces serial loss history.
-        from repro.config import TrainConfig
-        from repro.core.hashing_network import HashingNetwork
-        from repro.core.trainer import UHSCMTrainer
-
-        rng = np.random.default_rng(11)
-        features = rng.normal(size=(96, 16))
-        labels = rng.integers(0, 4, size=96)
-        q = (labels[:, None] == labels[None, :]).astype(np.float64)
-
-        def history(workers):
-            config = UHSCMConfig(
-                n_bits=16, workers=workers,
-                train=TrainConfig(batch_size=32, epochs=2),
-            )
-            network = HashingNetwork(
-                16, mode="feature", feature_extractor=lambda x: x,
-                feature_dim=16, rng=0,
-            )
-            return UHSCMTrainer(network, config).fit(features, q).total
-
-        assert history(1) == history(4)
-
-    def test_trainer_prefetch_stays_thread_backed(self):
-        # config.pool_backend reaches only the Q-build kernels; a process
-        # default must not break the (closure-heavy) training prefetch.
-        from repro.config import TrainConfig
-        from repro.core.hashing_network import HashingNetwork
-        from repro.core.trainer import UHSCMTrainer
-
-        rng = np.random.default_rng(11)
-        features = rng.normal(size=(64, 16))
-        labels = rng.integers(0, 4, size=64)
-        q = (labels[:, None] == labels[None, :]).astype(np.float64)
-        config = UHSCMConfig(
-            n_bits=16, workers=2, pool_backend="process",
-            train=TrainConfig(batch_size=32, epochs=1),
-        )
-        network = HashingNetwork(
-            16, mode="feature", feature_extractor=lambda x: x,
-            feature_dim=16, rng=0,
-        )
-        history = UHSCMTrainer(network, config).fit(features, q)
-        assert len(history.total) == 1
