@@ -1,22 +1,18 @@
 """Out-of-core scale benchmark: disk-resident corpus lifecycle vs in-memory.
 
-Acceptance gates for the out-of-core lifecycle (memmapped corpus, streaming
-CSR Q build into store-backed buffers, memmap-fed training/encoding, and
-mmapped serving snapshots):
+Acceptance gates for the out-of-core lifecycle (memmapped corpus, a
+factored Q replayed from the store as memmapped factors, memmap-fed
+training/encoding, and mmapped serving snapshots):
 
-1. peak traced memory of the out-of-core Q build stays ~flat (<= 1.5x) as
-   the corpus grows 10x (4k -> 40k rows), while the in-memory build grows
-   with n (its normalized copy and CSR outputs live on the heap; only the
-   shared GEMM tile is constant);
-2. the streamed artifacts are bit-identical to the in-memory path end to
-   end: the CSR Q arrays match exactly, and a network trained + encoded
-   from the memmapped corpus produces exactly the codes of the heap run;
-3. a warm serving restart against the same store mmaps the packed-code
+1. a network trained and encoded from the memmapped corpus against the
+   store-replayed Q reproduces the heap run bit for bit: same loss
+   history, same codes;
+2. a warm serving restart against the same store mmaps the packed-code
    snapshot (``snapshot_mmapped``) with zero re-encodes and answers
    queries identically to the cold service.
 
-``python examples/large_corpus_sparse_q.py --out-of-core`` is the
-interactive walkthrough of the same lifecycle.
+``python examples/large_corpus.py --out-of-core`` is the interactive
+walkthrough of the same lifecycle.
 """
 
 from __future__ import annotations
@@ -25,24 +21,16 @@ import numpy as np
 
 from repro.config import TrainConfig, UHSCMConfig
 from repro.core.hashing_network import HashingNetwork
-from repro.core.similarity_matrix import SparseTopKSimilarity
+from repro.core.similarity import similarity_from_distributions
+from repro.core.similarity_matrix import similarity_from_payload
 from repro.core.trainer import UHSCMTrainer
 from repro.pipeline import ArtifactStore
 from repro.serving import HashingService
-from repro.utils.mathops import blocked_topk_cosine
 
-from conftest import measure_peak_memory, save_result
+from conftest import save_result
 
-N_SMALL = 4_000
-N_LARGE = 40_000  # 10x
+N_ROWS = 4_000
 FEATURE_DIM = 16
-TOP_K = 16
-#: Tile cap small enough to bind at both sizes (without hitting the 16-row
-#: floor at N_LARGE), so the shared GEMM tile is the same few MB for every
-#: build and the residency of the O(n) buffers is what the gate measures.
-MAX_BLOCK_BYTES = 16 * 1024 * 1024
-#: Gate 1 bound: 10x more rows may cost at most this much more peak heap.
-MAX_OOC_GROWTH = 1.5
 N_BITS = 32
 
 
@@ -70,23 +58,6 @@ def memmap_features(path, n_rows: int, seed: int) -> np.memmap:
     return np.load(path, mmap_mode="r")
 
 
-def inmemory_build(n_rows: int, seed: int):
-    """The heap lifecycle: materialize the corpus, build CSR Q on the heap."""
-    features = make_features(n_rows, seed)
-    return blocked_topk_cosine(features, TOP_K,
-                               max_block_bytes=MAX_BLOCK_BYTES)
-
-
-def outofcore_build(store: ArtifactStore, corpus: np.memmap, key: str):
-    """The disk lifecycle: stream CSR Q from a memmapped corpus to a store."""
-    writer = store.streaming_writer(key, stage="build_q")
-    q = SparseTopKSimilarity.from_features_streaming(
-        corpus, TOP_K, writer.create, max_block_bytes=MAX_BLOCK_BYTES
-    )
-    writer.commit({"rows": int(corpus.shape[0]), "k": TOP_K})
-    return q
-
-
 def make_network() -> HashingNetwork:
     return HashingNetwork(
         N_BITS, mode="feature", feature_extractor=lambda x: x,
@@ -95,79 +66,52 @@ def make_network() -> HashingNetwork:
 
 
 def test_bench_outofcore_scale(results_dir, tmp_path):
-    corpora = {
-        n: memmap_features(tmp_path / f"corpus_{n}.npy", n, seed=n)
-        for n in (N_SMALL, N_LARGE)
-    }
+    corpus = memmap_features(tmp_path / "corpus.npy", N_ROWS, seed=N_ROWS)
     store = ArtifactStore(tmp_path / "cache", mmap_threshold_bytes=0)
 
-    # Gate 1: peak traced heap, in-memory vs out-of-core, 4k vs 40k rows.
-    # (tracemalloc sees numpy heap buffers; memmapped pages are the OS's.)
-    peak_mem = {}
-    peak_ooc = {}
-    q_small = None
-    for n in (N_SMALL, N_LARGE):
-        peak_mem[n], _ = measure_peak_memory(lambda n=n: inmemory_build(n, n))
-        peak_ooc[n], q = measure_peak_memory(
-            lambda n=n: outofcore_build(store, corpora[n], key=f"bench-q-{n}")
-        )
-        if n == N_SMALL:
-            q_small = q
-    ooc_growth = peak_ooc[N_LARGE] / peak_ooc[N_SMALL]
-    mem_growth = peak_mem[N_LARGE] / peak_mem[N_SMALL]
+    # The disk lifecycle's Q: built from the memmapped corpus, stored raw,
+    # and replayed as memmapped factors.
+    meta, arrays = similarity_from_distributions(corpus).payload()
+    stored = store.put("bench-q", meta, arrays, stage="build_q")
+    ooc_q = similarity_from_payload(stored.meta, stored.arrays)
+    assert all(isinstance(f, np.memmap) for f in ooc_q.factors)
 
-    # Gate 2a: the streamed CSR arrays are bit-identical to the heap build.
-    assert q_small is not None and q_small.memmapped
-    heap_data, heap_indices, heap_indptr = blocked_topk_cosine(
-        np.asarray(corpora[N_SMALL]), TOP_K, max_block_bytes=MAX_BLOCK_BYTES
-    )
-    assert np.array_equal(q_small.data, heap_data)
-    assert np.array_equal(q_small.indices, heap_indices)
-    assert np.array_equal(q_small.indptr, heap_indptr)
-
-    # Gate 2b: training + encoding from the memmapped corpus reproduces the
+    # Gate 1: training + encoding from the memmapped corpus reproduces the
     # heap run bit for bit.
     config = UHSCMConfig(
         n_bits=N_BITS,
         train=TrainConfig(batch_size=256, epochs=1, dtype="float32"),
     )
-    heap_corpus = np.asarray(corpora[N_SMALL])
-    heap_q = SparseTopKSimilarity(heap_data, heap_indices, heap_indptr,
-                                  n=N_SMALL, k=TOP_K)
+    heap_corpus = np.asarray(corpus).copy()
+    heap_q = similarity_from_distributions(heap_corpus)
     heap_net, ooc_net = make_network(), make_network()
     heap_history = UHSCMTrainer(heap_net, config).fit(heap_corpus, heap_q)
-    ooc_history = UHSCMTrainer(ooc_net, config).fit(corpora[N_SMALL], q_small)
+    ooc_history = UHSCMTrainer(ooc_net, config).fit(corpus, ooc_q)
     assert heap_history.total == ooc_history.total
     heap_codes = heap_net.encode(heap_corpus)
-    ooc_codes = ooc_net.encode(corpora[N_SMALL])
+    ooc_codes = ooc_net.encode(corpus)
     assert np.array_equal(heap_codes, ooc_codes)
 
-    # Gate 3: a warm restart mmaps the packed-code snapshot — no re-encode.
+    # Gate 2: a warm restart mmaps the packed-code snapshot — no re-encode.
     queries = make_features(8, seed=3)
     cold = HashingService(ooc_net, store=store, n_shards=4, max_batch=256)
-    cold.load_database(corpora[N_SMALL], key={"bench": "outofcore"})
+    cold.load_database(corpus, key={"bench": "outofcore"})
     cold_ids, cold_dists = cold.query(queries, top_k=5)
     assert cold.stats()["database"]["encodes"] == 1
 
     # Same trained weights, fresh process: only the snapshot is reused.
     warm = HashingService(ooc_net, store=ArtifactStore(
         tmp_path / "cache"), n_shards=4, max_batch=256)
-    warm.load_database(corpora[N_SMALL], key={"bench": "outofcore"})
+    warm.load_database(corpus, key={"bench": "outofcore"})
     warm_db = warm.stats()["database"]
     warm_ids, warm_dists = warm.query(queries, top_k=5)
     assert np.array_equal(cold_ids, warm_ids)
     assert np.array_equal(cold_dists, warm_dists)
 
     lines = [
-        f"out-of-core scale: n={N_SMALL}->{N_LARGE} (10x) dim={FEATURE_DIM} "
-        f"k={TOP_K} tile<=%.0f MB" % (MAX_BLOCK_BYTES / 1e6),
-        f"in-memory  : peak {peak_mem[N_SMALL] / 1e6:8.1f} MB -> "
-        f"{peak_mem[N_LARGE] / 1e6:8.1f} MB ({mem_growth:.2f}x, grows with n)",
-        f"out-of-core: peak {peak_ooc[N_SMALL] / 1e6:8.1f} MB -> "
-        f"{peak_ooc[N_LARGE] / 1e6:8.1f} MB ({ooc_growth:.2f}x, "
-        f"required <= {MAX_OOC_GROWTH:.1f}x)",
-        "identity   : CSR Q arrays, loss history, and codes bit-identical "
-        "heap vs memmap",
+        f"out-of-core scale: n={N_ROWS} dim={FEATURE_DIM} "
+        f"factored Q ({ooc_q.nbytes / 1e6:.1f} MB, memmapped from the store)",
+        "identity   : loss history and codes bit-identical heap vs memmap",
         f"warm serve : encodes={warm_db['encodes']} "
         f"warm_loads={warm_db['warm_loads']} "
         f"snapshot_mmapped={warm_db['snapshot_mmapped']}",
@@ -175,7 +119,5 @@ def test_bench_outofcore_scale(results_dir, tmp_path):
     report = "\n".join(lines)
     print("\n" + report)
     save_result(results_dir, "outofcore_scale", report)
-    assert ooc_growth <= MAX_OOC_GROWTH, report
-    assert ooc_growth < mem_growth, report
     assert warm_db == {"encodes": 0, "warm_loads": 1,
                        "snapshot_mmapped": True}, report

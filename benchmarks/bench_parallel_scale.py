@@ -5,9 +5,8 @@ sharded search fan-out:
 
 1. **Bit-identity everywhere** (asserted on any machine): the parallel
    Q build returns byte-identical CSR ``data``/``indices``/``indptr`` to
-   the serial oracle (heap and streaming/out-of-core builders), and the
-   concurrent shard fan-out merges byte-identical ``(ids, distances)``
-   top-k and radius results.
+   the serial oracle, and the concurrent shard fan-out merges
+   byte-identical ``(ids, distances)`` top-k and radius results.
 2. **Serial fallback + clean shutdown** (asserted on any machine):
    ``workers=1`` creates no threads — submissions run inline on the
    calling thread and the pool reports ``serial=True`` with matching
@@ -36,10 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 
 from repro.retrieval.sharded import ShardedIndex  # noqa: E402
-from repro.utils.mathops import (  # noqa: E402
-    blocked_topk_cosine,
-    streaming_topk_cosine,
-)
+from repro.utils.mathops import blocked_topk_cosine  # noqa: E402
 from repro.utils.parallel import WorkerPool, resolve_workers  # noqa: E402
 
 from conftest import save_result, timed  # noqa: E402
@@ -132,24 +128,6 @@ def test_bench_parallel_scale(results_dir):
     payload["q_build"] = {"serial_seconds": t_serial,
                           "parallel_seconds": t_parallel,
                           "speedup": q_speedup}
-
-    # Streaming (out-of-core) builder: same identity at 4 workers.
-    def stream(workers):
-        bufs: dict[str, np.ndarray] = {}
-
-        def create(name, shape, dtype):
-            bufs[name] = np.empty(shape, dtype=dtype)
-            return bufs[name]
-
-        return streaming_topk_cosine(
-            features[:1500], Q_TOPK, create, block_rows=Q_BLOCK_ROWS,
-            workers=workers,
-        )
-
-    for s_arr, p_arr in zip(stream(1), stream(WORKERS)):
-        assert np.array_equal(np.asarray(s_arr), np.asarray(p_arr))
-    lines.append("streaming  : out-of-core CSR bit-identical at "
-                 f"{WORKERS} workers")
 
     # -- shard fan-out: identity + speedup (gates 1 and 3) ------------------
     codes = np.where(rng.random((DB_ROWS, N_BITS)) < 0.5, -1.0, 1.0)

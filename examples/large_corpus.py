@@ -1,24 +1,22 @@
-"""Large-corpus walkthrough: sparse Q → train → encode → serve, at 50k rows.
+"""Large-corpus walkthrough: Q → train → encode → serve, at 50k rows.
 
 A dense semantic similarity matrix at 50,000 rows would be
 50,000² × 8 bytes = 20 GB — far past what `cosine_similarity_matrix` can
-materialize on a workstation.  The blocked sparse top-k engine keeps only
-the k strongest entries per row (plus the diagonal) and never allocates
-n², so the same corpus fits in a few hundred MB end to end:
+materialize on a workstation.  Eq. 6's Q is the cosine similarity of the
+corpus rows, so it is held exactly as its (n, m) factor, the
+L2-normalised rows: 25.6 MB at 50,000 × 64, and never n²:
 
-1. build Q in top-k CSR form with `SparseTopKSimilarity.from_features`;
-2. train the hashing network against it with `UHSCMTrainer` (batch blocks
-   are gathered straight from the CSR rows);
+1. build Q as its factor with `similarity_from_distributions`;
+2. train the hashing network against it with `UHSCMTrainer` (each batch's
+   t×t block is computed from the batch's factor rows);
 3. encode the corpus in bounded-memory chunks;
 4. stand the codes up behind the sharded `HashingService` and query it.
 
-With ``--out-of-core`` the walkthrough goes one step further: the corpus
-itself lives in a memmapped file, Q streams straight into on-disk CSR
-buffers through an `ArtifactStore` streaming writer, and training/encoding
-copy only per-batch slices to RAM — peak heap stays roughly flat as
-``--rows`` grows, and the results are bit-identical to the in-memory run.
+With ``--out-of-core`` the corpus itself lives in a memmapped file, and
+training/encoding copy only per-batch slices to RAM; the results are
+bit-identical to the in-memory run.
 
-Run:  python examples/large_corpus_sparse_q.py [--rows N] [--out-of-core]
+Run:  python examples/large_corpus.py [--rows N] [--out-of-core]
 """
 
 import argparse
@@ -30,15 +28,13 @@ import numpy as np
 
 from repro.config import TrainConfig, UHSCMConfig
 from repro.core.hashing_network import HashingNetwork
-from repro.core.similarity_matrix import SparseTopKSimilarity
+from repro.core.similarity import similarity_from_distributions
 from repro.core.trainer import UHSCMTrainer
-from repro.pipeline import ArtifactStore
 from repro.serving import HashingService
 
 N_ROWS = 50_000
 FEATURE_DIM = 64
 N_CLUSTERS = 25
-TOP_K = 32
 N_BITS = 32
 
 
@@ -67,22 +63,26 @@ def make_corpus(
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(
-        description="sparse-Q large-corpus walkthrough"
+        description="large-corpus walkthrough"
     )
     parser.add_argument("--rows", type=int, default=N_ROWS,
                         help=f"corpus rows (default {N_ROWS})")
     parser.add_argument("--out-of-core", action="store_true",
-                        help="memmap the corpus and stream Q into on-disk "
-                             "CSR buffers (flat peak memory, identical "
+                        help="memmap the corpus; training and encoding "
+                             "copy only per-batch slices to RAM (identical "
                              "results)")
     return parser.parse_args()
 
 
 def main() -> None:
     args = parse_args()
+    with tempfile.TemporaryDirectory(prefix="repro-example-") as workdir:
+        run(args, Path(workdir))
+
+
+def run(args: argparse.Namespace, workdir: Path) -> None:
     n_rows = args.rows
     rng = np.random.default_rng(0)
-    workdir = Path(tempfile.mkdtemp(prefix="repro-example-"))
     if args.out_of_core:
         corpus_map = np.lib.format.open_memmap(
             workdir / "corpus.npy", mode="w+", dtype=np.float64,
@@ -99,33 +99,17 @@ def main() -> None:
     print(f"corpus: {n_rows} rows x {FEATURE_DIM} dims, {mode} "
           f"(a dense Q would be {dense_bytes / 1e9:.1f} GB)")
 
-    # 1. Sparse Q: k strongest cosine entries per row, built blockwise.
-    #    Out-of-core the CSR buffers are allocated by a store streaming
-    #    writer, so Q lands on disk as a memmapped raw artifact.
+    # 1. Exact Q as its factor: the L2-normalised corpus rows.
     t0 = time.perf_counter()
-    if args.out_of_core:
-        store = ArtifactStore(workdir / "cache", mmap_threshold_bytes=0)
-        writer = store.streaming_writer("example-q", stage="build_q")
-        q = SparseTopKSimilarity.from_features_streaming(
-            features, TOP_K, writer.create
-        )
-        artifact = writer.commit({"rows": n_rows, "k": TOP_K})
-        q = SparseTopKSimilarity(
-            artifact.arrays["q_data"], artifact.arrays["q_indices"],
-            artifact.arrays["q_indptr"], n=n_rows, k=TOP_K,
-        )
-        residence = "on disk (memmapped)" if q.memmapped else "on the heap"
-    else:
-        q = SparseTopKSimilarity.from_features(features, TOP_K)
-        residence = "on the heap"
-    print(f"sparse Q: built in {time.perf_counter() - t0:.1f}s, "
-          f"{q.nbytes / 1e6:.1f} MB {residence} "
+    q = similarity_from_distributions(features)
+    print(f"Q factor: built in {time.perf_counter() - t0:.1f}s, "
+          f"{q.nbytes / 1e6:.1f} MB "
           f"({dense_bytes / q.nbytes:.0f}x smaller than dense)")
 
-    # 2. Train the hash head against the CSR Q — the trainer gathers each
-    #    batch's t×t block from the sparse rows (and, for a memmapped
-    #    corpus, copies only the batch's feature rows to the heap), so
-    #    training memory is O(batch²), independent of the corpus size.
+    # 2. Train the hash head against Q — the trainer computes each batch's
+    #    t×t block from the factor rows (and, for a memmapped corpus,
+    #    copies only the batch's feature rows to the heap), so training
+    #    memory beyond the factor is O(batch²).
     config = UHSCMConfig(
         n_bits=N_BITS,
         lam=0.5,

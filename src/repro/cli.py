@@ -18,28 +18,20 @@ All commands run fully offline on the simulated substrate.  Timing and
 cross-checking live in the scale smokes under ``benchmarks/`` and in the
 repository benchmark under ``perfbench/``, not in this CLI.
 
-``--sparse-topk K`` on ``train`` / ``table1`` / ``table2`` builds the
-semantic similarity matrix Q in top-k CSR form (K strongest entries per
-row plus the diagonal) via the blocked pairwise-cosine kernel — O(n·K)
-memory instead of O(n²), exact when K >= n-1.
+``--out-of-core`` (on ``train`` / ``table1`` / ``table2`` / ``serve`` /
+``serve-http``) makes disk the primary residence of the large arrays:
+store artifacts at or above ``--mmap-threshold-bytes`` (default 32 MB
+when out-of-core is on) are written in the raw per-array format and come
+back as read-only memmaps, and ``serve`` / ``serve-http`` encode and
+register their database in bounded-memory chunks.  Outputs are
+bit-identical to the in-memory paths and share their fingerprints, so
+the two modes replay each other's caches.
 
-``--out-of-core`` (on ``train`` / ``table1`` / ``table2`` / ``serve``)
-makes disk the primary residence of the large arrays: store artifacts at
-or above ``--mmap-threshold-bytes`` (default 32 MB when out-of-core is
-on) are written in the raw per-array format and come back as read-only
-memmaps, the sparse Q build streams straight into on-disk CSR buffers,
-and ``serve`` encodes + registers its database in bounded-memory chunks.
-Outputs are bit-identical to the in-memory paths and share their
-fingerprints, so the two modes replay each other's caches.
-
-``--workers N`` (on ``train`` / ``table1`` / ``table2`` / ``serve`` /
-``serve-http``; default ``$REPRO_WORKERS``, else 1) runs the two pooled
-sites — the sparse Q build's row tiles (``train`` / ``table1`` /
-``table2``) and the sharded search fan-out (``serve`` / ``serve-http``)
-— on N threads of the shared :class:`~repro.utils.parallel.WorkerPool`.
-Every parallel output is bit-identical to the serial path, so
-``--workers`` composes freely with caching, ``--sparse-topk``, and
-``--out-of-core``.
+``--workers N`` (on ``serve`` / ``serve-http``; default
+``$REPRO_WORKERS``, else 1) runs the one pooled site, the sharded search
+fan-out, on N threads of the shared
+:class:`~repro.utils.parallel.WorkerPool`.  Merged results are
+bit-identical to the serial path at any count.
 
 ``serve`` stands up the online serving facade over a dataset's database
 split: the model comes from a persistence archive (``--model model.npz``),
@@ -131,30 +123,19 @@ def _add_cache_dir(parser: argparse.ArgumentParser) -> None:
                              "resumable fits (default: caching off)")
 
 
-def _add_sparse_topk(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sparse-topk", type=int, default=None, metavar="K",
-                        help="build Q in top-k sparse CSR form via the "
-                             "blocked cosine kernel (K strongest entries "
-                             "per row + diagonal; exact when K >= n-1, "
-                             "default: dense paper-parity Q)")
-
-
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="threads for the parallel kernels "
-                             "(sparse Q-build tiles, shard fan-out); "
-                             "outputs are bit-identical at any count "
+                        help="threads for the shard fan-out; results are "
+                             "bit-identical at any count "
                              "(default: $REPRO_WORKERS, else serial)")
 
 
 def _add_out_of_core(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-of-core", action="store_true",
                         help="disk-resident large arrays: big store "
-                             "artifacts become memmapped raw archives, the "
-                             "sparse Q build streams into on-disk CSR "
-                             "buffers, and serving encodes in chunks "
-                             "(bit-identical outputs; most effective with "
-                             "--cache-dir and --sparse-topk)")
+                             "artifacts (with --cache-dir) become memmapped "
+                             "raw archives, and serving encodes its "
+                             "database in chunks (bit-identical outputs)")
     parser.add_argument("--mmap-threshold-bytes", type=int, default=None,
                         metavar="BYTES",
                         help="route store artifacts at or above this many "
@@ -163,8 +144,6 @@ def _add_out_of_core(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.core.persistence import save_uhscm
     from repro.core.uhscm import UHSCM
     from repro.pipeline import dataset_key
@@ -173,12 +152,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     clip = SimCLIP(data.world)
     config = paper_config(args.dataset, n_bits=args.bits, seed=args.seed)
-    if args.sparse_topk is not None:
-        config = replace(config, sparse_topk=args.sparse_topk)
-    if args.out_of_core:
-        config = replace(config, out_of_core=True)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     model = UHSCM(config, clip=clip)
     model.fit(data.train_images, store=store,
               data_key=dataset_key(args.dataset, args.scale, args.seed))
@@ -400,10 +373,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     store = _make_store(args)
     table = run_table1(scale=args.scale, bit_lengths=tuple(args.bits),
                        datasets=(args.dataset,), seed=args.seed,
-                       epochs=args.epochs, store=store,
-                       sparse_topk=args.sparse_topk,
-                       out_of_core=args.out_of_core,
-                       workers=args.workers)
+                       epochs=args.epochs, store=store)
     print(table.render())
     _print_store_summary(store)
     return 0
@@ -415,10 +385,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     store = _make_store(args)
     table = run_table2(scale=args.scale, bit_lengths=tuple(args.bits),
                        datasets=(args.dataset,), seed=args.seed,
-                       epochs=args.epochs, store=store,
-                       sparse_topk=args.sparse_topk,
-                       out_of_core=args.out_of_core,
-                       workers=args.workers)
+                       epochs=args.epochs, store=store)
     print(table.render())
     _print_store_summary(store)
     return 0
@@ -480,9 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train UHSCM on one dataset")
     _add_common(p_train)
     _add_cache_dir(p_train)
-    _add_sparse_topk(p_train)
     _add_out_of_core(p_train)
-    _add_workers(p_train)
     p_train.add_argument("--bits", type=int, default=64)
     p_train.add_argument("--out", default=None, help="save model here (.npz)")
     p_train.set_defaults(func=_cmd_train)
@@ -562,9 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("table1", help="regenerate Table 1")
     _add_common(p_t1)
     _add_cache_dir(p_t1)
-    _add_sparse_topk(p_t1)
     _add_out_of_core(p_t1)
-    _add_workers(p_t1)
     p_t1.add_argument("--bits", type=int, nargs="+",
                       default=list(PAPER_BIT_LENGTHS))
     p_t1.add_argument("--epochs", type=int, default=None,
@@ -577,9 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2 = sub.add_parser("table2", help="regenerate Table 2 (ablations)")
     _add_common(p_t2)
     _add_cache_dir(p_t2)
-    _add_sparse_topk(p_t2)
     _add_out_of_core(p_t2)
-    _add_workers(p_t2)
     p_t2.add_argument("--bits", type=int, nargs="+", default=[32, 64])
     p_t2.add_argument("--epochs", type=int, default=None,
                       help="override training epochs (reproduction scale)")

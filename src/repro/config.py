@@ -18,7 +18,7 @@ multiplier ``tau_scale`` so it tracks the concept count automatically).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 
@@ -99,29 +99,6 @@ class UHSCMConfig:
     denoise:
         Apply the Eq. 4–5 concept-denoising step (ablation row 7 turns
         this off).
-    sparse_topk:
-        When set, Q is built in top-k sparse CSR form (the k strongest
-        entries per row plus the diagonal) by the blocked pairwise-cosine
-        kernel instead of as a dense (n, n) array — memory drops from
-        O(n²) to O(n·k) and training gathers batch blocks from the CSR
-        rows.  ``None`` (default) keeps the dense paper-parity path.
-        With ``sparse_topk >= n - 1`` the sparse Q is exact; smaller k is
-        an approximation that zeroes the weakest similarities.
-    out_of_core:
-        Execution policy, not a model hyper-parameter: when True (and the
-        pipeline runs staged against a disk-backed store with
-        ``sparse_topk`` set), the CSR Q is built by the streaming kernel
-        directly into on-disk buffers and consumed as memmaps, so the
-        largest arrays never reside wholly in RAM.  Outputs are
-        bit-identical to the in-memory path, so this flag never enters
-        fingerprints.
-    workers:
-        Execution policy like ``out_of_core``: thread count for the
-        sparse Q build's row tiles (the serving layer has its own knob;
-        training always runs one loop on the calling thread).  ``None``
-        defers to ``$REPRO_WORKERS`` (else serial); ``1`` forces the
-        serial fallback.  Every parallel output is bit-identical to
-        serial, so this never enters fingerprints either.
     prompt_template:
         Template used to turn a concept into text for the VLP model.
     train:
@@ -137,9 +114,6 @@ class UHSCMConfig:
     lam: float = 0.8
     tau_scale: float = 1.0
     denoise: bool = True
-    sparse_topk: int | None = None
-    out_of_core: bool = False
-    workers: int | None = None
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
@@ -155,14 +129,6 @@ class UHSCMConfig:
             raise ConfigurationError(f"lam must be in [0, 1]: {self.lam}")
         if self.tau_scale <= 0:
             raise ConfigurationError(f"tau_scale must be > 0: {self.tau_scale}")
-        if self.sparse_topk is not None and self.sparse_topk <= 0:
-            raise ConfigurationError(
-                f"sparse_topk must be positive (or None): {self.sparse_topk}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1 (or None): {self.workers}"
-            )
         if "{concept}" not in self.prompt_template:
             raise ConfigurationError(
                 "prompt_template must contain a '{concept}' placeholder: "
@@ -172,26 +138,6 @@ class UHSCMConfig:
     def with_bits(self, n_bits: int) -> "UHSCMConfig":
         """Copy of this config at a different code length."""
         return replace(self, n_bits=n_bits)
-
-    def fingerprint_payload(self) -> dict:
-        """JSON-able form of this config for content fingerprints.
-
-        Omits ``sparse_topk`` when it is None, so every train-stage and
-        model-snapshot fingerprint minted before the sparse similarity
-        engine existed stays valid (dense runs replay their cached
-        artifacts across the upgrade); the key participates only when
-        sparsity is actually on.
-        """
-        payload = asdict(self)
-        if payload.get("sparse_topk") is None:
-            del payload["sparse_topk"]
-        # Residency policy, not math: in-core and out-of-core runs produce
-        # bit-identical artifacts, so they must share fingerprints.
-        payload.pop("out_of_core", None)
-        # Same for worker count — parallel kernels are bit-identical to
-        # serial, so any count replays the serial run's artifacts.
-        payload.pop("workers", None)
-        return payload
 
     def tau(self, n_concepts: int) -> float:
         """Concrete softmax temperature τ for an ``n_concepts`` vocabulary."""

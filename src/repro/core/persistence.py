@@ -97,9 +97,11 @@ def restore_uhscm(
 
     config_dict = dict(meta["config"])
     config_dict["train"] = TrainConfig(**config_dict["train"])
-    # Archives and snapshots saved while the config carried a pool backend
-    # still hold the key; it never changed outputs, so it is dropped.
-    config_dict.pop("pool_backend", None)
+    # Archives and snapshots saved while the config carried a pool backend,
+    # a top-k Q size, an out-of-core flag or a worker count still hold
+    # those keys; rebuilding the network needs none of them.
+    for legacy in ("pool_backend", "sparse_topk", "out_of_core", "workers"):
+        config_dict.pop(legacy, None)
     config = UHSCMConfig(**config_dict)
     model = UHSCM(
         config,

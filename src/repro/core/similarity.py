@@ -20,7 +20,6 @@ from repro.core.mining import ConceptMiner, concept_distributions
 from repro.core.similarity_matrix import (
     FactoredSimilarity,
     SimilarityMatrix,
-    SparseTopKSimilarity,
     as_similarity_matrix,
     similarity_from_payload,
 )
@@ -33,7 +32,6 @@ from repro.pipeline import (
     Stage,
     canonical,
     run_stage,
-    run_stage_streaming,
 )
 from repro.utils.mathops import l2_normalize
 from repro.vlp.clip import SimCLIP
@@ -42,19 +40,13 @@ from repro.vlp.prompts import PromptTemplate
 
 def similarity_from_distributions(
     distributions: np.ndarray,
-    sparse_topk: int | None = None,
     dtype: np.dtype | str | None = None,
-    workers: int | None = None,
-) -> "FactoredSimilarity | SparseTopKSimilarity":
+) -> FactoredSimilarity:
     """Eq. 3 / Eq. 6: pairwise cosine similarity of concept distributions.
 
-    ``sparse_topk=None`` (default) returns the exact Q as its factor, a
-    :class:`FactoredSimilarity` over the L2-normalised rows: ``n · m``
-    values, and ``to_dense()`` is the (n, n) array this function used to
-    return, bit for bit.  A positive k routes through the blocked kernel
-    and returns the top-k CSR form.  Neither route materializes n².
-    ``workers`` parallelizes the blocked kernel's row tiles (bit-identical
-    at any count; the factored route ignores it).
+    Returns the exact Q as its factor, a :class:`FactoredSimilarity` over
+    the L2-normalised rows: ``n · m`` values, never n².  ``to_dense()`` is
+    the (n, n) array this function used to return, bit for bit.
     """
     dist = np.asarray(
         distributions, dtype=np.float64 if dtype is None else dtype
@@ -63,11 +55,7 @@ def similarity_from_distributions(
         raise ConfigurationError(
             f"distributions must be (n, m), got {dist.shape}"
         )
-    if sparse_topk is None:
-        return FactoredSimilarity(l2_normalize(dist, dtype=dist.dtype))
-    return SparseTopKSimilarity.from_features(
-        dist, sparse_topk, dtype=dist.dtype, workers=workers,
-    )
+    return FactoredSimilarity(l2_normalize(dist, dtype=dist.dtype))
 
 
 def _q_payload(
@@ -76,49 +64,6 @@ def _q_payload(
     """The build_q artifact body for either Q form (dense layout unchanged)."""
     q_meta, q_arrays = as_similarity_matrix(matrix).payload()
     return {"concepts": list(concepts), **q_meta}, q_arrays
-
-
-def _run_build_q(
-    store: ArtifactStore,
-    stage,
-    get_features,
-    concepts,
-    sparse_topk: int | None,
-    out_of_core: bool,
-    workers: int | None = None,
-):
-    """Execute a build_q stage, streaming CSR buffers to disk when asked.
-
-    ``get_features`` is a zero-arg callable returning the (n, m) feature
-    rows Q is built from; it only runs on a cache miss.  The streaming
-    route needs the sparse form and a disk-backed store; anything else
-    falls back to the heap build.  Both routes share the stage fingerprint
-    and produce bit-identical payloads, so they replay each other's cached
-    artifacts freely.  ``workers`` fans the kernel's row tiles out to the
-    pool on both routes without changing a single output bit — like
-    ``out_of_core``, it never enters stage fingerprints.
-    """
-    if (out_of_core and sparse_topk is not None
-            and store.cache_dir is not None):
-
-        def build(writer) -> dict:
-            matrix = SparseTopKSimilarity.from_features_streaming(
-                get_features(), sparse_topk, writer.create, workers=workers,
-            )
-            meta, _ = matrix.payload()
-            return {"concepts": list(concepts), **meta}
-
-        return run_stage_streaming(store, stage, build)
-    return run_stage(
-        store,
-        stage,
-        lambda: _q_payload(
-            similarity_from_distributions(
-                get_features(), sparse_topk=sparse_topk, workers=workers,
-            ),
-            concepts,
-        ),
-    )
 
 
 def _average(
@@ -137,26 +82,14 @@ def _average(
     )
 
 
-def _sparsity_params(sparse_topk: int | None) -> dict:
-    """Fingerprint fragment for the sparsity settings.
-
-    Only present when sparsity is on, so every dense build_q fingerprint —
-    and with it every artifact cached before the sparse engine existed —
-    stays valid.
-    """
-    return {} if sparse_topk is None else {"sparse_topk": int(sparse_topk)}
-
-
 @dataclass
 class SimilarityResult:
     """The similarity matrix Q plus provenance from the mining pipeline.
 
     ``matrix`` is a :class:`~repro.core.similarity_matrix.FactoredSimilarity`
-    on every generator's default path, a
-    :class:`~repro.core.similarity_matrix.SparseTopKSimilarity` with
-    ``sparse_topk``, and a raw (n, n) array when a caller injects one or a
-    dense artifact replays from a store; ``as_similarity_matrix`` wraps any
-    of them for training.
+    whenever a generator builds it, and a raw (n, n) array when a caller
+    injects one or a dense artifact replays from a store;
+    ``as_similarity_matrix`` wraps either for training.
 
     ``mined`` distinguishes a Q produced by the §3.3 pipeline (where
     ``concepts`` is the post-denoising set, possibly empty) from a Q that
@@ -178,6 +111,8 @@ class SimilarityResult:
 class SemanticSimilarityGenerator:
     """Builds the paper's semantic similarity matrix Q from images.
 
+    Q is held exactly as its (n, m) factor (Eq. 6).
+
     Parameters
     ----------
     clip:
@@ -192,22 +127,6 @@ class SemanticSimilarityGenerator:
         τ multiplier for Eq. 2 (τ = tau_scale · m).
     denoise:
         Apply Eq. 4–5 between the two mining passes.
-    sparse_topk:
-        ``None`` (default) holds the exact Q as its (n, m) factor; a
-        positive k builds the top-k CSR form via the blocked kernel
-        instead (exact for ``k >= n - 1``, a weak-pair truncation below
-        that).  Incompatible with template averaging, which mixes
-        factors.
-    out_of_core:
-        Residency policy for staged sparse builds: the CSR Q streams
-        straight into on-disk artifact buffers (and comes back as memmap
-        views) instead of passing through the heap.  Ignored — with
-        identical outputs — on the factored, unstaged, or memory-only-store
-        paths.
-    workers:
-        Worker count for the sparse kernel's row-tile fan-out (``None``
-        reads ``$REPRO_WORKERS``).  Pure execution policy: outputs are
-        bit-identical at any value, so it never enters stage fingerprints.
     """
 
     def __init__(
@@ -217,27 +136,16 @@ class SemanticSimilarityGenerator:
         templates: tuple[PromptTemplate | str | None, ...] = (None,),
         tau_scale: float = 1.0,
         denoise: bool = True,
-        sparse_topk: int | None = None,
-        out_of_core: bool = False,
-        workers: int | None = None,
     ) -> None:
         if not concepts:
             raise ConfigurationError("candidate concept set is empty")
         if not templates:
             raise ConfigurationError("at least one prompt template is required")
-        if sparse_topk is not None and len(templates) > 1:
-            raise ConfigurationError(
-                "sparse_topk cannot be combined with template averaging: "
-                "averaged Q requires exact per-template matrices"
-            )
         self.clip = clip
         self.concepts = tuple(concepts)
         self.templates = templates
         self.tau_scale = tau_scale
         self.denoise = denoise
-        self.sparse_topk = sparse_topk
-        self.out_of_core = out_of_core
-        self.workers = workers
 
     def _generate_single(
         self, images: np.ndarray, template: PromptTemplate | str | None
@@ -252,10 +160,7 @@ class SemanticSimilarityGenerator:
             # Second prompting pass over the clean set C' (Algorithm 1 step 4).
             distributions = miner.mine(images, concepts)
         return SimilarityResult(
-            matrix=similarity_from_distributions(
-                distributions, sparse_topk=self.sparse_topk,
-                workers=self.workers,
-            ),
+            matrix=similarity_from_distributions(distributions),
             concepts=concepts,
             denoising=denoising,
             distributions=distributions,
@@ -330,15 +235,13 @@ class SemanticSimilarityGenerator:
             )
             distributions = den_art.arrays["distributions"]
             upstream = denoise_stage
-        q_stage = Stage(
-            BUILD_Q,
-            params=_sparsity_params(self.sparse_topk),
-            inputs=(upstream.fingerprint,),
-        )
-        final_distributions = distributions
-        q_art = _run_build_q(
-            store, q_stage, lambda: final_distributions, concepts,
-            self.sparse_topk, self.out_of_core, workers=self.workers,
+        q_stage = Stage(BUILD_Q, inputs=(upstream.fingerprint,))
+        q_art = run_stage(
+            store,
+            q_stage,
+            lambda: _q_payload(
+                similarity_from_distributions(distributions), concepts
+            ),
         )
         return SimilarityResult(
             matrix=similarity_from_payload(q_art.meta, q_art.arrays),
@@ -405,34 +308,15 @@ class ImageFeatureSimilarityGenerator:
     """The ``UHSCM_IF`` ablation: Q from raw VLP image-feature cosine.
 
     Skips concept mining entirely — this is the strategy of prior work
-    (SSDH / MLS3RDUH style) that the paper argues against.  ``sparse_topk``
-    selects the top-k CSR form exactly as in
-    :class:`SemanticSimilarityGenerator` — raw-feature Q is the generator
-    large corpora actually hit (no mining bottleneck), so it scales too —
-    and ``out_of_core`` additionally streams the staged sparse build into
-    disk-resident CSR buffers, as in
-    :class:`SemanticSimilarityGenerator`.
+    (SSDH / MLS3RDUH style) that the paper argues against.  Q is held as
+    its factor, the L2-normalised image features.
     """
 
-    def __init__(
-        self,
-        clip: SimCLIP,
-        sparse_topk: int | None = None,
-        out_of_core: bool = False,
-        workers: int | None = None,
-    ) -> None:
+    def __init__(self, clip: SimCLIP) -> None:
         self.clip = clip
-        self.sparse_topk = sparse_topk
-        self.out_of_core = out_of_core
-        self.workers = workers
 
-    def _build_matrix(
-        self, images: np.ndarray
-    ) -> "FactoredSimilarity | SparseTopKSimilarity":
-        return similarity_from_distributions(
-            self.clip.image_features(images), sparse_topk=self.sparse_topk,
-            workers=self.workers,
-        )
+    def _build_matrix(self, images: np.ndarray) -> FactoredSimilarity:
+        return similarity_from_distributions(self.clip.image_features(images))
 
     def generate(
         self,
@@ -447,21 +331,12 @@ class ImageFeatureSimilarityGenerator:
                     "kind": "image-features",
                     "data": dict(data_key),
                     "world": canonical(self.clip.world.config),
-                    **_sparsity_params(self.sparse_topk),
                 },
             )
-            if (self.out_of_core and self.sparse_topk is not None
-                    and store.cache_dir is not None):
-                art = _run_build_q(
-                    store, stage,
-                    lambda: self.clip.image_features(images), (),
-                    self.sparse_topk, self.out_of_core, workers=self.workers,
-                )
-            else:
-                art = run_stage(
-                    store, stage,
-                    lambda: _q_payload(self._build_matrix(images), ()),
-                )
+            art = run_stage(
+                store, stage,
+                lambda: _q_payload(self._build_matrix(images), ()),
+            )
             return SimilarityResult(
                 matrix=similarity_from_payload(art.meta, art.arrays),
                 concepts=(),
@@ -492,7 +367,6 @@ class ClusteredConceptSimilarityGenerator:
         template: PromptTemplate | str | None = None,
         tau_scale: float = 1.0,
         seed: int = 0,
-        sparse_topk: int | None = None,
     ) -> None:
         if n_clusters <= 0:
             raise ConfigurationError(f"n_clusters must be positive: {n_clusters}")
@@ -506,7 +380,6 @@ class ClusteredConceptSimilarityGenerator:
         self.template = template
         self.tau_scale = tau_scale
         self.seed = seed
-        self.sparse_topk = sparse_topk
 
     def generate(
         self,
@@ -535,10 +408,7 @@ class ClusteredConceptSimilarityGenerator:
             tau = self.tau_scale * self.n_clusters
             distributions = concept_distributions(scores, tau)
             meta, arrays = _q_payload(
-                similarity_from_distributions(
-                    distributions, sparse_topk=self.sparse_topk
-                ),
-                concepts,
+                similarity_from_distributions(distributions), concepts
             )
             arrays["distributions"] = distributions
             return meta, arrays
@@ -555,7 +425,6 @@ class ClusteredConceptSimilarityGenerator:
                     "n_clusters": self.n_clusters,
                     "tau_scale": self.tau_scale,
                     "seed": self.seed,
-                    **_sparsity_params(self.sparse_topk),
                 },
             )
             art = run_stage(store, stage, build)

@@ -15,8 +15,10 @@ interchangeable implementations behind that contract:
   injects, or a dense artifact already in a store;
 - :class:`SparseTopKSimilarity` — a top-k CSR form built by the blocked
   kernel :func:`repro.utils.mathops.blocked_topk_cosine`, which keeps only
-  the k strongest entries per row (plus the diagonal).  The CSR form is
-  ``n · (k + 1)`` values + indices, linear in n.
+  the k strongest entries per row (plus the diagonal).  No system path
+  builds it: the exact factor is both smaller and faster to build.  It
+  stays for the ``index-sparse`` benchmark workload and for CSR
+  artifacts already in a store.
 
 The factored form's :meth:`~FactoredSimilarity.to_dense` is bit-identical
 to :func:`repro.utils.mathops.cosine_similarity_matrix`.  Its gathered
@@ -29,8 +31,7 @@ With ``k >= n - 1`` the sparse form holds every entry and densifies to
 the dense matrix within 2 machine epsilons per entry: the kernel's row-block
 GEMMs can sum in a different order than the one whole-matrix GEMM (measured
 with OpenBLAS: at most 1 eps, and some shapes match bit for bit).  Builds
-are bit-identical to each other across worker counts and between heap
-and streaming buffers at equal tile height.
+are bit-identical to each other across worker counts.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.utils.mathops import (
-    _BLOCK_ROWS,
-    _MAX_BLOCK_BYTES,
-    blocked_topk_cosine,
-    streaming_topk_cosine,
-)
+from repro.utils.mathops import _BLOCK_ROWS, blocked_topk_cosine
 
 #: ``meta`` key identifying the payload layout of a stored Q.
 PAYLOAD_FORMAT_KEY = "q_format"
@@ -218,14 +214,13 @@ class SparseTopKSimilarity(SimilarityMatrix):
 
     ``data``/``indices``/``indptr`` follow the canonical CSR convention
     (column indices sorted ascending within each row).  Entries absent from
-    a row read as 0.0 — for a cosine Q over concept distributions the weak
-    entries are near zero anyway, which is what makes the truncation a
-    controlled approximation (and exact once ``k >= n - 1``).
+    a row read as 0.0, so below ``k = n - 1`` the form approximates Q.
 
-    The CSR components may be memmaps (a Q replayed from a raw-format
-    store artifact): every operation works unchanged, and because
-    :meth:`gather` touches only the O(t · k) entries of a batch, training
-    streams Q from disk page by page instead of holding it on the heap.
+    No generator builds this form; the exact :class:`FactoredSimilarity`
+    is smaller and builds faster.  It stays only because the
+    ``index-sparse`` benchmark workload calls :meth:`from_features` by
+    name, and so that CSR artifacts already in a store still load.  The
+    components may be disk-backed (a raw-format store artifact).
     """
 
     def __init__(
@@ -236,14 +231,9 @@ class SparseTopKSimilarity(SimilarityMatrix):
         n: int,
         k: int,
     ) -> None:
-        # np.asarray would silently strip the memmap subclass (the view
-        # would stay disk-backed, but residency reporting relies on the
-        # type); only coerce things that are not already ndarrays.
-        data = data if isinstance(data, np.ndarray) else np.asarray(data)
-        indices = (indices if isinstance(indices, np.ndarray)
-                   else np.asarray(indices))
-        indptr = (indptr if isinstance(indptr, np.ndarray)
-                  else np.asarray(indptr))
+        data = np.asarray(data)
+        indices = np.asarray(indices)
+        indptr = np.asarray(indptr)
         if data.ndim != 1 or indices.ndim != 1 or indptr.ndim != 1:
             raise ShapeError("CSR components must be 1-D arrays")
         if data.shape != indices.shape:
@@ -287,39 +277,6 @@ class SparseTopKSimilarity(SimilarityMatrix):
             features, k, block_rows=block_rows, dtype=dtype, workers=workers,
         )
         return cls(data, indices, indptr, n=features.shape[0], k=k)
-
-    @classmethod
-    def from_features_streaming(
-        cls,
-        features: np.ndarray,
-        k: int,
-        create_array,
-        block_rows: int = _BLOCK_ROWS,
-        dtype: np.dtype | str | None = None,
-        max_block_bytes: int = _MAX_BLOCK_BYTES,
-        workers: int | None = None,
-    ) -> "SparseTopKSimilarity":
-        """Out-of-core build: CSR buffers allocated via ``create_array``.
-
-        ``create_array(name, shape, dtype)`` supplies the (typically
-        disk-resident) destination arrays — see
-        :func:`repro.utils.mathops.streaming_topk_cosine`, which this
-        wraps.  Values are bit-identical to :meth:`from_features` at equal
-        effective block height, and at any worker count — pooled tiles
-        GEMM against the one scratch memmap, and the disjoint CSR row
-        ranges are written exactly once.
-        """
-        features = np.atleast_2d(features)
-        data, indices, indptr = streaming_topk_cosine(
-            features, k, create_array, block_rows=block_rows, dtype=dtype,
-            max_block_bytes=max_block_bytes, workers=workers,
-        )
-        return cls(data, indices, indptr, n=features.shape[0], k=k)
-
-    @property
-    def memmapped(self) -> bool:
-        """Whether the CSR value array is a disk-backed memmap view."""
-        return isinstance(self.data, np.memmap)
 
     @property
     def shape(self) -> tuple[int, int]:

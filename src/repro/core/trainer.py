@@ -115,7 +115,7 @@ class UHSCMTrainer:
         similarity:
             The (n, n) semantic similarity matrix Q — a dense array or any
             :class:`~repro.core.similarity_matrix.SimilarityMatrix` (the
-            factored and top-k CSR forms train without ever densifying
+            factored and CSR forms train without ever densifying
             beyond the t×t batch block; their arrays may be memmaps).
         epochs:
             Override for ``config.train.epochs``.

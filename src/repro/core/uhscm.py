@@ -92,9 +92,6 @@ class UHSCM:
                 templates=(self.config.prompt_template,),
                 tau_scale=self.config.tau_scale,
                 denoise=self.config.denoise,
-                sparse_topk=self.config.sparse_topk,
-                out_of_core=self.config.out_of_core,
-                workers=self.config.workers,
             )
         )
         self.network_mode = network_mode
@@ -195,7 +192,7 @@ class UHSCM:
         params = {
             "data": dict(data_key),
             "world": canonical(self.clip.world.config),
-            "config": canonical(self.config.fingerprint_payload()),
+            "config": canonical(self.config),
             "contrastive": self.contrastive,
             "network_mode": self.network_mode,
             "conv_profile": self.conv_profile,
@@ -203,7 +200,7 @@ class UHSCM:
         }
         if q_fingerprint is None:
             # Injected or unstaged Q: fold its content hash in directly
-            # (works for both the dense and the CSR form).
+            # (works for every Q form).
             params["q"] = similarity_fingerprint(q)
         stage = Stage(
             TRAIN,

@@ -62,9 +62,7 @@ def make_if(config: UHSCMConfig, clip: SimCLIP) -> UHSCM:
     return UHSCM(
         config,
         clip=clip,
-        similarity_generator=ImageFeatureSimilarityGenerator(
-            clip, sparse_topk=config.sparse_topk
-        ),
+        similarity_generator=ImageFeatureSimilarityGenerator(clip),
     )
 
 
@@ -86,15 +84,7 @@ make_p2 = _make_prompt_variant("p2")
 
 
 def make_avg(config: UHSCMConfig, clip: SimCLIP) -> UHSCM:
-    """Row 6 (UHSCM_avg): Q averaged across the three prompt templates.
-
-    Template averaging mixes exact per-template Q (their factors), so this
-    variant always builds the exact Q — ``config.sparse_topk`` is
-    deliberately cleared, keeping sparse Table 2 sweeps able to run every
-    row and its cached cells valid across the toggle (constructing a
-    multi-template generator with ``sparse_topk`` directly still raises).
-    """
-    config = replace(config, sparse_topk=None)
+    """Row 6 (UHSCM_avg): Q averaged across the three prompt templates."""
     generator = SemanticSimilarityGenerator(
         clip,
         NUS_WIDE_81,
@@ -120,7 +110,6 @@ def _make_cluster_variant(n_clusters: int) -> VariantFactory:
             template=config.prompt_template,
             tau_scale=config.tau_scale,
             seed=config.seed,
-            sparse_topk=config.sparse_topk,
         )
         return UHSCM(config, clip=clip, similarity_generator=generator)
 

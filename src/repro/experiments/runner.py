@@ -66,16 +66,6 @@ class ExperimentContext:
     #: Optional artifact store making fits resumable and Q shareable across
     #: bit widths; None keeps the purely in-process cache.
     store: ArtifactStore | None = None
-    #: Top-k sparse Q for UHSCM fits (None = dense paper-parity Q); see
-    #: :attr:`repro.config.UHSCMConfig.sparse_topk`.
-    sparse_topk: int | None = None
-    #: Out-of-core residency for sparse staged builds (bit-identical outputs,
-    #: never fingerprinted); see :attr:`repro.config.UHSCMConfig.out_of_core`.
-    out_of_core: bool = False
-    #: Worker count for the parallel kernels behind UHSCM fits (bit-identical
-    #: outputs, never fingerprinted); see
-    #: :attr:`repro.config.UHSCMConfig.workers`.
-    workers: int | None = None
     dataset: HashingDataset = field(init=False)
     clip: SimCLIP = field(init=False)
     _cache: dict[tuple[str, int], FitResult] = field(default_factory=dict)
@@ -92,22 +82,15 @@ class ExperimentContext:
         return dataset_key(self.dataset_name, self.scale, self.seed)
 
     def _fit_stage(self, label: str, n_bits: int) -> Stage:
-        params = {
-            "data": self.data_key(),
-            "method": label,
-            "n_bits": n_bits,
-            "epochs": self.epochs,
-        }
-        uses_q = (label.upper() == "UHSCM"
-                  or (label.startswith("variant:")
-                      and label != "variant:avg"))
-        if self.sparse_topk is not None and uses_q:
-            # Only when set and only for the UHSCM family — baselines never
-            # consume Q, and the avg variant always builds dense Q — so
-            # those cells (and every artifact cached before the sparse
-            # engine existed) stay valid either way.
-            params["sparse_topk"] = self.sparse_topk
-        return Stage(ENCODE, params=params)
+        return Stage(
+            ENCODE,
+            params={
+                "data": self.data_key(),
+                "method": label,
+                "n_bits": n_bits,
+                "epochs": self.epochs,
+            },
+        )
 
     # -- method construction ---------------------------------------------------
 
@@ -139,12 +122,6 @@ class ExperimentContext:
         if self.epochs is not None:
             config = replace(config, train=replace(config.train,
                                                    epochs=self.epochs))
-        if self.sparse_topk is not None:
-            config = replace(config, sparse_topk=self.sparse_topk)
-        if self.out_of_core:
-            config = replace(config, out_of_core=True)
-        if self.workers is not None:
-            config = replace(config, workers=self.workers)
         return config
 
     def build_variant(self, key: str, n_bits: int) -> UHSCM:
@@ -257,16 +234,12 @@ def make_contexts(
     seed: int = 0,
     epochs: int | None = None,
     store: ArtifactStore | None = None,
-    sparse_topk: int | None = None,
-    out_of_core: bool = False,
-    workers: int | None = None,
 ) -> dict[str, ExperimentContext]:
     """Build one context per dataset."""
     if not datasets:
         raise ConfigurationError("no datasets requested")
     return {
         name: ExperimentContext(name, scale=scale, seed=seed, epochs=epochs,
-                                store=store, sparse_topk=sparse_topk,
-                                out_of_core=out_of_core, workers=workers)
+                                store=store)
         for name in datasets
     }

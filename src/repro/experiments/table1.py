@@ -70,27 +70,17 @@ def run_table1(
     seed: int = 0,
     epochs: int | None = None,
     store=None,
-    sparse_topk: int | None = None,
-    out_of_core: bool = False,
-    workers: int | None = None,
 ) -> MapTable:
     """Regenerate Table 1 at the requested reproduction scale.
 
     With an :class:`~repro.pipeline.ArtifactStore`, finished
     (method, n_bits) cells replay from their encode artifacts, so an
     interrupted run resumes where it died and UHSCM mines each dataset's
-    Q once for all bit widths.  ``sparse_topk`` routes UHSCM's Q through
-    the blocked top-k CSR engine (an approximation at table scale; the
-    default dense path reproduces the paper exactly), ``out_of_core``
-    additionally streams those CSR builds through disk-resident buffers —
-    same cells, same fingerprints, flat memory — and ``workers`` runs the
-    UHSCM fits' parallel kernels on that many threads (every cell
-    bit-identical to the serial run).
+    Q once for all bit widths.
     """
     table = MapTable(title="Table 1: MAP of Hamming ranking")
     contexts = make_contexts(datasets, scale=scale, seed=seed, epochs=epochs,
-                             store=store, sparse_topk=sparse_topk,
-                             out_of_core=out_of_core, workers=workers)
+                             store=store)
     for dataset, ctx in contexts.items():
         for bits in bit_lengths:
             for method in methods:

@@ -40,25 +40,16 @@ def run_table2(
     seed: int = 0,
     epochs: int | None = None,
     store=None,
-    sparse_topk: int | None = None,
-    out_of_core: bool = False,
-    workers: int | None = None,
 ) -> MapTable:
     """Regenerate Table 2 (variant ablations) at the requested scale.
 
     With an artifact store, variants sharing similarity settings (e.g.
     ``ours`` / ``wo_mcl`` / ``cl``, which differ only on the training side)
     reuse one mined Q per dataset, and finished cells replay on resume.
-    ``sparse_topk`` routes the UHSCM-family variants through the top-k CSR
-    Q engine (the ``avg`` variant needs the exact Q and ignores it);
-    ``out_of_core`` streams those builds through disk-resident buffers
-    without changing any cell; ``workers`` runs the fits' parallel kernels
-    on that many threads, also without changing any cell.
     """
     table = MapTable(title="Table 2: MAPs of UHSCM and its variants")
     contexts = make_contexts(datasets, scale=scale, seed=seed, epochs=epochs,
-                             store=store, sparse_topk=sparse_topk,
-                             out_of_core=out_of_core, workers=workers)
+                             store=store)
     for dataset, ctx in contexts.items():
         for bits in bit_lengths:
             for key in variants:

@@ -24,12 +24,10 @@ from repro.pipeline.stages import (
     Stage,
     dataset_key,
     run_stage,
-    run_stage_streaming,
 )
 from repro.pipeline.store import (
     Artifact,
     ArtifactStore,
-    StreamingArtifactWriter,
     content_digest,
     read_archive,
     read_raw_archive,
@@ -46,7 +44,6 @@ __all__ = [
     "ENCODE",
     "MINE",
     "Stage",
-    "StreamingArtifactWriter",
     "TRAIN",
     "array_fingerprint",
     "canonical",
@@ -56,7 +53,6 @@ __all__ = [
     "read_archive",
     "read_raw_archive",
     "run_stage",
-    "run_stage_streaming",
     "write_archive",
     "write_raw_archive",
 ]

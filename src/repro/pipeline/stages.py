@@ -24,13 +24,10 @@ build_q chain; ``train`` and ``encode`` fingerprints additionally fold in
 the model configuration, which is what makes interrupted table runs
 resumable per (method, n_bits) cell.
 
-Execution policy never enters ``Stage.params``: the ``workers`` count and
-the ``out_of_core`` residency flag both produce bit-identical artifacts,
-so a stage built serially, by a thread pool, or into on-disk buffers
-replays from — and is replayed by — the same address.  Callers enforce
-this by construction (those knobs are plumbed beside the stage, not into
-it); see :meth:`repro.config.UHSCMConfig.fingerprint_payload` for the
-same rule applied to whole-config fingerprints.
+Execution policy never enters ``Stage.params``: the store's residency
+policy (``.npz`` or memmapped raw format) produces bit-identical
+artifacts, so a stage replays from — and is replayed by — the same
+address whichever format holds it.
 """
 
 from __future__ import annotations
@@ -42,11 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.pipeline.fingerprint import CODE_FORMAT_VERSION, fingerprint
-from repro.pipeline.store import (
-    Artifact,
-    ArtifactStore,
-    StreamingArtifactWriter,
-)
+from repro.pipeline.store import Artifact, ArtifactStore
 
 #: Canonical Algorithm-1 stage names.
 MINE = "mine"
@@ -101,37 +94,6 @@ def run_stage(
     if store is not None:
         return store.put(key, meta, arrays, stage=stage.name)
     return Artifact(key=key, meta=dict(meta), arrays=dict(arrays))
-
-
-#: A streaming stage builder fills arrays through the writer's ``create``
-#: and returns only the artifact meta; the arrays never live on the heap.
-StreamingStageBuilder = Callable[["StreamingArtifactWriter"], dict]
-
-
-def run_stage_streaming(
-    store: ArtifactStore, stage: Stage, build: StreamingStageBuilder
-) -> Artifact:
-    """Replay ``stage`` from the store, or build it straight onto disk.
-
-    The out-of-core sibling of :func:`run_stage` for artifacts too large to
-    assemble on the heap: on a miss, ``build`` receives a
-    :class:`~repro.pipeline.store.StreamingArtifactWriter`, allocates its
-    output arrays with ``writer.create(name, shape, dtype)`` (each a
-    writable memmap it fills block by block), and returns the artifact
-    meta.  The committed artifact — like a replayed one — exposes its
-    arrays as read-only memmap views.  Requires a disk-backed store.
-    """
-    key = stage.fingerprint
-    cached = store.get(key, stage=stage.name)
-    if cached is not None:
-        return cached
-    writer = store.streaming_writer(key, stage=stage.name)
-    try:
-        meta = build(writer)
-    except BaseException:
-        writer.abort()
-        raise
-    return writer.commit(meta)
 
 
 def dataset_key(

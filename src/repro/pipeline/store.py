@@ -18,10 +18,8 @@ Large artifacts additionally have a **raw** on-disk format — a
 as read-only ``np.memmap`` views instead of heap copies, so K processes
 reading the same artifact share one physical copy of the pages.  ``put``
 routes an artifact to the raw format once its arrays reach
-``mmap_threshold_bytes``; :class:`StreamingArtifactWriter` builds a raw
-artifact array-by-array directly on disk so it never exists on the heap at
-all.  Raw directories are written atomically too (tmp dir + rename) and
-participate in the same LRU eviction.
+``mmap_threshold_bytes``.  Raw directories are written atomically too
+(tmp dir + rename) and participate in the same LRU eviction.
 
 Hit/miss/put/eviction counters are kept per stage and — with a disk layer —
 persisted to ``<cache_dir>/stats.json`` after every event, so ``repro.cli
@@ -30,7 +28,7 @@ remembers which stage owns each key, which is what lets ``cache stats``
 attribute on-disk bytes and evictions per stage.
 
 **Integrity & fault tolerance** (PR 7): every artifact records a sha256
-content digest at ``put``/``commit`` time (inside the ``.npz`` metadata
+content digest at ``put`` time (inside the ``.npz`` metadata
 row, or per-member in the raw manifest) and is verified on its first disk
 read per store instance; a mismatch — or any other unreadable entry —
 raises internally as :class:`~repro.errors.ArtifactCorruptionError` and
@@ -679,16 +677,6 @@ class ArtifactStore:
         self._record("puts", stage)
         return artifact
 
-    def streaming_writer(
-        self, key: str, stage: str | None = None
-    ) -> "StreamingArtifactWriter":
-        """Open a :class:`StreamingArtifactWriter` building ``key`` on disk."""
-        if self.cache_dir is None:
-            raise ConfigurationError(
-                "streaming writes need a cache_dir-backed store"
-            )
-        return StreamingArtifactWriter(self, key, stage=stage)
-
     def contains(self, key: str) -> bool:
         """Presence check that does not touch the stats or the LRU clock."""
         if key in self._memory:
@@ -798,89 +786,3 @@ class ArtifactStore:
             if stage is not None:
                 self._stage_counters(stage)["evictions"] += 1
         self._save_stats()
-
-
-class StreamingArtifactWriter:
-    """Build one raw-format artifact array-by-array directly on disk.
-
-    Obtained from :meth:`ArtifactStore.streaming_writer`.  :meth:`create`
-    hands back a writable memmap a builder fills block by block (the full
-    array never exists on the heap); :meth:`commit` writes the manifest and
-    atomically renames the assembly directory into the store's raw layout,
-    returning the committed artifact with fresh read-only memmap views.
-    :meth:`abort` discards the assembly; an uncommitted directory left by a
-    crash is swept as a ``.tmp`` orphan on the next store construction.
-    """
-
-    def __init__(
-        self, store: ArtifactStore, key: str, stage: str | None = None
-    ) -> None:
-        self._store = store
-        self.key = key
-        self._stage = stage
-        self._tmp = Path(tempfile.mkdtemp(
-            dir=store._objects_dir, prefix=f"{key}.raw.", suffix=".tmp"
-        ))
-        self._files: dict[str, str] = {}
-        self._maps: dict[str, np.memmap] = {}
-        self._done = False
-
-    def create(
-        self,
-        name: str,
-        shape: tuple[int, ...],
-        dtype: np.dtype | str,
-    ) -> np.memmap:
-        """Allocate array ``name`` on disk; returns a writable memmap."""
-        if self._done:
-            raise ConfigurationError("writer already committed or aborted")
-        if name in self._files:
-            raise ConfigurationError(f"array {name!r} already created")
-        filename = f"a{len(self._files)}.npy"
-        mapped = np.lib.format.open_memmap(
-            self._tmp / filename, mode="w+", dtype=np.dtype(dtype),
-            shape=tuple(int(s) for s in shape),
-        )
-        self._files[name] = filename
-        self._maps[name] = mapped
-        return mapped
-
-    def commit(self, meta: dict) -> Artifact:
-        """Publish the assembled arrays under the store's raw layout.
-
-        Each member's sha256 digest is recorded in the manifest — a
-        streaming read back through the just-written memmaps, never a heap
-        copy — so a later read can detect bit rot in artifacts that were
-        never on the heap to begin with.
-        """
-        if self._done:
-            raise ConfigurationError("writer already committed or aborted")
-        self._store.faults.check("store.write", key=self.key)
-        digests = {}
-        for name, mapped in self._maps.items():
-            mapped.flush()
-            digests[name] = _member_digest(mapped)
-        self._maps.clear()  # drop writable handles before re-opening r/o
-        (self._tmp / _RAW_MANIFEST).write_text(
-            json.dumps({"meta": dict(meta), "arrays": self._files,
-                        "digests": digests})
-        )
-        final = self._store._raw_path(self.key)
-        if final.exists():
-            shutil.rmtree(final)
-        os.rename(self._tmp, final)
-        self._done = True
-        self._store._object_path(self.key).unlink(missing_ok=True)
-        meta_back, arrays = read_raw_archive(final, verify=False)
-        self._store._verified.add(self.key)
-        self._store._note_owner(self.key, self._stage)
-        self._store._evict()
-        self._store._record("puts", self._stage)
-        return Artifact(key=self.key, meta=meta_back, arrays=arrays)
-
-    def abort(self) -> None:
-        """Discard the assembly directory (safe to call repeatedly)."""
-        if not self._done:
-            self._maps.clear()
-            shutil.rmtree(self._tmp, ignore_errors=True)
-            self._done = True

@@ -76,16 +76,11 @@ def publish_model(store: ArtifactStore, model) -> str:
     from repro.core.persistence import model_payload
 
     meta, arrays = model_payload(model)
-    # The stored meta carries the full config for faithful restores; the
-    # *key* hashes the fingerprint form (sparse_topk omitted when None) so
-    # models published before the sparse engine keep their addresses — and
-    # with them their warm serve_index snapshots.
-    key_meta = dict(meta, config=model.config.fingerprint_payload())
     key = fingerprint(
         {
             "kind": "uhscm-model",
             "format": CODE_FORMAT_VERSION,
-            "meta": canonical(key_meta),
+            "meta": canonical(meta),
             "params": {
                 name: array_fingerprint(array)
                 for name, array in sorted(arrays.items())

@@ -7,17 +7,17 @@ sign function used to binarize hash codes, and safe L2 normalization.
 The cosine helpers accept a ``dtype`` so callers under a numeric policy
 (the nn stack's float32 mode, the blocked sparse-Q kernel) never pay an
 upcast copy; the default stays float64, bit-stable with the seed
-implementation.  :func:`blocked_topk_cosine` is the scaling escape hatch:
-it tiles the ``a_n @ a_n.T`` product over row blocks and keeps only the k
-strongest entries per row (plus the diagonal) in CSR form, so the full
-(n, n) similarity matrix is never materialized.
+implementation.  :func:`blocked_topk_cosine` tiles the ``a_n @ a_n.T``
+product over row blocks and keeps only the k strongest entries per row
+(plus the diagonal) in CSR form, so the full (n, n) similarity matrix is
+never materialized.  It backs
+:meth:`~repro.core.similarity_matrix.SparseTopKSimilarity.from_features`,
+which only the ``index-sparse`` benchmark workload still calls.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 import threading
 
 import numpy as np
@@ -108,10 +108,7 @@ def cosine_similarity_matrix(
     return np.clip(sims, -1.0, 1.0)
 
 
-#: Default tile height and tile byte cap of the blocked top-k kernel.  Every
-#: entry point (both builders, the ``from_features*`` wrappers, the CLI)
-#: defaults to these, so heap and streaming builds resolve the same
-#: effective block height at any corpus size.
+#: Default tile height and tile byte cap of the blocked top-k kernel.
 _BLOCK_ROWS = 512
 _MAX_BLOCK_BYTES = 32 * 1024 * 1024
 
@@ -160,18 +157,13 @@ def blocked_topk_cosine(
     ``min(k, n - 1) + 1`` entries — the diagonal plus a true top-k of the
     row's other entries (exact ties may keep different, equally strong
     columns).  Values are the tile's dot products clipped to [-1, 1].
-    They are bit-identical across worker counts and between the heap and
-    streaming builders at equal effective tile height.  BLAS summation
-    order is only stable for a fixed tile shape, so a different
-    tile height, or the one whole-matrix GEMM of
-    :func:`cosine_similarity_matrix`, can move an entry by up to 2
-    machine epsilons (1 eps measured with OpenBLAS): with ``k >= n - 1``
-    the densified result matches the dense matrix to that tolerance, not
-    always bit for bit.  ``max_block_bytes`` caps the tile by shrinking
-    ``block_rows`` for large n, with the same formula
-    :func:`streaming_topk_cosine` uses — equal arguments therefore always
-    resolve the same effective block height in both builders, which is
-    what the bit-identity guarantee between them rests on.
+    They are bit-identical across worker counts.  BLAS summation order is
+    only stable for a fixed tile shape, so a different tile height, or
+    the one whole-matrix GEMM of :func:`cosine_similarity_matrix`, can
+    move an entry by up to 2 machine epsilons (1 eps measured with
+    OpenBLAS): with ``k >= n - 1`` the densified result matches the dense
+    matrix to that tolerance, not always bit for bit.  ``max_block_bytes``
+    caps the tile by shrinking ``block_rows`` for large n.
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive: {k}")
@@ -306,15 +298,11 @@ def _fill_topk_blocks(
     indices: np.ndarray,
     workers: "int | WorkerPool | None" = 1,
 ) -> None:
-    """The tiled-GEMM top-k loop shared by the heap and streaming builders.
+    """The tiled-GEMM top-k loop of :func:`blocked_topk_cosine`.
 
-    ``a_n`` is the L2-normalized feature matrix (heap array or memmap);
-    ``data``/``indices`` are preallocated (n, keep) destinations — heap
-    arrays for :func:`blocked_topk_cosine`, writable on-disk memmap views
-    for :func:`streaming_topk_cosine` (workers of a parallel out-of-core
-    build all write their own row ranges of the same scratch-backed
-    memmaps).  Each output row depends only on that row's dot products, so
-    results are identical wherever the buffers live and whichever worker
+    ``a_n`` is the L2-normalized feature matrix; ``data``/``indices`` are
+    preallocated (n, keep) destinations.  Each output row depends only on
+    that row's dot products, so results are identical whichever worker
     computes them.
 
     With ``workers > 1`` the tiles dispatch to a
@@ -352,106 +340,6 @@ def _fill_topk_blocks(
     finally:
         if owned:
             pool.close()
-
-
-#: Row-block height used when streaming features through normalization.
-_STREAM_NORM_ROWS = 8192
-
-
-def streaming_topk_cosine(
-    features: np.ndarray,
-    k: int,
-    create_array,
-    block_rows: int = _BLOCK_ROWS,
-    dtype: np.dtype | str | None = None,
-    max_block_bytes: int = _MAX_BLOCK_BYTES,
-    workers: "int | WorkerPool | None" = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`blocked_topk_cosine` with every O(n)-sized buffer on disk.
-
-    The out-of-core builder: ``features`` may be a memmap; the normalized
-    copy streams into an anonymous scratch memmap (unlinked immediately,
-    so its pages die with the map), and the CSR ``data``/``indices``/
-    ``indptr`` outputs are allocated through ``create_array(name, shape,
-    dtype)`` — typically
-    :meth:`~repro.pipeline.store.StreamingArtifactWriter.create`, which
-    puts them straight into an artifact directory.  Peak heap is the
-    O(block_rows · n) GEMM tile plus one block of rows, independent of
-    the corpus size; ``max_block_bytes`` additionally caps the tile by
-    shrinking ``block_rows`` for large n.
-
-    The array names are ``q_data`` / ``q_indices`` / ``q_indptr`` — the
-    CSR payload layout of
-    :class:`~repro.core.similarity_matrix.SparseTopKSimilarity` — and the
-    filled values are bit-identical to :func:`blocked_topk_cosine` at
-    equal ``block_rows``/``dtype``/``max_block_bytes`` arguments: both
-    builders resolve the same effective tile height through
-    :func:`_capped_block_rows`, per-row L2 normalization equals the
-    whole-array normalization, and the per-row selection is independent
-    of where its buffers live.  Against the dense matrix, or a build at
-    another tile height, values agree to within 2 machine epsilons, as
-    documented on :func:`blocked_topk_cosine`.
-    Returns the three (filled) created arrays.
-
-    ``workers`` parallelizes the tile loop exactly as in
-    :func:`blocked_topk_cosine`: every worker thread reads the one shared
-    normalized scratch memmap and writes its own row range of the
-    on-disk CSR buffers, so the out-of-core build scales across cores
-    with the same bit-identity guarantee as the heap build.
-    """
-    if k <= 0:
-        raise ConfigurationError(f"k must be positive: {k}")
-    if block_rows <= 0:
-        raise ConfigurationError(f"block_rows must be positive: {block_rows}")
-    if max_block_bytes <= 0:
-        raise ConfigurationError(
-            f"max_block_bytes must be positive: {max_block_bytes}"
-        )
-    features = np.atleast_2d(features)
-    if features.ndim != 2:
-        raise ShapeError(f"expected a 2-D feature array, got {features.shape}")
-    work_dtype = np.dtype(np.float64 if dtype is None else dtype)
-    n, dim = features.shape
-    if n == 0:
-        empty_indptr = create_array("q_indptr", (1,), np.int32)
-        empty_indptr[:] = 0
-        return (
-            create_array("q_data", (0,), work_dtype),
-            create_array("q_indices", (0,), np.int32),
-            empty_indptr,
-        )
-    keep = min(k, n - 1) + 1
-    index_dtype, indptr_dtype = _topk_index_dtypes(n, keep)
-
-    # Normalized features live in an anonymous scratch memmap: unlinking a
-    # mapped file keeps the mapping valid (POSIX), so the scratch needs no
-    # cleanup path and its disk space is reclaimed when the map dies.
-    fd, scratch_name = tempfile.mkstemp(prefix="repro-topk-", suffix=".npy")
-    os.close(fd)
-    a_n = np.lib.format.open_memmap(
-        scratch_name, mode="w+", dtype=work_dtype, shape=(n, dim)
-    )
-    try:
-        os.unlink(scratch_name)
-    except OSError:
-        pass  # non-POSIX; worst case the scratch file lingers
-    for start in range(0, n, _STREAM_NORM_ROWS):
-        stop = min(start + _STREAM_NORM_ROWS, n)
-        # Row-wise, so per-block normalization == whole-array normalization.
-        a_n[start:stop] = l2_normalize(features[start:stop], dtype=work_dtype)
-
-    block_rows = _capped_block_rows(
-        n, work_dtype.itemsize, block_rows, max_block_bytes
-    )
-    data = create_array("q_data", (n * keep,), work_dtype)
-    indices = create_array("q_indices", (n * keep,), index_dtype)
-    indptr = create_array("q_indptr", (n + 1,), indptr_dtype)
-    _fill_topk_blocks(
-        a_n, keep, block_rows, data.reshape(n, keep),
-        indices.reshape(n, keep), workers=workers,
-    )
-    indptr[:] = np.arange(n + 1, dtype=indptr_dtype) * indptr_dtype(keep)
-    return data, indices, indptr
 
 
 def sign(x: np.ndarray) -> np.ndarray:

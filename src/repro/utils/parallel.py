@@ -1,14 +1,16 @@
 """Shared worker-pool layer for the parallel kernels.
 
-Two hot paths decompose into independent units of work whose outputs
-land in disjoint slots: the blocked/streaming top-k cosine Q build (a
-row-block GEMM tile writes its own CSR row range) and the sharded search
-fan-out (a shard probe owns its merge position).  :class:`WorkerPool` is
-the one dispatch surface both share, with **deterministic index-ordered
-result collection** — :meth:`WorkerPool.map` returns results in
-submission order no matter which worker finished first, so every
-reduction downstream of the pool runs in the same order as the serial
-loop and the parallel outputs stay bit-identical to it.
+Two paths decompose into independent units of work whose outputs land
+in disjoint slots: the sharded search fan-out (a shard probe owns its
+merge position) and the blocked top-k cosine kernel behind
+``SparseTopKSimilarity.from_features`` (a row-block GEMM tile writes its
+own CSR row range), which only the ``index-sparse`` benchmark workload
+still runs.  :class:`WorkerPool` is the one dispatch surface both share,
+with **deterministic index-ordered result collection** —
+:meth:`WorkerPool.map` returns results in submission order no matter
+which worker finished first, so every reduction downstream of the pool
+runs in the same order as the serial loop and the parallel outputs stay
+bit-identical to it.
 
 Workers are threads.  NumPy's BLAS and most large-array ufuncs release
 the GIL, so threads scale the GEMM/popcount-bound work without any copy
@@ -23,8 +25,8 @@ bit-identity oracle the parallel-scale bench gates against.
 The effective worker count resolves ``workers`` argument →
 ``$REPRO_WORKERS`` → 1, via :func:`resolve_workers`, and is clamped to
 ``os.cpu_count()`` (with a logged warning) so a typo'd fleet knob cannot
-oversubscribe a box.  One knob (the ``workers`` config field, the
-``--workers`` CLI flag) therefore controls every parallel site at once.
+oversubscribe a box.  The CLI reaches one pooled site, the fan-out,
+through ``--workers`` on ``serve`` and ``serve-http``.
 """
 
 from __future__ import annotations

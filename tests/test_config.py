@@ -66,6 +66,15 @@ class TestUHSCMConfig:
     def test_paper_bit_lengths(self):
         assert PAPER_BIT_LENGTHS == (32, 64, 96, 128)
 
+    def test_default_config_cache_address_is_pinned(self):
+        # Train-stage and published-model keys hash the config, so a
+        # change here silently orphans every cached artifact.
+        from repro.pipeline import fingerprint
+
+        assert fingerprint(UHSCMConfig()) == (
+            "82268c396f9d938f92ea13aee436b6b7a2dc9664f6cbbe7c70f9d8ae3c89f259"
+        )
+
 
 class TestPaperConfig:
     @pytest.mark.parametrize("name", ["cifar10", "CIFAR", "nus-wide", "MIRFlickr-25K"])

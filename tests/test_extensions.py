@@ -105,16 +105,23 @@ class TestPersistence:
         assert loaded.concepts_mined is True
         assert loaded.mined_concepts == fitted_model.mined_concepts
 
+    @pytest.mark.parametrize("key, value", [
+        ("pool_backend", "process"),
+        ("sparse_topk", 8),
+        ("out_of_core", True),
+        ("workers", 4),
+    ])
     def test_archive_with_legacy_config_key_loads(
-        self, fitted_model, clip, cifar_tiny, tmp_path
+        self, fitted_model, clip, cifar_tiny, tmp_path, key, value
     ):
-        # Archives written while the config still named a pool backend
-        # carry that key; it changed no output, so loading drops it.
+        # Archives written while the config still carried one of these
+        # fields hold its key; rebuilding the network needs none of them,
+        # so loading drops it.
         from repro.core.persistence import model_payload
         from repro.pipeline import write_archive
 
         meta, arrays = model_payload(fitted_model)
-        meta["config"]["pool_backend"] = "process"
+        meta["config"][key] = value
         path = tmp_path / "legacy.npz"
         write_archive(path, meta, arrays)
         loaded = load_uhscm(path, clip)

@@ -1,9 +1,8 @@
-"""Tests for the out-of-core corpus lifecycle (PR 6).
+"""Tests for the out-of-core corpus lifecycle.
 
 Covers the raw memmapped artifact format and its threshold routing in the
-store, the streaming artifact writer + ``run_stage_streaming``, the
-streaming CSR Q kernel's bit-identity with the heap builder, memmap
-consumption in the trainer / ``UHSCM.encode`` / the serving layer, the
+store, memmap consumption in the trainer / ``UHSCM.encode`` / the serving
+layer, a staged fit whose factored Q replays as memmapped factors, the
 eviction (mtime, key) tie-break, per-stage disk stats, and the CLI flags
 that thread the policy through.
 """
@@ -12,30 +11,21 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.config import TrainConfig, UHSCMConfig
 from repro.core.hashing_network import HashingNetwork
-from repro.core.similarity_matrix import SparseTopKSimilarity
+from repro.core.similarity_matrix import (
+    FactoredSimilarity,
+    SparseTopKSimilarity,
+)
 from repro.core.trainer import UHSCMTrainer
 from repro.core.uhscm import UHSCM
 from repro.errors import ConfigurationError, NotFittedError
-from repro.pipeline import (
-    ArtifactStore,
-    Stage,
-    read_raw_archive,
-    run_stage_streaming,
-    write_raw_archive,
-)
+from repro.pipeline import ArtifactStore, read_raw_archive, write_raw_archive
 from repro.serving import HashingService
-from repro.utils.mathops import (
-    blocked_topk_cosine,
-    cosine_similarity_matrix,
-    streaming_topk_cosine,
-)
 
 
 def save_memmap(path, array) -> np.memmap:
@@ -164,93 +154,6 @@ class TestStoreRawRouting:
         assert store.stats()["disk_entries"] == 0
 
 
-# -- streaming writer + staged streaming --------------------------------------
-
-
-class TestStreamingWriter:
-    def test_create_commit_roundtrip(self, tmp_path):
-        store = ArtifactStore(tmp_path / "c")
-        writer = store.streaming_writer("a" * 64, stage="build_q")
-        dest = writer.create("x", (6,), np.float64)
-        dest[:] = np.arange(6.0)
-        art = writer.commit({"rows": 6})
-        assert isinstance(art.arrays["x"], np.memmap)
-        np.testing.assert_array_equal(art.arrays["x"], np.arange(6.0))
-        assert art.meta == {"rows": 6}
-        replay = ArtifactStore(tmp_path / "c").get("a" * 64)
-        assert replay is not None
-        np.testing.assert_array_equal(replay.arrays["x"], np.arange(6.0))
-        assert store.stats()["stages"]["build_q"]["puts"] == 1
-
-    def test_abort_discards_assembly(self, tmp_path):
-        store = ArtifactStore(tmp_path / "c")
-        writer = store.streaming_writer("a" * 64)
-        writer.create("x", (3,), np.float64)
-        writer.abort()
-        writer.abort()  # idempotent
-        assert not store.contains("a" * 64)
-        assert not list((tmp_path / "c/objects").glob("*.tmp"))
-
-    def test_create_guards(self, tmp_path):
-        store = ArtifactStore(tmp_path / "c")
-        writer = store.streaming_writer("a" * 64)
-        writer.create("x", (2,), np.float64)
-        with pytest.raises(ConfigurationError):
-            writer.create("x", (2,), np.float64)
-        writer.commit({})
-        with pytest.raises(ConfigurationError):
-            writer.create("y", (2,), np.float64)
-        with pytest.raises(ConfigurationError):
-            writer.commit({})
-
-    def test_requires_cache_dir(self):
-        with pytest.raises(ConfigurationError):
-            ArtifactStore().streaming_writer("a" * 64)
-
-    def test_crash_orphan_swept_on_next_construction(self, tmp_path):
-        store = ArtifactStore(tmp_path / "c")
-        writer = store.streaming_writer("a" * 64)
-        writer.create("x", (3,), np.float64)
-        # Simulate a crash: the writer never commits or aborts.
-        assert list((tmp_path / "c/objects").glob("*.tmp"))
-        del writer
-        ArtifactStore(tmp_path / "c")
-        assert not list((tmp_path / "c/objects").glob("*.tmp"))
-
-
-class TestRunStageStreaming:
-    def test_miss_builds_then_replays(self, tmp_path):
-        store = ArtifactStore(tmp_path / "c")
-        stage = Stage("build_q", params={"p": 1})
-        calls = []
-
-        def build(writer):
-            calls.append(1)
-            writer.create("x", (4,), np.int64)[:] = np.arange(4)
-            return {"rows": 4}
-
-        first = run_stage_streaming(store, stage, build)
-        second = run_stage_streaming(store, stage, build)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(first.arrays["x"], np.arange(4))
-        np.testing.assert_array_equal(second.arrays["x"], np.arange(4))
-        per = store.stats()["stages"]["build_q"]
-        assert per["hits"] == 1 and per["misses"] == 1 and per["puts"] == 1
-
-    def test_build_error_aborts_cleanly(self, tmp_path):
-        store = ArtifactStore(tmp_path / "c")
-        stage = Stage("build_q", params={"p": 2})
-
-        def build(writer):
-            writer.create("x", (4,), np.float64)
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            run_stage_streaming(store, stage, build)
-        assert not store.contains(stage.fingerprint)
-        assert not list((tmp_path / "c/objects").glob("*.tmp"))
-
-
 # -- eviction + per-stage disk stats ------------------------------------------
 
 
@@ -308,100 +211,6 @@ class TestEvictionAndStats:
         reloaded = ArtifactStore(tmp_path / "c").stats()
         assert reloaded["stages"]["mine"]["evictions"] == 0
         assert reloaded["stages"]["mine"]["disk_entries"] == 0  # unowned
-
-
-# -- the streaming kernel -----------------------------------------------------
-
-
-def heap_create(name, shape, dtype):
-    return np.empty(shape, dtype=dtype)
-
-
-class TestStreamingKernel:
-    def test_bit_identical_to_blocked(self, rng):
-        features = rng.normal(size=(60, 9))
-        ref = blocked_topk_cosine(features, 7)
-        out = streaming_topk_cosine(features, 7, heap_create)
-        for got, want in zip(out, ref):
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == want.dtype
-
-    def test_exact_at_full_k(self, rng):
-        features = rng.normal(size=(25, 6))
-        data, indices, indptr = streaming_topk_cosine(
-            features, 24, heap_create
-        )
-        q = SparseTopKSimilarity(data, indices, indptr, n=25, k=24)
-        np.testing.assert_array_equal(
-            q.to_dense(), cosine_similarity_matrix(features)
-        )
-
-    def test_memmap_features_and_destinations(self, tmp_path, rng):
-        features = rng.normal(size=(40, 8))
-        mapped = save_memmap(tmp_path / "f.npy", features)
-        store = ArtifactStore(tmp_path / "c")
-        writer = store.streaming_writer("a" * 64)
-        q = SparseTopKSimilarity.from_features_streaming(
-            mapped, 5, writer.create
-        )
-        art = writer.commit({"n": 40})
-        assert q.memmapped
-        ref = SparseTopKSimilarity.from_features(features, 5)
-        np.testing.assert_array_equal(q.to_dense(), ref.to_dense())
-        np.testing.assert_array_equal(art.arrays["q_data"], ref.data)
-
-    def test_block_cap_shared_with_heap_builder(self, rng):
-        # Both builders resolve the cap identically (floor of 16 rows
-        # here), so tiny-tile runs stay bit-identical to each other.
-        features = rng.normal(size=(50, 5))
-        ref = blocked_topk_cosine(features, 4, max_block_bytes=1)
-        out = streaming_topk_cosine(features, 4, heap_create,
-                                    max_block_bytes=1)
-        for got, want in zip(out, ref):
-            np.testing.assert_array_equal(got, want)
-        # And the capped run still selects the same entries as the
-        # default-tile run, to floating-point tolerance.
-        for got, want in zip(out, blocked_topk_cosine(features, 4)):
-            np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_default_cap_shared_by_from_features_wrappers(self, rng):
-        # At n > 8192 float64 rows the default byte cap shrinks the
-        # default tile height; both wrappers must resolve the same height
-        # or BLAS may sum some entries in a different order.
-        from repro.utils.mathops import (
-            _BLOCK_ROWS,
-            _MAX_BLOCK_BYTES,
-            _capped_block_rows,
-        )
-
-        n = 9000
-        rows = _capped_block_rows(n, 8, _BLOCK_ROWS, _MAX_BLOCK_BYTES)
-        assert rows < _BLOCK_ROWS
-        features = rng.normal(size=(n, 8))
-        heap = SparseTopKSimilarity.from_features(features, 4)
-        streamed = SparseTopKSimilarity.from_features_streaming(
-            features, 4, heap_create
-        )
-        for name in ("data", "indices", "indptr"):
-            assert (getattr(heap, name).tobytes()
-                    == getattr(streamed, name).tobytes()), name
-
-    def test_empty_features(self):
-        data, indices, indptr = streaming_topk_cosine(
-            np.zeros((0, 4)), 3, heap_create
-        )
-        assert data.size == 0 and indices.size == 0
-        np.testing.assert_array_equal(indptr, [0])
-
-    def test_validation(self, rng):
-        features = rng.normal(size=(4, 2))
-        with pytest.raises(ConfigurationError):
-            streaming_topk_cosine(features, 0, heap_create)
-        with pytest.raises(ConfigurationError):
-            streaming_topk_cosine(features, 2, heap_create, block_rows=0)
-        with pytest.raises(ConfigurationError):
-            streaming_topk_cosine(features, 2, heap_create,
-                                  max_block_bytes=0)
 
 
 # -- memmap consumers: trainer, encode, serving -------------------------------
@@ -532,8 +341,7 @@ class TestStagedOutOfCoreFit:
     def test_fit_bit_identical_with_raw_q(self, clip, small_images,
                                           tmp_path):
         config = UHSCMConfig(
-            n_bits=8, sparse_topk=8,
-            train=TrainConfig(batch_size=16, epochs=1),
+            n_bits=8, train=TrainConfig(batch_size=16, epochs=1),
         )
         data_key = {"name": "unit", "n": int(small_images.shape[0])}
 
@@ -543,11 +351,12 @@ class TestStagedOutOfCoreFit:
                          data_key=data_key)
 
         ooc_store = ArtifactStore(tmp_path / "ooc", mmap_threshold_bytes=0)
-        ooc_model = UHSCM(replace(config, out_of_core=True), clip=clip)
+        ooc_model = UHSCM(config, clip=clip)
         ooc_model.fit(small_images, store=ooc_store, data_key=data_key)
 
         q = ooc_model.similarity_.matrix
-        assert isinstance(q, SparseTopKSimilarity) and q.memmapped
+        assert isinstance(q, FactoredSimilarity)
+        assert all(isinstance(f, np.memmap) for f in q.factors)
         assert any(path.suffix == ".raw"
                    for path in (tmp_path / "ooc/objects").iterdir())
         # Same fingerprints: residency policy never enters stage addresses.
@@ -561,15 +370,14 @@ class TestStagedOutOfCoreFit:
     def test_out_of_core_replays_in_memory_artifacts(self, clip,
                                                      small_images, tmp_path):
         config = UHSCMConfig(
-            n_bits=8, sparse_topk=8,
-            train=TrainConfig(batch_size=16, epochs=1),
+            n_bits=8, train=TrainConfig(batch_size=16, epochs=1),
         )
         data_key = {"name": "unit"}
         store = ArtifactStore(tmp_path / "c")
         UHSCM(config, clip=clip).fit(small_images, store=store,
                                      data_key=data_key)
         replay_store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
-        model = UHSCM(replace(config, out_of_core=True), clip=clip)
+        model = UHSCM(config, clip=clip)
         model.fit(small_images, store=replay_store, data_key=data_key)
         assert replay_store.stats()["stages"]["train"]["hits"] >= 1
 
@@ -610,8 +418,7 @@ class TestCliOutOfCore:
         code = main([
             "train", "--dataset", "cifar10", "--scale", "0.008",
             "--bits", "16", "--seed", "1", "--cache-dir", str(cache_dir),
-            "--sparse-topk", "8", "--out-of-core",
-            "--mmap-threshold-bytes", "0",
+            "--out-of-core", "--mmap-threshold-bytes", "0",
         ])
         assert code == 0
         assert "cache:" in capsys.readouterr().out

@@ -14,7 +14,6 @@ import threading
 
 import pytest
 
-from repro.config import UHSCMConfig
 from repro.errors import ConfigurationError
 from repro.utils.parallel import (
     WORKERS_ENV,
@@ -186,19 +185,3 @@ class TestAsPool:
         assert owned
         assert pool.workers == resolve_workers(workers)
         pool.close()
-
-
-class TestConfigIntegration:
-    def test_workers_field_validated(self):
-        assert UHSCMConfig(workers=4).workers == 4
-        assert UHSCMConfig().workers is None
-        with pytest.raises(ConfigurationError, match="workers"):
-            UHSCMConfig(workers=0)
-
-    def test_execution_policy_excluded_from_fingerprint(self):
-        # Execution policy, not semantics: artifacts built at any worker
-        # count are bit-identical, so they must share cache keys.
-        serial = UHSCMConfig().fingerprint_payload()
-        pooled = UHSCMConfig(workers=8).fingerprint_payload()
-        assert serial == pooled
-        assert "workers" not in pooled

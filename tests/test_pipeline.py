@@ -185,10 +185,19 @@ class TestArtifactStore:
         assert store.get("a" * 64) is None
         assert store.stats()["disk_entries"] == 0
 
-    def test_orphaned_tmp_files_swept_at_init(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["file", "raw-dir"])
+    def test_orphaned_tmp_files_swept_at_init(self, tmp_path, kind):
         store = ArtifactStore(tmp_path / "cache")
-        orphan = store._objects_dir / "deadbeef.npzab12.tmp"
-        orphan.write_bytes(b"partial write from a killed process")
+        if kind == "file":
+            orphan = store._objects_dir / "deadbeef.npzab12.tmp"
+            orphan.write_bytes(b"partial write from a killed process")
+        else:
+            # The assembly directory a killed write_raw_archive leaves.
+            orphan = store._objects_dir / f"{'a' * 64}.raw.k1ll3d.tmp"
+            orphan.mkdir()
+            member = orphan / "a0.npy"
+            np.save(member, np.arange(64.0))
+            member.write_bytes(member.read_bytes()[:100])
         reopened = ArtifactStore(tmp_path / "cache")
         assert not orphan.exists()
         assert reopened.stats()["disk_entries"] == 0

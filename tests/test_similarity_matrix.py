@@ -1,8 +1,7 @@
-"""Tests for the SimilarityMatrix abstraction and the blocked sparse engine.
+"""Tests for the SimilarityMatrix abstraction and the blocked top-k kernel.
 
-Covers the PR-5 acceptance matrix: dense/sparse equivalence (bit-identical
-at k >= n-1, NumPy-oracle gathers at small k), CSR round trips through the
-artifact store with fingerprint invalidation on ``sparse_topk``, chunked
+Covers dense/sparse equivalence (bit-identical at k >= n-1, NumPy-oracle
+gathers at small k), CSR round trips through the artifact store, chunked
 vs monolithic inference identity, and the trainer consuming either Q form.
 """
 
@@ -13,11 +12,6 @@ import pytest
 
 from repro.config import TrainConfig, UHSCMConfig
 from repro.core.hashing_network import HashingNetwork
-from repro.core.similarity import (
-    ImageFeatureSimilarityGenerator,
-    SemanticSimilarityGenerator,
-    similarity_from_distributions,
-)
 from repro.core.similarity_matrix import (
     DenseSimilarity,
     SimilarityMatrix,
@@ -31,7 +25,6 @@ from repro.core.uhscm import UHSCM
 from repro.errors import ConfigurationError, ShapeError
 from repro.pipeline import ArtifactStore
 from repro.utils.mathops import blocked_topk_cosine, cosine_similarity_matrix
-from repro.vlp.concepts import NUS_WIDE_81
 
 
 @pytest.fixture()
@@ -181,75 +174,6 @@ class TestPayloadRoundTrip:
         assert fp_sparse != similarity_fingerprint(_sparse(features, 6))
 
 
-class TestGeneratorsSparse:
-    def test_semantic_generator_sparse_full_k_matches_dense(
-        self, clip, small_images
-    ):
-        dense = SemanticSimilarityGenerator(clip, NUS_WIDE_81).generate(
-            small_images
-        )
-        n = small_images.shape[0]
-        sparse = SemanticSimilarityGenerator(
-            clip, NUS_WIDE_81, sparse_topk=n - 1
-        ).generate(small_images)
-        assert isinstance(sparse.matrix, SparseTopKSimilarity)
-        assert np.array_equal(sparse.matrix.to_dense(),
-                              dense.matrix.to_dense())
-
-    def test_image_feature_generator_sparse(self, clip, small_images):
-        dense = ImageFeatureSimilarityGenerator(clip).generate(small_images)
-        n = small_images.shape[0]
-        sparse = ImageFeatureSimilarityGenerator(
-            clip, sparse_topk=n - 1
-        ).generate(small_images)
-        assert np.array_equal(sparse.matrix.to_dense(),
-                              dense.matrix.to_dense())
-
-    def test_sparse_rejects_template_averaging(self, clip):
-        with pytest.raises(ConfigurationError):
-            SemanticSimilarityGenerator(
-                clip, NUS_WIDE_81, templates=("default", "p1"), sparse_topk=4
-            )
-
-    def test_staged_build_q_invalidates_on_sparse_topk(
-        self, clip, small_images, tmp_path
-    ):
-        store = ArtifactStore(tmp_path / "cache")
-        key = {"dataset": "unit", "scale": 1.0, "seed": 0, "split": "train"}
-
-        def build_q_stats():
-            return dict(store.stats()["stages"].get("build_q", {}))
-
-        SemanticSimilarityGenerator(clip, NUS_WIDE_81).generate(
-            small_images, store=store, data_key=key
-        )
-        dense_stats = build_q_stats()
-        assert dense_stats["puts"] == 1
-
-        gen4 = SemanticSimilarityGenerator(clip, NUS_WIDE_81, sparse_topk=4)
-        result = gen4.generate(small_images, store=store, data_key=key)
-        after_sparse = build_q_stats()
-        assert after_sparse["puts"] == 2  # new fingerprint, new artifact
-        assert isinstance(result.matrix, SparseTopKSimilarity)
-
-        SemanticSimilarityGenerator(
-            clip, NUS_WIDE_81, sparse_topk=5
-        ).generate(small_images, store=store, data_key=key)
-        assert build_q_stats()["puts"] == 3  # k is part of the fingerprint
-
-        replay = gen4.generate(small_images, store=store, data_key=key)
-        assert build_q_stats()["puts"] == 3  # same k replays from the store
-        assert isinstance(replay.matrix, SparseTopKSimilarity)
-        assert np.array_equal(replay.matrix.data, result.matrix.data)
-        assert np.array_equal(replay.matrix.indices, result.matrix.indices)
-
-    def test_similarity_from_distributions_sparse(self, rng):
-        dist = rng.dirichlet(np.ones(6), size=20)
-        dense = similarity_from_distributions(dist)
-        sparse = similarity_from_distributions(dist, sparse_topk=19)
-        assert np.array_equal(sparse.to_dense(), dense.to_dense())
-
-
 class TestTrainerWithSparseQ:
     def _train(self, features, q, dtype="float64"):
         network = HashingNetwork(
@@ -304,63 +228,6 @@ class TestUHSCMSparseInjection:
         assert isinstance(model.similarity_.matrix, SimilarityMatrix)
         codes = model.encode(small_images)
         assert codes.shape == (n, 8)
-
-    def test_config_sparse_topk_routes_default_generator(
-        self, clip, small_images
-    ):
-        config = UHSCMConfig(
-            n_bits=8,
-            sparse_topk=6,
-            train=TrainConfig(batch_size=16, epochs=1),
-        )
-        model = UHSCM(config, clip=clip)
-        model.fit(small_images)
-        assert isinstance(model.similarity_.matrix, SparseTopKSimilarity)
-        assert model.similarity_.matrix.k == 6
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            UHSCMConfig(sparse_topk=0)
-        with pytest.raises(ConfigurationError):
-            UHSCMConfig(sparse_topk=-3)
-
-    def test_fingerprint_payload_omits_none_sparse_topk(self):
-        # Dense configs must hash exactly as they did before the field
-        # existed, so pre-upgrade train/model artifacts stay addressable.
-        assert "sparse_topk" not in UHSCMConfig().fingerprint_payload()
-        assert UHSCMConfig(sparse_topk=8).fingerprint_payload()[
-            "sparse_topk"
-        ] == 8
-
-    def test_avg_variant_stays_dense_under_sparse_config(self, clip):
-        from repro.core.variants import get_variant
-
-        config = UHSCMConfig(
-            n_bits=8, sparse_topk=4, train=TrainConfig(batch_size=16,
-                                                       epochs=1)
-        )
-        model = get_variant("avg")(config, clip)
-        # Averaging needs dense per-template matrices; the variant must
-        # clear sparse_topk (a sparse table2 sweep runs every row, and the
-        # avg cell's train-stage fingerprint survives the toggle).
-        assert model.similarity_generator.sparse_topk is None
-        assert model.config.sparse_topk is None
-
-    def test_baseline_encode_stage_ignores_sparse_topk(self):
-        from repro.experiments.runner import ExperimentContext
-
-        dense = ExperimentContext("cifar10", scale=0.01)
-        sparse = ExperimentContext("cifar10", scale=0.01, sparse_topk=16)
-        # Baselines never consume Q: their cached cells survive the toggle.
-        assert (dense._fit_stage("ITQ", 16).fingerprint
-                == sparse._fit_stage("ITQ", 16).fingerprint)
-        assert (dense._fit_stage("UHSCM", 16).fingerprint
-                != sparse._fit_stage("UHSCM", 16).fingerprint)
-        assert (dense._fit_stage("variant:ours", 16).fingerprint
-                != sparse._fit_stage("variant:ours", 16).fingerprint)
-        # avg always builds dense Q, so its cell survives the toggle too.
-        assert (dense._fit_stage("variant:avg", 16).fingerprint
-                == sparse._fit_stage("variant:avg", 16).fingerprint)
 
 
 class TestChunkedInference:

@@ -211,25 +211,6 @@ class TestParallelTopkCosine:
         for s_arr, p_arr in zip(serial, parallel):
             np.testing.assert_array_equal(s_arr, p_arr)
 
-    def test_streaming_parallel_matches_serial(self):
-        from repro.utils.mathops import streaming_topk_cosine
-
-        x = np.random.default_rng(21).normal(size=(64, 8))
-
-        def build(workers):
-            bufs = {}
-
-            def create(name, shape, dtype):
-                bufs[name] = np.empty(shape, dtype=dtype)
-                return bufs[name]
-
-            return streaming_topk_cosine(x, 5, create, block_rows=16,
-                                         workers=workers)
-
-        for s_arr, p_arr in zip(build(1), build(4)):
-            np.testing.assert_array_equal(np.asarray(s_arr),
-                                          np.asarray(p_arr))
-
     def test_shared_pool_instance_accepted(self, monkeypatch):
         # Kernels accept a caller-owned pool and leave it open; the tile
         # count is visible in the counters (ceil(97 / 16) = 7 tiles).
