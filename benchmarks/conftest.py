@@ -109,7 +109,7 @@ def assert_speedup(
     """
     speedup = baseline_seconds / candidate_seconds
     report = "\n".join(
-        [*lines, f"speedup  : {speedup:.1f}x (required >= {required:.1f}x)"]
+        [*lines, f"speedup  : {speedup:.2f}x (required >= {required:.2f}x)"]
     )
     print("\n" + report)
     save_result(

@@ -178,16 +178,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import numpy as np
+def _serving_model(args: argparse.Namespace):
+    """The store, dataset, CLIP and model that ``serve``/``serve-http`` serve.
 
+    The model loads from ``--model`` or trains fresh, and ``--publish``
+    snapshots it into the store.  Returns ``None`` after saying why when
+    ``--publish`` has no ``--cache-dir``.
+    """
     from repro.pipeline import dataset_key
-    from repro.serving import HashingService, load_model, publish_model
+    from repro.serving import load_model, publish_model
 
     store = _make_store(args)
     if args.publish and store is None:
         print("--publish requires --cache-dir")
-        return 1
+        return None
     data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     clip = SimCLIP(data.world)
     if args.model is not None:
@@ -208,6 +212,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"trained fresh UHSCM ({args.bits} bits) on {args.dataset}")
     if args.publish:
         print(f"published model snapshot: {publish_model(store, model)}")
+    return store, data, clip, model
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.pipeline import dataset_key
+    from repro.serving import HashingService
+
+    loaded = _serving_model(args)
+    if loaded is None:
+        return 1
+    store, data, _clip, model = loaded
 
     service = HashingService(
         model, store=store, n_shards=args.shards,
@@ -285,33 +302,13 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     import threading
 
     from repro.pipeline import dataset_key
-    from repro.serving import HashingService, load_model, publish_model
+    from repro.serving import HashingService, load_model
     from repro.serving.http import ServerThread, ServingApp
 
-    store = _make_store(args)
-    if args.publish and store is None:
-        print("--publish requires --cache-dir")
+    loaded = _serving_model(args)
+    if loaded is None:
         return 1
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    clip = SimCLIP(data.world)
-    if args.model is not None:
-        model = load_model(args.model, clip, store=store)
-        print(f"loaded model {args.model}")
-    else:
-        from dataclasses import replace
-
-        from repro.core.uhscm import UHSCM
-
-        config = paper_config(args.dataset, n_bits=args.bits, seed=args.seed)
-        if args.epochs is not None:
-            config = replace(config, train=replace(config.train,
-                                                   epochs=args.epochs))
-        model = UHSCM(config, clip=clip)
-        model.fit(data.train_images, store=store,
-                  data_key=dataset_key(args.dataset, args.scale, args.seed))
-        print(f"trained fresh UHSCM ({args.bits} bits) on {args.dataset}")
-    if args.publish:
-        print(f"published model snapshot: {publish_model(store, model)}")
+    store, data, clip, model = loaded
 
     db_key = dataset_key(args.dataset, args.scale, args.seed,
                          split="database")

@@ -122,16 +122,18 @@ class HashingNetwork:
     # -- inference -------------------------------------------------------------
 
     def relaxed_codes(self, images: np.ndarray) -> np.ndarray:
-        """Eval-mode tanh outputs z for raw images, batched."""
+        """Eval-mode tanh outputs z for raw images, batched into one
+        preallocated ``(n, n_bits)`` array in the network's dtype."""
         if images.shape[0] == 0:
             raise NotFittedError("cannot encode an empty image batch")
         self.net.train(False)
-        outputs = []
+        out = np.empty((images.shape[0], self.n_bits), dtype=self.dtype)
         for start in range(0, images.shape[0], _ENCODE_BATCH):
             batch = images[start : start + _ENCODE_BATCH]
-            outputs.append(self.net(self.prepare_inputs(batch)))
+            out[start : start + batch.shape[0]] = self.net(
+                self.prepare_inputs(batch))
         self.net.train(True)
-        return np.concatenate(outputs)
+        return out
 
     def encode(self, images: np.ndarray) -> np.ndarray:
         """Binary ±1 hash codes B = sign(z) for raw images."""

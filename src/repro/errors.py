@@ -36,9 +36,9 @@ class ConvergenceError(ReproError, RuntimeError):
 #
 # The fault-tolerance layer (:mod:`repro.utils.faults`,
 # :mod:`repro.utils.retry`, the store's integrity checks, and the serving
-# degradation paths) speaks in these types so callers can route on the
-# *class* of failure: retry transients, rebuild corruptions, degrade on
-# unavailable shards, shed on overload, and give up on blown deadlines.
+# layer's admission and deadline checks) speaks in these types so callers
+# can route on the *class* of failure: retry transients, rebuild
+# corruptions, shed on overload, and give up on blown deadlines.
 
 
 class TransientError(ReproError, RuntimeError):
@@ -56,14 +56,6 @@ class ArtifactCorruptionError(ReproError, RuntimeError):
 
     Never retried — the bytes on disk are wrong, not busy.  The store
     quarantines the entry and rebuilds instead.
-    """
-
-
-class ShardUnavailableError(ReproError, RuntimeError):
-    """A retrieval shard is failing or its circuit breaker is open.
-
-    Raised to a caller only when *every* shard is unavailable; a subset of
-    failing shards degrades to partial results instead.
     """
 
 

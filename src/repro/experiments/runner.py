@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines import BASELINES, make_baseline
+from repro.baselines import make_baseline
 from repro.config import UHSCMConfig, paper_config
 from repro.core.uhscm import UHSCM
 from repro.core.variants import get_variant

@@ -2,8 +2,8 @@
 
 :class:`HammingIndex` is the one index type: a bit-packed linear scan that
 gives the exact Hamming ranking.  :class:`ShardedIndex` hash-partitions
-rows across several of them, with per-shard circuit breakers and an
-optional LRU :class:`QueryResultCache` of merged results; its answers are
+rows across several of them, with an optional LRU
+:class:`QueryResultCache` of merged results; its answers are
 bit-identical to one flat index over the same rows.  Both support
 incremental ``add()``/``remove()`` with stable insertion-order ids.
 """

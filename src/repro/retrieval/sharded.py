@@ -19,62 +19,28 @@ ids are assigned monotonically, so each array stays sorted and the reverse
 :class:`QueryResultCache`, a bounded LRU of merged per-query results
 keyed on the packed query bytes, cleared on every ``add``/``remove``.
 
-**Graceful degradation** (PR 7): every shard sits behind a
-:class:`~repro.utils.retry.CircuitBreaker`.  A shard that raises during
-fan-out records a breaker failure and drops out of the merge — the query
-still answers from the surviving shards, flagged via
-:attr:`ShardedIndex.last_query_degraded`, which each calling thread reads
-for its own most recent query (missing tail positions pad with id ``-1``
-/ distance ``n_bits + 1``).  After ``breaker_threshold``
-consecutive failures the circuit opens and the shard is skipped without
-paying its failure latency until ``breaker_reset_s`` passes, when one
-half-open probe is let through; a probe success closes the circuit and
-:attr:`ShardedIndex.degraded` clears.  Only when *no* shard can answer
-does the query raise :class:`~repro.errors.ShardUnavailableError`.
-Degraded results never enter the facade's query cache.  Each shard call
-first consults the index's :class:`~repro.utils.faults.FaultInjector` at
-the ``shard.search`` point (with ``shard=<i>`` context), which is how the
-fault-scale bench kills one shard deterministically.
-
-**Concurrent fan-out** (PR 8): with ``workers > 1`` the surviving shard
-probes of a fan-out run on a shared :class:`~repro.utils.parallel.WorkerPool`
-instead of the serial Python loop.  The fan-out is two-phase so parallel
-answers stay bit-identical to serial ones: phase 1 walks the shards *in
-shard order* on the calling thread — breaker admission and the fault
-injector consult happen exactly as they would serially, so deterministic
-fault schedules and breaker transitions are untouched — and phase 2
-dispatches only the admitted probes to the pool, collecting results and
-applying breaker bookkeeping back in shard order.  Each probe touches
-only its own shard object, per-shard result blocks are concatenated in
-shard order, and the ``(distance, id)`` composite-key merge is a stable
-sort — so completion order cannot reorder anything.
+**Fan-out**: a search is one :meth:`~repro.utils.parallel.WorkerPool.map`
+of the non-empty shards' searches, in shard order, on a shared
+:class:`~repro.utils.parallel.WorkerPool` (inline at ``workers=1``).  The
+pool collects results in shard order, per-shard result blocks are
+concatenated in that order, and the ``(distance, id)`` composite-key merge
+is a stable sort, so completion order cannot reorder anything and pooled
+answers are bit-identical to serial ones.  Every shard lives in this
+process, so a shard can fail only by a bug: its exception propagates out
+of the search and fails that query alone, and the next query answers.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    NotFittedError,
-    ShapeError,
-    ShardUnavailableError,
-)
+from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.retrieval.engine import HammingIndex
-from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.parallel import WorkerPool
-from repro.utils.retry import CLOSED, CircuitBreaker
 from repro.utils.validation import check_binary_codes
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-#: Sentinel id padding partial (degraded) top-k rows past the last real hit.
-MISSING_ID = -1
 
 
 class QueryResultCache:
@@ -197,16 +163,9 @@ class ShardedIndex:
     cache_size:
         If positive, keep an LRU :class:`QueryResultCache` of merged
         per-query results at the facade level, cleared on every mutation.
-    breaker_threshold / breaker_reset_s / clock:
-        Per-shard :class:`~repro.utils.retry.CircuitBreaker` tuning:
-        consecutive failures before a shard's circuit opens, seconds until
-        the half-open probe, and the (injectable) monotonic clock.
-    faults:
-        :class:`~repro.utils.faults.FaultInjector` consulted at the
-        ``shard.search`` point before every shard call.
     workers:
         Worker count for the concurrent shard fan-out (``None`` reads
-        ``$REPRO_WORKERS``; ``1`` keeps the serial probe loop).  Pure
+        ``$REPRO_WORKERS``; ``1`` runs the shard searches inline).  Pure
         execution policy — merged results are bit-identical at any value.
     """
 
@@ -215,10 +174,6 @@ class ShardedIndex:
         n_bits: int,
         n_shards: int = 4,
         cache_size: int = 0,
-        breaker_threshold: int = 3,
-        breaker_reset_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        faults: FaultInjector = NULL_INJECTOR,
         workers: int | None = None,
     ) -> None:
         if n_bits <= 0:
@@ -227,39 +182,15 @@ class ShardedIndex:
             raise ConfigurationError(f"n_shards must be positive: {n_shards}")
         self.n_bits = n_bits
         self.n_shards = n_shards
-        self.faults = faults
-        self._init_shard_state(breaker_threshold, breaker_reset_s, clock)
-        #: Per-thread state behind :attr:`last_query_degraded`.
-        self._local = threading.local()
+        self._shards = [HammingIndex(n_bits) for _ in range(n_shards)]
+        #: Per shard, the append-only ``local -> global`` id array (global
+        #: ids are assigned monotonically, so each stays sorted ascending).
+        self._shard_gids = [np.empty(0, dtype=np.int64)
+                            for _ in range(n_shards)]
         self._next_id = 0
         self._n_alive = 0
         self._cache = QueryResultCache(cache_size) if cache_size else None
         self._pool = WorkerPool(workers, name="shard")
-
-    def _init_shard_state(
-        self,
-        breaker_threshold: int,
-        breaker_reset_s: float,
-        clock: Callable[[], float],
-    ) -> None:
-        """Build all per-shard state in one pass — the single seam both the
-        serial and the pooled fan-out initialize through.
-
-        Per shard: the flat index, its circuit breaker, and the
-        append-only ``local -> global`` id array (global ids are assigned
-        monotonically, so each array stays sorted ascending by
-        construction).
-        """
-        self._shards: list[HammingIndex] = []
-        self._breakers: list[CircuitBreaker] = []
-        self._shard_gids: list[np.ndarray] = []
-        for _ in range(self.n_shards):
-            self._shards.append(HammingIndex(self.n_bits))
-            self._breakers.append(
-                CircuitBreaker(failure_threshold=breaker_threshold,
-                               reset_timeout_s=breaker_reset_s, clock=clock)
-            )
-            self._shard_gids.append(_EMPTY_IDS.copy())
 
     # -- mutation ---------------------------------------------------------------
 
@@ -322,30 +253,6 @@ class ShardedIndex:
         return tuple(self._shards)
 
     @property
-    def breakers(self) -> tuple[CircuitBreaker, ...]:
-        """The per-shard circuit breakers (read-only view)."""
-        return tuple(self._breakers)
-
-    @property
-    def last_query_degraded(self) -> bool:
-        """Whether the calling thread's most recent query answered from a
-        shard subset.
-
-        Kept per thread: concurrent queries each set and read their own
-        flag, so a caller never sees another query's degradation.
-        """
-        return getattr(self._local, "degraded", False)
-
-    @last_query_degraded.setter
-    def last_query_degraded(self, value: bool) -> None:
-        self._local.degraded = value
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any shard's circuit is currently not closed."""
-        return any(b.state != CLOSED for b in self._breakers)
-
-    @property
     def workers(self) -> int:
         """Effective worker count of the fan-out pool (1 = serial)."""
         return self._pool.workers
@@ -358,18 +265,11 @@ class ShardedIndex:
         """Join the fan-out pool's workers (idempotent).
 
         Part of graceful service shutdown: after closing, the pool refuses
-        new probes, its submitted/completed counters are balanced, and no
+        new shard searches, its submitted/completed counters are balanced, and no
         worker thread outlives the index.  Searches after ``close`` raise
         :class:`~repro.errors.ConfigurationError` from the pool.
         """
         self._pool.close()
-
-    def circuit_states(self) -> list[dict]:
-        """Per-shard breaker state/counters for ``health()`` reports."""
-        return [
-            {"shard": si, **breaker.stats()}
-            for si, breaker in enumerate(self._breakers)
-        ]
 
     # -- validation -------------------------------------------------------------
 
@@ -387,99 +287,34 @@ class ShardedIndex:
 
     # -- queries ----------------------------------------------------------------
 
-    def _probe_shards(
-        self, ops: list[tuple[int, Callable[[], object]]]
-    ) -> tuple[list[tuple[int, object]], bool]:
-        """Run shard operations under their breakers, two-phase.
-
-        Phase 1 (serial, in shard order — exactly the serial loop's
-        sequence): consult each shard's breaker, then the fault injector at
-        ``shard.search``.  A refused or faulted shard records its breaker
-        failure immediately and degrades the query; survivors are admitted.
-        Phase 2: admitted probes dispatch to the pool (inline when the
-        pool is serial); results are collected and breaker bookkeeping is
-        applied back in shard order, so success/failure transitions land
-        in the same sequence as the serial loop.
-
-        Returns ``(results, degraded)`` where ``results`` is the
-        shard-ordered list of ``(shard index, result)`` for every probe
-        that answered.
-        """
-        admitted: list[tuple[int, object]] = []
-        degraded = False
-        for si, op in ops:
-            breaker = self._breakers[si]
-            if not breaker.allow():
-                degraded = True
-                continue
-            try:
-                self.faults.check("shard.search", shard=si)
-            except Exception:
-                breaker.record_failure()
-                degraded = True
-                continue
-            admitted.append((si, self._pool.submit(op)))
-        results: list[tuple[int, object]] = []
-        for si, future in admitted:
-            try:
-                result = future.result()
-            except Exception:
-                self._breakers[si].record_failure()
-                degraded = True
-                continue
-            self._breakers[si].record_success()
-            results.append((si, result))
-        return results, degraded
+    def _fan_out(self, op: Callable[[HammingIndex], object]) -> list:
+        """``[(shard index, op(shard))]`` over the non-empty shards, in
+        shard order; the first shard exception propagates."""
+        live = [si for si, shard in enumerate(self._shards) if len(shard) > 0]
+        return list(zip(live, self._pool.map(
+            lambda si: op(self._shards[si]), live)))
 
     def _fan_out_topk(
         self, query_codes: np.ndarray, top_k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Search every non-empty shard and merge by (distance, global id).
-
-        A failing or circuit-open shard drops out of the merge: the query
-        degrades to the surviving shards (``last_query_degraded=True``,
-        missing tail positions padded with ``MISSING_ID`` / ``n_bits + 1``)
-        instead of failing, unless *every* shard is unavailable.
-        """
-        ops = [
-            (si, lambda s=shard, k=min(top_k, len(shard)):
-                s.search(query_codes, top_k=k))
-            for si, shard in enumerate(self._shards)
-            if len(shard) > 0
-        ]
-        results, degraded = self._probe_shards(ops)
-        gid_blocks = []
-        dist_blocks = []
-        for si, result in results:
-            local_ids, dist = result
-            gid_blocks.append(self._shard_gids[si][local_ids])
-            dist_blocks.append(dist)
-        if not gid_blocks:
-            self.last_query_degraded = True
-            raise ShardUnavailableError(
-                f"all {self.n_shards} shards are unavailable; "
-                f"no shard could answer this query"
-            )
-        self.last_query_degraded = degraded
-        all_gids = np.concatenate(gid_blocks, axis=1)
-        all_dist = np.concatenate(dist_blocks, axis=1)
+        """Search every non-empty shard and merge by (distance, global id)."""
+        results = self._fan_out(
+            lambda index: index.search(query_codes,
+                                       top_k=min(top_k, len(index)))
+        )
+        all_gids = np.concatenate(
+            [self._shard_gids[si][local_ids] for si, (local_ids, _) in results],
+            axis=1,
+        )
+        all_dist = np.concatenate([dist for _, (_, dist) in results], axis=1)
         # One composite int key per candidate gives a row-wise lexsort by
         # (distance, id): distances are integers in [0, n_bits] and ids are
         # below _next_id, so the product never collides or overflows.
         composite = (all_dist.astype(np.int64) * np.int64(self._next_id)
                      + all_gids)
         order = np.argsort(composite, axis=1, kind="stable")[:, :top_k]
-        merged_gids = np.take_along_axis(all_gids, order, axis=1)
-        merged_dist = np.take_along_axis(all_dist, order, axis=1)
-        if merged_gids.shape[1] < top_k:
-            # Degraded answer with fewer survivors than top_k: pad the tail
-            # so the result shape stays (n, top_k) for every caller.
-            pad = top_k - merged_gids.shape[1]
-            merged_gids = np.pad(merged_gids, ((0, 0), (0, pad)),
-                                 constant_values=MISSING_ID)
-            merged_dist = np.pad(merged_dist, ((0, 0), (0, pad)),
-                                 constant_values=self.n_bits + 1)
-        return merged_gids, merged_dist
+        return (np.take_along_axis(all_gids, order, axis=1),
+                np.take_along_axis(all_dist, order, axis=1))
 
     def search(
         self, query_codes: np.ndarray, top_k: int = 10
@@ -491,18 +326,12 @@ class ShardedIndex:
                 f"top_k must be in [1, {self._n_alive}], got {top_k}"
             )
         query_codes = self._check_codes(query_codes, "query_codes")
-        self.last_query_degraded = False
-        if self._cache is None or self.degraded:
-            # While any circuit is open the cache is bypassed entirely so
-            # partial answers are never stored or served as full ones.
+        if self._cache is None:
             return self._fan_out_topk(query_codes, top_k)
-        out = cached_topk(
+        return cached_topk(
             self._cache, np.packbits(query_codes > 0, axis=1), top_k,
             lambda misses: self._fan_out_topk(query_codes[misses], top_k),
         )
-        if self.last_query_degraded:
-            self._cache.clear()  # a shard failed mid-fill; drop partials
-        return out
 
     def _fan_out_radius(
         self, query_codes: np.ndarray, radius: int
@@ -510,28 +339,12 @@ class ShardedIndex:
         per_query: list[list[np.ndarray]] = [
             [] for _ in range(query_codes.shape[0])
         ]
-        ops = [
-            (si, lambda s=shard: s.radius_search(query_codes, radius))
-            for si, shard in enumerate(self._shards)
-            if len(shard) > 0
-        ]
-        results, degraded = self._probe_shards(ops)
-        answered = False
-        for si, hits in results:
-            answered = True
+        for si, hits in self._fan_out(
+            lambda index: index.radius_search(query_codes, radius)
+        ):
             for qi, local_hits in enumerate(hits):
                 per_query[qi].append(self._shard_gids[si][local_hits])
-        if not answered and degraded:
-            self.last_query_degraded = True
-            raise ShardUnavailableError(
-                f"all {self.n_shards} shards are unavailable; "
-                f"no shard could answer this query"
-            )
-        self.last_query_degraded = degraded
-        return [
-            np.sort(np.concatenate(blocks)) if blocks else _EMPTY_IDS.copy()
-            for blocks in per_query
-        ]
+        return [np.sort(np.concatenate(blocks)) for blocks in per_query]
 
     def radius_search(
         self, query_codes: np.ndarray, radius: int
@@ -543,13 +356,9 @@ class ShardedIndex:
                 f"radius must be in [0, {self.n_bits}], got {radius}"
             )
         query_codes = self._check_codes(query_codes, "query_codes")
-        self.last_query_degraded = False
-        if self._cache is None or self.degraded:
+        if self._cache is None:
             return self._fan_out_radius(query_codes, radius)
-        out = cached_radius(
+        return cached_radius(
             self._cache, np.packbits(query_codes > 0, axis=1), radius,
             lambda misses: self._fan_out_radius(query_codes[misses], radius),
         )
-        if self.last_query_degraded:
-            self._cache.clear()
-        return out

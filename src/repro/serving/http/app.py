@@ -26,9 +26,10 @@ blocking socket server (:mod:`repro.serving.http.server`) and a
 
 Handlers run inline on the socket server's connection threads, one per
 connection; everything here is thread-safe (one lock around the
-swap/admission state, thread-safe histograms, the group-commit batcher
-underneath, and a per-thread ``degraded`` flag on the index, read on the
-thread that ran the query).
+swap/admission state, thread-safe histograms, and the group-commit
+batcher underneath).  A handler exception answers its own request with
+the status :func:`~repro.serving.http.schemas.status_for` maps it to
+(500 for a bug) and leaves no state behind for later requests.
 """
 
 from __future__ import annotations
@@ -256,8 +257,7 @@ class ServingApp:
             request.vectors, top_k=request.top_k,
             deadline_s=request.deadline_s,
         )
-        return schemas.query_response(ids, distances,
-                                      state.service.last_query_degraded)
+        return schemas.query_response(ids, distances)
 
     def _handle_add(self, payload: object, state: _ServiceState) -> dict:
         request = schemas.parse_add(payload)

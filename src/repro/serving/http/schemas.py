@@ -16,7 +16,6 @@ config/vocabulary errors)       400
 ``NotFittedError``              409
 ``OverloadedError``             429
 ``ShutdownError``               503
-``ShardUnavailableError``       503
 ``DeadlineExceededError``       504
 anything else                   500
 ==============================  ======
@@ -25,7 +24,8 @@ The wire formats:
 
 - ``POST /query``  ``{"vector": [..]}`` or ``{"vectors": [[..], ..]}``,
   optional ``top_k`` (default 10) and ``deadline_s``.
-  -> ``{"ids": [[..]], "distances": [[..]], "degraded": bool}``
+  -> ``{"ids": [[..]], "distances": [[..]], "degraded": false}``
+  (``degraded`` is always ``false``: every answer comes from every shard)
 - ``POST /add``    ``{"vectors": [[..], ..]}``, optional ``ids``.
   -> ``{"ids": [..]}``
 - ``POST /remove`` ``{"ids": [..]}``  ->  ``{"removed": n}``
@@ -48,7 +48,6 @@ from repro.errors import (
     OverloadedError,
     ReproError,
     ShapeError,
-    ShardUnavailableError,
     ShutdownError,
     ValidationError,
     VocabularyError,
@@ -71,7 +70,6 @@ _STATUS_TABLE: tuple[tuple[type[BaseException], int], ...] = (
     (NotFittedError, 409),
     (OverloadedError, 429),
     (ShutdownError, 503),
-    (ShardUnavailableError, 503),
     (DeadlineExceededError, 504),
     (ReproError, 500),
 )
@@ -313,13 +311,13 @@ def jsonable(value: object) -> object:
     return value
 
 
-def query_response(
-    ids: np.ndarray, distances: np.ndarray, degraded: bool
-) -> dict:
+def query_response(ids: np.ndarray, distances: np.ndarray) -> dict:
     """The /query envelope; float64 distances survive the JSON round trip
-    bit-exactly (Python serializes floats via repr)."""
+    bit-exactly (Python serializes floats via repr).  ``degraded`` is a
+    constant ``False`` kept so the response bytes stay unchanged for
+    clients that check it."""
     return {
         "ids": ids.tolist(),
         "distances": distances.tolist(),
-        "degraded": bool(degraded),
+        "degraded": False,
     }

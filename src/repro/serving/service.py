@@ -50,7 +50,7 @@ from repro.pipeline import (
     run_stage,
 )
 from repro.retrieval.hamming import PackedCodes, unpack_codes
-from repro.retrieval.sharded import MISSING_ID, ShardedIndex
+from repro.retrieval.sharded import ShardedIndex
 from repro.serving.batcher import EncodeBatcher
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.metrics import LatencyHistogram
@@ -140,15 +140,11 @@ class HashingService:
         shards only pay off on large batched searches.
     cache_size:
         Entries of the index's merged query-result LRU cache (0 = off).
-    index_options:
-        Further :class:`~repro.retrieval.sharded.ShardedIndex` keyword
-        options, e.g. the circuit breakers' ``breaker_threshold`` and
-        ``breaker_reset_s``.
     max_batch:
         The most rows one :class:`EncodeBatcher` forward carries.
     clock:
-        Monotonic time source for the latency histograms, query deadlines
-        and the sharded index's circuit breakers; injectable for tests.
+        Monotonic time source for the latency histograms and query
+        deadlines; injectable for tests.
     model_key:
         Provenance fingerprint of the encoder used to address index
         snapshots; derived from the trained parameters when omitted.
@@ -163,12 +159,11 @@ class HashingService:
         an explicit ``deadline_s``; ``None`` disables the budget.
     faults:
         :class:`~repro.utils.faults.FaultInjector` threaded into the
-        batcher (``encode.forward``) and into the index's per-shard
-        fan-out (``shard.search``).
+        batcher (``encode.forward``).
     workers:
         Worker count for the index's concurrent shard fan-out
-        (``None`` reads ``$REPRO_WORKERS``; ``1`` keeps the serial probe
-        loop).  Surfaced in :meth:`stats` and :meth:`health`; merged
+        (``None`` reads ``$REPRO_WORKERS``; ``1`` runs the shard searches
+        inline).  Surfaced in :meth:`stats` and :meth:`health`; merged
         results are bit-identical at any value.
     """
 
@@ -179,7 +174,6 @@ class HashingService:
         store: ArtifactStore | None = None,
         n_shards: int = 1,
         cache_size: int = 0,
-        index_options: dict | None = None,
         max_batch: int = 256,
         clock: Callable[[], float] = time.monotonic,
         model_key: str | None = None,
@@ -210,8 +204,7 @@ class HashingService:
         self._clock = clock
         self.index = ShardedIndex(
             self.n_bits, n_shards=n_shards, cache_size=cache_size,
-            faults=faults, clock=clock, workers=workers,
-            **(index_options or {}),
+            workers=workers,
         )
         self.batcher = EncodeBatcher(encoder, max_batch=max_batch,
                                      faults=faults)
@@ -436,11 +429,9 @@ class HashingService:
         :class:`~repro.errors.OverloadedError` — no partial enqueue.  A
         ``deadline_s`` budget (defaulting to ``default_deadline_s``) is
         checked between the encode and search stages and raises
-        :class:`~repro.errors.DeadlineExceededError` once blown.  Under a
-        degraded index, rows lost with a downed shard come back
-        padded: external id ``-1`` with distance ``n_bits + 1``;
-        :attr:`last_query_degraded`, read on the thread that called
-        ``query``, reports whether this query was partial.
+        :class:`~repro.errors.DeadlineExceededError` once blown.  A shard
+        search that raises fails this query with its own exception; the
+        index keeps no failure state, so the next query answers.
         A service that has been :meth:`close`\\ d refuses new queries with
         :class:`~repro.errors.ShutdownError`.
         """
@@ -463,14 +454,6 @@ class HashingService:
         self._latency["search"].record(t_searched - t_encoded)
         self._latency["total"].record(t_searched - start)
         self._check_deadline(start, deadline, stage="search")
-        # A degraded fan-out pads lost rows with MISSING_ID; keep the
-        # sentinel out of the external-id table (clipping would alias it
-        # to a real row).
-        missing = internal == MISSING_ID
-        if missing.any():
-            external = np.where(missing, np.int64(MISSING_ID),
-                                self._ext_ids[np.where(missing, 0, internal)])
-            return external, distances
         return self._ext_ids[internal], distances
 
     def _check_deadline(
@@ -486,12 +469,6 @@ class HashingService:
                 f"query blew its {deadline:.6g}s budget after the {stage} "
                 f"stage ({elapsed:.6g}s elapsed)"
             )
-
-    @property
-    def last_query_degraded(self) -> bool:
-        """Whether the calling thread's most recent query returned partial
-        (padded) results; concurrent callers each read their own."""
-        return self.index.last_query_degraded
 
     def __len__(self) -> int:
         return len(self.index)
@@ -529,22 +506,17 @@ class HashingService:
     def health(self) -> dict:
         """One-call resilience report for operators and the serve CLI.
 
-        ``status`` is ``"ok"`` when every shard circuit is closed and
-        ``"degraded"`` while any circuit is open or half-open (queries
-        keep answering, partially).  The rest is the raw evidence: per-
-        shard circuit states, the store's corruption/quarantine/retry
-        counters, the batcher's poison counters, and the service-level
-        shed/deadline counters.
+        ``status`` is ``"ok"`` while the service accepts requests and
+        ``"shutdown"`` once :meth:`close` retired it.  The rest is the raw
+        evidence: the store's corruption/quarantine/retry counters, the
+        batcher's poison counters, and the service-level shed/deadline
+        counters.
         """
-        degraded = self.index.degraded
         batcher = self.batcher.stats()
         report: dict = {
-            "status": ("shutdown" if self._closed
-                       else "degraded" if degraded else "ok"),
-            "degraded": degraded,
+            "status": "shutdown" if self._closed else "ok",
             "closed": self._closed,
             "workers": self.index.workers,
-            "circuits": self.index.circuit_states(),
             "batcher": {
                 key: batcher[key]
                 for key in ("pending", "flush_failures",

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG plumbing, stable math, timing,
 tables, the worker-pool layer behind every parallel kernel, and the
-resilience primitives (fault injection, retries, circuit breakers)."""
+resilience primitives (fault injection and retries)."""
 
 from repro.utils.faults import NULL_INJECTOR, FaultInjector, FaultRule
 from repro.utils.mathops import (
@@ -13,7 +13,7 @@ from repro.utils.mathops import (
 )
 from repro.utils.metrics import DEFAULT_BOUNDS, LatencyHistogram, geometric_bounds
 from repro.utils.parallel import WORKERS_ENV, WorkerPool, resolve_workers
-from repro.utils.retry import CircuitBreaker, RetryPolicy
+from repro.utils.retry import RetryPolicy
 from repro.utils.rng import RngMixin, as_generator, spawn
 from repro.utils.tables import format_float, render_table
 from repro.utils.timer import Timer
@@ -26,7 +26,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "CircuitBreaker",
     "DEFAULT_BOUNDS",
     "FaultInjector",
     "FaultRule",

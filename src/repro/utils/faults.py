@@ -2,15 +2,14 @@
 
 Production failure paths are untestable unless failures can be produced on
 demand, identically on every run.  :class:`FaultInjector` is that switch: a
-registry of named **injection points** (``"store.read"``, ``"store.write"``,
-``"shard.search"``, ``"encode.forward"``, ...) that fault-aware components
-consult via :meth:`FaultInjector.check` at the top of the operation the
-point names.  A disarmed injector — the default everywhere — is a no-op, so
+registry of named **injection points** (``"store.read"``, ``"store.write"``
+and ``"encode.forward"``) that fault-aware components consult via
+:meth:`FaultInjector.check` at the top of the operation the point names.  A disarmed injector — the default everywhere — is a no-op, so
 production paths pay one attribute test per operation and nothing else.
 
 Armed, the injector evaluates its **rules**.  Each rule targets one point,
-optionally filtered by call context (e.g. ``shard=2`` to kill a single
-shard), and fires on a deterministic schedule:
+optionally filtered by call context (e.g. ``key=...`` to fail reads of a
+single artifact), and fires on a deterministic schedule:
 
 - ``nth=N`` — fail the Nth matching call (1-based), once;
 - ``rate=p`` — fail each matching call with probability ``p``, drawn from a
@@ -20,8 +19,8 @@ shard), and fires on a deterministic schedule:
   unlimited; the default for ``rate``/bare rules).
 
 A bare rule (no ``nth``/``rate``) fires on every matching call until its
-``times`` budget runs out — that is how a permanently dead shard is
-modeled.  Fired rules raise :class:`~repro.errors.TransientError` unless
+``times`` budget runs out — that is how a permanently failing dependency
+is modeled.  Fired rules raise :class:`~repro.errors.TransientError` unless
 the rule carries another exception factory.
 
 The injector counts every consulted call and every injected failure per
@@ -90,7 +89,7 @@ class FaultInjector:
     """Named, seeded, armable fault schedule shared across components.
 
     One injector instance is threaded through every fault-aware component
-    of a service (store, shards, batcher), so a single schedule can model a
+    of a service (store, batcher), so a single schedule can model a
     correlated outage.  ``arm()`` activates the rules; ``disarm()`` returns
     every injection point to a no-op, leaving counters intact so recovery
     can be asserted afterwards.
@@ -153,8 +152,8 @@ class FaultInjector:
         """Consult the schedule at ``point``; raises when a rule fires.
 
         Components call this at the top of the guarded operation, passing
-        whatever context their rules might filter on (``shard=si``,
-        ``key=...``).  Disarmed, this is a no-op.
+        whatever context their rules might filter on (``key=...``).
+        Disarmed, this is a no-op.
         """
         if not self.armed:
             return

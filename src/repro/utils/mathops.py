@@ -346,6 +346,4 @@ def sign(x: np.ndarray) -> np.ndarray:
     """Element-wise sign in {-1, +1}, exactly the paper's ``sgn``:
     "returns 1 if the input is positive and returns -1 otherwise"
     (so zero maps to -1)."""
-    x = np.asarray(x)
-    out = np.where(x > 0, 1.0, -1.0)
-    return out.astype(np.float64)
+    return np.where(np.asarray(x) > 0, 1.0, -1.0)

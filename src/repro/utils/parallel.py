@@ -1,8 +1,8 @@
 """Shared worker-pool layer for the parallel kernels.
 
 Two paths decompose into independent units of work whose outputs land
-in disjoint slots: the sharded search fan-out (a shard probe owns its
-merge position) and the blocked top-k cosine kernel behind
+in disjoint slots: the sharded search fan-out (a shard's search owns
+its merge position) and the blocked top-k cosine kernel behind
 ``SparseTopKSimilarity.from_features`` (a row-block GEMM tile writes its
 own CSR row range), which only the ``index-sparse`` benchmark workload
 still runs.  :class:`WorkerPool` is the one dispatch surface both share,

@@ -1,17 +1,12 @@
-"""Resilience primitives: bounded retries and circuit breakers.
+"""Resilience primitive: bounded retries.
 
 :class:`RetryPolicy` re-runs an operation that raised a *transient* error —
 bounded attempts, exponential backoff, deterministic jitter — with the
 clock and sleep injectable so tests and benches never actually wait.
-:class:`CircuitBreaker` guards a dependency that keeps failing: after
-``failure_threshold`` consecutive failures it *opens* (callers skip the
-dependency instead of paying the failure latency), after
-``reset_timeout_s`` it lets one probe through (*half-open*), and a probe
-success closes it again.
 
-Both are deliberately synchronous and allocation-free on the happy path:
-the serving layer wraps them around store I/O and shard fan-outs, which
-are per-artifact / per-batch operations, not per-row ones.
+It is deliberately synchronous and allocation-free on the happy path: the
+artifact store wraps it around its reads and writes, which are
+per-artifact operations, not per-row ones.
 """
 
 from __future__ import annotations
@@ -126,84 +121,3 @@ class RetryPolicy:
             "exhausted": self.exhausted,
         }
 
-
-#: Circuit states.
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half-open"
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with timed half-open probes.
-
-    ``allow()`` gates each call: ``True`` in the closed state, ``False``
-    while open, and ``True`` exactly once per ``reset_timeout_s`` window
-    once open (the half-open probe).  The caller reports the outcome via
-    ``record_success()`` / ``record_failure()``; a probe success closes the
-    circuit, a probe failure re-opens it and restarts the timer.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_timeout_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1: {failure_threshold}"
-            )
-        if reset_timeout_s < 0:
-            raise ConfigurationError(
-                f"reset_timeout_s must be >= 0: {reset_timeout_s}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self._clock = clock
-        self.state = CLOSED
-        self._consecutive_failures = 0
-        self._opened_at: float | None = None
-        self.failures = 0
-        self.successes = 0
-        self.openings = 0
-
-    def allow(self) -> bool:
-        """Whether the guarded call may proceed right now."""
-        if self.state == CLOSED:
-            return True
-        if self.state == OPEN:
-            assert self._opened_at is not None
-            if self._clock() - self._opened_at >= self.reset_timeout_s:
-                self.state = HALF_OPEN
-                return True
-            return False
-        # Half-open: one probe is already in flight this window; further
-        # callers keep failing fast until its outcome is recorded.
-        return False
-
-    def record_success(self) -> None:
-        self.successes += 1
-        self._consecutive_failures = 0
-        if self.state != CLOSED:
-            self.state = CLOSED
-            self._opened_at = None
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        self._consecutive_failures += 1
-        if self.state == HALF_OPEN or (
-            self.state == CLOSED
-            and self._consecutive_failures >= self.failure_threshold
-        ):
-            self.state = OPEN
-            self._opened_at = self._clock()
-            self.openings += 1
-
-    def stats(self) -> dict:
-        return {
-            "state": self.state,
-            "failures": self.failures,
-            "successes": self.successes,
-            "openings": self.openings,
-            "consecutive_failures": self._consecutive_failures,
-        }

@@ -1,5 +1,7 @@
 """Tests for the hashing network, trainer, UHSCM model, and variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ class TestHashingNetwork:
             HashingNetwork(8, mode="magic")
         with pytest.raises(ConfigurationError):
             HashingNetwork(0, mode="conv")
+
+    def test_encode_peak_stays_under_two_and_a_half_code_matrices(self):
+        # Encoding needs the relaxed codes, their signs and one batch's
+        # activations, about 2.2x the codes here; one more code-sized copy
+        # (a list of batch outputs, a recast of the signs) makes it 3x.
+        net = HashingNetwork(64, mode="feature", feature_extractor=lambda x: x,
+                             feature_dim=32, hidden_dims=(32,))
+        x = np.random.default_rng(0).normal(size=(20000, 32))
+        tracemalloc.start()
+        try:
+            codes = net.encode(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * codes.nbytes
+        assert codes.dtype == np.float64
+        np.testing.assert_array_equal(
+            codes, np.where(net.relaxed_codes(x) > 0, 1.0, -1.0))
 
 
 class TestTrainer:

@@ -150,7 +150,7 @@ class TestCorruptedArtifacts:
 
 
 class TestServingFaults:
-    """Mid-request failures must degrade or fail typed, never hang."""
+    """Mid-request failures fail only their own request and never hang."""
 
     def _service(self, n=12, **kwargs):
         from repro.core.hashing_network import HashingNetwork
@@ -165,19 +165,23 @@ class TestServingFaults:
         service.load_database(np.random.default_rng(1).normal(size=(n, 8)))
         return service
 
-    def test_shard_raising_mid_fanout_degrades(self):
+    def test_shard_raising_mid_fanout_fails_that_query(self):
         service = self._service()
-        # A shard whose backend raises from inside the fan-out: the merge
-        # must degrade to the survivors, not propagate the raw exception.
+        # A shard whose search raises from inside the fan-out: the query
+        # fails with that exception, and nothing of it outlives the query.
         def explode(codes, top_k):
             raise RuntimeError("shard backend blew up mid-fanout")
 
         service.index.shards[1].search = explode
         queries = np.random.default_rng(2).normal(size=(2, 8))
+        with pytest.raises(RuntimeError, match="mid-fanout"):
+            service.query(queries, top_k=4)
+        del service.index.shards[1].search
         ids, dist = service.query(queries, top_k=4)
-        assert service.last_query_degraded
-        assert ids.shape == dist.shape == (2, 4)
-        assert not np.any(ids % 3 == 1)  # nothing from the exploded shard
+        want_ids, want_dist = self._service().query(queries, top_k=4)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dist, want_dist)
+        assert service.health()["status"] == "ok"
 
     def test_batcher_shape_poisoning_under_concurrent_tickets(self):
         from repro.serving import EncodeBatcher

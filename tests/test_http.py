@@ -36,7 +36,6 @@ from repro.serving.http import ServingApp, run_server_in_thread
 from repro.serving.http import schemas
 from repro.serving.http import server as http_server
 from repro.serving.http.server import MAX_HEAD_BYTES
-from repro.utils.faults import FaultInjector
 
 DIM, BITS = 8, 16
 
@@ -220,40 +219,24 @@ class TestServingApp:
         assert len(service) == 40  # id 1 was not removed
         app.close()
 
-    def test_degraded_flag_belongs_to_its_request(self):
-        faults = FaultInjector().arm()
-        # Only the first shard-0 probe fails: the first query degrades,
-        # every later one is healthy (one failure keeps the breaker closed).
-        faults.rule("shard.search", match={"shard": 0}, nth=1)
-        service = make_service(n_shards=2, faults=faults)
+    def test_failing_shard_is_a_500_and_the_next_query_answers(self):
+        service = make_service(n_shards=2)
         app = ServingApp(service)
-        searched, healthy_done = threading.Event(), threading.Event()
-        query = service.query
-
-        def pausing_query(*args, **kwargs):
-            # Hold the faulted request between its search and the
-            # handler's flag read until the healthy request has finished.
-            out = query(*args, **kwargs)
-            if threading.current_thread() is faulted:
-                searched.set()
-                assert healthy_done.wait(10)
-            return out
-
-        service.query = pausing_query
         payload = {"vector": [0.5] * DIM, "top_k": 5}
-        results = []
-        faulted = threading.Thread(
-            target=lambda: results.append(app.handle("POST", "/query",
-                                                     payload))
-        )
-        faulted.start()
-        assert searched.wait(10)
-        healthy = app.handle("POST", "/query", payload)
-        healthy_done.set()
-        faulted.join(10)
-        assert not faulted.is_alive()
-        assert healthy[0] == 200 and healthy[1]["degraded"] is False
-        assert results[0][0] == 200 and results[0][1]["degraded"] is True
+
+        def explode(codes, top_k):
+            raise RuntimeError("shard search bug")
+
+        service.index.shards[0].search = explode
+        status, body = app.handle("POST", "/query", payload)
+        assert (status, body["error"]["type"]) == (500, "RuntimeError")
+        del service.index.shards[0].search
+        status, body = app.handle("POST", "/query", payload)
+        assert status == 200 and body["degraded"] is False
+        ids, dist = service.query(np.full(DIM, 0.5), top_k=5)
+        assert body["ids"] == ids.tolist()
+        assert body["distances"] == dist.tolist()
+        assert app.handle("GET", "/health", None)[1]["status"] == "ok"
         app.close()
 
     def test_handle_raw_bad_json(self):

@@ -1,6 +1,6 @@
-"""Tests for the PR 7 resilience layer: deterministic fault injection,
-retry policies, circuit breakers, store integrity/quarantine, degraded
-sharded serving, and the service's overload/deadline/health surface."""
+"""Tests for the resilience layer: deterministic fault injection, retry
+policies, store integrity/quarantine, a failing shard that fails only its
+own query, and the service's overload/deadline/health surface."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,13 @@ from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
     ReproError,
-    ShardUnavailableError,
     TransientError,
 )
 from repro.pipeline import ArtifactStore, content_digest
 from repro.retrieval import HammingIndex
 from repro.serving import EncodeBatcher, HashingService, ShardedIndex
-from repro.utils import CircuitBreaker, FaultInjector, RetryPolicy
+from repro.utils import FaultInjector, RetryPolicy
 from repro.utils.faults import NULL_INJECTOR
-from repro.utils.retry import CLOSED, HALF_OPEN, OPEN
 
 
 def random_codes(n, k, seed=0):
@@ -31,17 +29,6 @@ def random_codes(n, k, seed=0):
 def identity_network(bits=16, dim=8, rng=0):
     return HashingNetwork(bits, mode="feature", feature_extractor=lambda x: x,
                           feature_dim=dim, rng=rng)
-
-
-class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = t
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
 
 
 class TickingClock:
@@ -57,8 +44,8 @@ class TickingClock:
 
 
 def _raise_boom(*args, **kwargs):
-    """Stand-in shard method that fails inside the probe itself."""
-    raise RuntimeError("shard blew up mid-probe")
+    """Stand-in shard method that fails inside the fan-out itself."""
+    raise RuntimeError("shard blew up mid-search")
 
 
 # -- fault injector -----------------------------------------------------------
@@ -112,10 +99,10 @@ class TestFaultInjector:
 
     def test_match_filters_on_context(self):
         inj = FaultInjector().arm()
-        inj.rule("shard.search", match={"shard": 1})
-        inj.check("shard.search", shard=0)
+        inj.rule("store.read", match={"key": "b"})
+        inj.check("store.read", key="a")
         with pytest.raises(TransientError):
-            inj.check("shard.search", shard=1)
+            inj.check("store.read", key="b")
 
     def test_custom_exception_type(self):
         inj = FaultInjector().arm()
@@ -203,51 +190,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(base_delay_s=1.0, multiplier=10.0,
                              max_delay_s=2.0, jitter=0.0)
         assert policy.delay_s(5) == 2.0
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=10.0,
-                                 clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CLOSED and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN and not breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_half_open_probe_then_close(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(5.1)
-        assert breaker.allow()  # the single probe
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # others blocked while probing
-        breaker.record_success()
-        assert breaker.state == CLOSED and breaker.allow()
-
-    def test_failed_probe_reopens_and_restarts_timer(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(5.1)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN and not breaker.allow()
-        clock.advance(5.1)
-        assert breaker.allow()
-        assert breaker.stats()["openings"] == 2
 
 
 # -- store integrity ----------------------------------------------------------
@@ -368,158 +310,33 @@ class TestStoreIntegrity:
         assert fresh.stats()["quarantine_entries"] == 0
 
 
-# -- degraded sharded serving -------------------------------------------------
+# -- a failing shard ----------------------------------------------------------
 
 
-class TestShardedDegradation:
-    def make_index(self, faults=None, clock=None, **kwargs):
-        kwargs.setdefault("n_shards", 3)
-        kwargs.setdefault("breaker_threshold", 2)
-        kwargs.setdefault("breaker_reset_s", 10.0)
-        index = ShardedIndex(
-            16, faults=faults or NULL_INJECTOR,
-            clock=clock or FakeClock(), **kwargs,
-        )
-        return index.add(random_codes(30, 16))
-
-    def test_dead_shard_degrades_instead_of_failing(self):
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 1})
-        index = self.make_index(faults=faults)
-        queries = random_codes(4, 16, seed=2)
-        ids, dist = index.search(queries, top_k=5)
-        assert index.last_query_degraded
-        assert ids.shape == dist.shape == (4, 5)
-        assert not np.any(ids % 3 == 1)  # nothing from the dead shard
-        # Survivors match a healthy index restricted to the alive rows.
-        alive = np.flatnonzero(np.arange(30) % 3 != 1)
-        reference = HammingIndex(16).add(random_codes(30, 16)[alive])
-        r_pos, r_dist = reference.search(queries, top_k=5)
-        np.testing.assert_array_equal(ids, alive[r_pos])
-        np.testing.assert_array_equal(dist, r_dist)
-
-    def test_padding_when_survivors_run_short(self):
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 0})
-        index = ShardedIndex(16, n_shards=2, faults=faults, clock=FakeClock())
-        index.add(random_codes(4, 16))  # 2 rows per shard
-        ids, dist = index.search(random_codes(1, 16, seed=3), top_k=4)
-        assert ids.shape == (1, 4)
-        assert list(ids[0][2:]) == [-1, -1]  # padded tail
-        assert all(d == 17 for d in dist[0][2:])  # n_bits + 1 sentinel
-
-    def test_all_shards_down_raises_typed(self):
-        faults = FaultInjector().arm()
-        faults.rule("shard.search")
-        index = self.make_index(faults=faults)
-        with pytest.raises(ShardUnavailableError):
-            index.search(random_codes(1, 16), top_k=3)
-
-    def test_breaker_opens_then_recovers(self):
-        clock = FakeClock()
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 2})
-        index = self.make_index(faults=faults, clock=clock)
-        queries = random_codes(2, 16, seed=4)
-        for _ in range(3):
-            index.search(queries, top_k=3)
-        states = {c["shard"]: c["state"] for c in index.circuit_states()}
-        assert states[2] == OPEN and states[0] == states[1] == CLOSED
-        # Open circuit short-circuits: the dead shard is not even consulted.
-        calls_before = faults.calls["shard.search"]
-        index.search(queries, top_k=3)
-        assert index.last_query_degraded
-        assert faults.calls["shard.search"] == calls_before + 2  # 2 alive
-        # Recovery: faults stop, the reset timeout passes, a probe closes it.
-        faults.disarm()
-        clock.advance(11.0)
-        ids, dist = index.search(queries, top_k=3)
-        assert not index.last_query_degraded and not index.degraded
-        healthy = ShardedIndex(16, n_shards=3).add(random_codes(30, 16))
-        h_ids, h_dist = healthy.search(queries, top_k=3)
-        np.testing.assert_array_equal(ids, h_ids)
-        np.testing.assert_array_equal(dist, h_dist)
-
-    def test_degraded_queries_bypass_and_clear_the_cache(self):
-        clock = FakeClock()
-        faults = FaultInjector().arm()
-        rule = faults.rule("shard.search", match={"shard": 1}, times=6)
-        index = self.make_index(faults=faults, clock=clock, cache_size=8)
-        queries = random_codes(2, 16, seed=5)
-        degraded_ids, _ = index.search(queries, top_k=3)
-        assert index.last_query_degraded
-        # Enough failures to keep failing through the breaker threshold.
-        while rule.fired < 6 and index.degraded:
-            index.search(queries, top_k=3)
-        faults.disarm()
-        clock.advance(11.0)
-        healthy_ids, _ = index.search(queries, top_k=3)
-        # The degraded answer must not have been served back from cache.
-        assert not index.last_query_degraded
-        repeat_ids, _ = index.search(queries, top_k=3)
-        np.testing.assert_array_equal(healthy_ids, repeat_ids)
-        healthy = ShardedIndex(16, n_shards=3).add(random_codes(30, 16))
-        np.testing.assert_array_equal(
-            healthy_ids, healthy.search(queries, top_k=3)[0]
-        )
-
-    def test_radius_search_degrades_too(self):
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 0})
-        index = self.make_index(faults=faults)
-        hits = index.radius_search(random_codes(2, 16, seed=6), radius=16)
-        assert index.last_query_degraded
-        for row in hits:
-            assert not np.any(row % 3 == 0)
-
+class TestFailingShard:
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_injected_fault_on_pooled_probe_trips_breaker(self, workers):
-        # PR 8: fault schedules are consulted serially at admission, so an
-        # injected shard.search fault behaves identically whether the
-        # admitted probes then run inline or on the worker pool.
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 1})
-        index = self.make_index(faults=faults, workers=workers)
-        queries = random_codes(3, 16, seed=7)
-        ids, dist = index.search(queries, top_k=5)
-        assert index.last_query_degraded
-        assert ids.shape == dist.shape == (3, 5)
-        kept = ids[ids >= 0]
-        assert not np.any(kept % 3 == 1)  # nothing from the faulted shard
-        for row in ids:  # no duplicated survivor in any merged row
-            alive = row[row >= 0]
-            assert len(set(alive.tolist())) == alive.size
-        index.search(queries, top_k=5)  # second strike hits threshold=2
-        states = {c["shard"]: c["state"] for c in index.circuit_states()}
-        assert states[1] == OPEN
-        # Same fault schedule, serial pool: byte-identical degraded answer.
-        serial_faults = FaultInjector().arm()
-        serial_faults.rule("shard.search", match={"shard": 1})
-        serial = self.make_index(faults=serial_faults, workers=1)
-        np.testing.assert_array_equal(ids, serial.search(queries, top_k=5)[0])
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_exception_inside_pooled_probe_trips_breaker(self, workers):
-        # A shard blowing up INSIDE a pooled probe (not at admission) must
-        # surface through the future, trip that shard's breaker, and leave
-        # the merged answer degraded-but-complete — never hang or duplicate.
-        index = self.make_index(workers=workers)
-        index.shards[1].search = _raise_boom  # instance attr shadows method
+    def test_exception_reaches_the_caller_and_the_next_query_answers(
+        self, workers
+    ):
+        # Every shard lives in this process, so a shard fails only by a
+        # bug: its exception must reach the caller unchanged, inline or
+        # from a pooled search, and nothing of it may outlive the query.
+        codes = random_codes(30, 16)
+        index = ShardedIndex(16, n_shards=3, workers=workers).add(codes)
         queries = random_codes(3, 16, seed=8)
+        index.shards[1].search = _raise_boom  # instance attr shadows method
+        index.shards[1].radius_search = _raise_boom
+        with pytest.raises(RuntimeError, match="mid-search"):
+            index.search(queries, top_k=5)
+        with pytest.raises(RuntimeError, match="mid-search"):
+            index.radius_search(queries, radius=16)
+        del index.shards[1].search, index.shards[1].radius_search
         ids, dist = index.search(queries, top_k=5)
-        assert index.last_query_degraded
-        assert ids.shape == (3, 5)
-        kept = ids[ids >= 0]
-        assert not np.any(kept % 3 == 1)
-        for row in ids:
-            alive = row[row >= 0]
-            assert len(set(alive.tolist())) == alive.size
-        index.search(queries, top_k=5)
-        states = {c["shard"]: c["state"] for c in index.circuit_states()}
-        assert states[1] == OPEN
-        serial = self.make_index(workers=1)
-        serial.shards[1].search = _raise_boom
-        np.testing.assert_array_equal(ids, serial.search(queries, top_k=5)[0])
+        flat_ids, flat_dist = HammingIndex(16).add(codes).search(queries,
+                                                                  top_k=5)
+        np.testing.assert_array_equal(ids, flat_ids)
+        np.testing.assert_array_equal(dist, flat_dist)
+        index.close()
 
 
 # -- batcher poison isolation -------------------------------------------------
@@ -572,12 +389,12 @@ class TestBatcherFaults:
 
     def test_repro_errors_pass_through_untouched(self):
         def encode(matrix):
-            raise ShardUnavailableError("typed already")
+            raise DeadlineExceededError("typed already")
 
         batcher = EncodeBatcher(encode, max_batch=4)
         ticket = batcher.submit(np.ones(8))
         batcher.flush()
-        with pytest.raises(ShardUnavailableError):
+        with pytest.raises(DeadlineExceededError):
             ticket.result()
 
     def test_injected_encode_faults_are_typed(self):
@@ -646,66 +463,22 @@ class TestServiceResilience:
         ids, _ = service.query(np.ones(8), top_k=2)
         assert ids.shape == (1, 2)
 
-    def test_degraded_results_map_missing_to_external_minus_one(self):
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 0})
-        service = HashingService(identity_network(), n_shards=2,
-                                 faults=faults)
-        # External ids offset by 100 so internal 0 and external MISSING_ID
-        # can never be confused.
-        vectors = np.random.default_rng(9).normal(size=(4, 8))
-        service.add(vectors, ids=np.arange(100, 104))
-        ids, dist = service.query(np.ones(8), top_k=4)
-        assert service.last_query_degraded
-        assert ids.shape == (1, 4)
-        assert set(ids[0][2:]) == {-1}  # padded, not aliased to row 100
-        assert all(i in (101, 103) for i in ids[0][:2])  # shard-1 rows
-
     def test_health_report_shapes(self, tmp_path):
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 1})
         store = ArtifactStore(tmp_path / "cache")
-        service = HashingService(
-            identity_network(), n_shards=3, store=store, faults=faults,
-            index_options={"breaker_threshold": 1},
-        )
+        service = HashingService(identity_network(), n_shards=3, store=store)
         service.load_database(
             np.random.default_rng(10).normal(size=(9, 8)),
             key={"name": "health"},
         )
-        assert service.health()["status"] == "ok"
         service.query(np.ones(8), top_k=2)
         report = service.health()
-        assert report["status"] == "degraded" and report["degraded"]
-        assert [c["shard"] for c in report["circuits"]] == [0, 1, 2]
+        assert set(report) == {"status", "closed", "workers", "batcher",
+                               "shed", "deadline_exceeded", "store"}
+        assert report["status"] == "ok" and not report["closed"]
         assert report["store"]["corruptions"] == 0
         assert report["store"]["quarantine_entries"] == 0
         assert report["batcher"]["poisoned"] == 0
         assert report["shed"] == 0 and report["deadline_exceeded"] == 0
-
-    def test_faulted_service_recovers_bit_identical(self):
-        clock = FakeClock()
-        faults = FaultInjector().arm()
-        faults.rule("shard.search", match={"shard": 1})
-        service = HashingService(
-            identity_network(), n_shards=3, faults=faults, clock=clock,
-            index_options={"breaker_threshold": 2, "breaker_reset_s": 5.0},
-        )
-        rng = np.random.default_rng(11)
-        db = rng.normal(size=(15, 8))
-        service.load_database(db)
-        reference = HashingService(identity_network(), n_shards=3)
-        reference.load_database(db)
-        queries = rng.normal(size=(3, 8))
-        want_ids, want_dist = reference.query(queries, top_k=4)
-        service.query(queries, top_k=4)
-        assert service.last_query_degraded
-        faults.disarm()
-        clock.advance(6.0)
-        got_ids, got_dist = service.query(queries, top_k=4)
-        assert not service.last_query_degraded
-        np.testing.assert_array_equal(got_ids, want_ids)
-        np.testing.assert_array_equal(got_dist, want_dist)
 
 
 # -- cache stats CLI ----------------------------------------------------------
