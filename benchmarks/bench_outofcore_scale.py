@@ -65,9 +65,11 @@ def make_network() -> HashingNetwork:
     )
 
 
-def test_bench_outofcore_scale(results_dir, tmp_path):
+def test_bench_outofcore_scale(results_dir, tmp_path, monkeypatch):
     corpus = memmap_features(tmp_path / "corpus.npy", N_ROWS, seed=N_ROWS)
-    store = ArtifactStore(tmp_path / "cache", mmap_threshold_bytes=0)
+    # Every artifact raw, so bench-sized ones memmap as 32 MiB ones do.
+    monkeypatch.setattr(ArtifactStore, "MMAP_BYTES", 0)
+    store = ArtifactStore(tmp_path / "cache")
 
     # The disk lifecycle's Q: built from the memmapped corpus, stored raw,
     # and replayed as memmapped factors.

@@ -9,12 +9,12 @@ L2-normalised rows: 25.6 MB at 50,000 × 64, and never n²:
 1. build Q as its factor with `similarity_from_distributions`;
 2. train the hashing network against it with `UHSCMTrainer` (each batch's
    t×t block is computed from the batch's factor rows);
-3. encode the corpus in bounded-memory chunks;
+3. encode the corpus in bounded-memory batches;
 4. stand the codes up behind the sharded `HashingService` and query it.
 
 With ``--out-of-core`` the corpus itself lives in a memmapped file, and
-training/encoding copy only per-batch slices to RAM; the results are
-bit-identical to the in-memory run.
+training, encoding and serving copy only per-batch slices of it to RAM;
+the results are bit-identical to the in-memory run.
 
 Run:  python examples/large_corpus.py [--rows N] [--out-of-core]
 """
@@ -90,7 +90,7 @@ def run(args: argparse.Namespace, workdir: Path) -> None:
         )
         features = make_corpus(n_rows, rng, out=corpus_map)
         features.flush()
-        # Re-open read-only: downstream layers key chunking off np.memmap.
+        # Re-open read-only; every consumer below slices it per batch.
         features = np.load(workdir / "corpus.npy", mmap_mode="r")
     else:
         features = make_corpus(n_rows, rng)
@@ -133,8 +133,8 @@ def run(args: argparse.Namespace, workdir: Path) -> None:
     print(f"encode: {codes.shape[0]} codes x {N_BITS} bits "
           f"in {time.perf_counter() - t0:.1f}s")
 
-    # 4. Serve: shard the codes, answer nearest-neighbor queries.  A
-    #    memmapped database encodes + registers chunk by chunk.
+    # 4. Serve: shard the codes, answer nearest-neighbor queries.  The
+    #    service encodes and registers the database in bounded slices.
     service = HashingService(network, n_shards=4, max_batch=256)
     service.load_database(features)
     queries = make_corpus(5, rng)

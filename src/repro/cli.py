@@ -18,15 +18,6 @@ All commands run fully offline on the simulated substrate.  Timing and
 cross-checking live in the scale smokes under ``benchmarks/`` and in the
 repository benchmark under ``perfbench/``, not in this CLI.
 
-``--out-of-core`` (on ``train`` / ``table1`` / ``table2`` / ``serve`` /
-``serve-http``) makes disk the primary residence of the large arrays:
-store artifacts at or above ``--mmap-threshold-bytes`` (default 32 MB
-when out-of-core is on) are written in the raw per-array format and come
-back as read-only memmaps, and ``serve`` / ``serve-http`` encode and
-register their database in bounded-memory chunks.  Outputs are
-bit-identical to the in-memory paths and share their fingerprints, so
-the two modes replay each other's caches.
-
 ``--workers N`` (on ``serve`` / ``serve-http``; default
 ``$REPRO_WORKERS``, else 1) runs the one pooled site, the sharded search
 fan-out, on N threads of the shared
@@ -59,8 +50,10 @@ which implies the default cache dir) attaches a content-addressed
 :class:`~repro.pipeline.ArtifactStore` to
 the run: UHSCM mines each dataset's Q once for every bit width, finished
 (method, n_bits) cells persist on disk, and an interrupted ``table1`` /
-``table2`` run resumes where it died.  The default location is
-``$REPRO_CACHE_DIR`` or ``.repro-cache``.
+``table2`` run resumes where it died.  Artifacts of at least
+``ArtifactStore.MMAP_BYTES`` (32 MiB) are stored raw and come back as
+read-only memmaps.  The default location is ``$REPRO_CACHE_DIR`` or
+``.repro-cache``.
 """
 
 from __future__ import annotations
@@ -74,11 +67,6 @@ from pathlib import Path
 from repro.config import PAPER_BIT_LENGTHS, paper_config
 from repro.datasets import DATASET_NAMES, load_dataset
 from repro.vlp import SimCLIP
-
-
-#: Raw-format routing threshold used by ``--out-of-core`` when the caller
-#: does not pick one explicitly with ``--mmap-threshold-bytes``.
-DEFAULT_MMAP_THRESHOLD = 32 * 1024 * 1024
 
 
 def default_cache_dir() -> Path:
@@ -95,10 +83,7 @@ def _make_store(args: argparse.Namespace):
         return None
     from repro.pipeline import ArtifactStore
 
-    threshold = getattr(args, "mmap_threshold_bytes", None)
-    if threshold is None and getattr(args, "out_of_core", False):
-        threshold = DEFAULT_MMAP_THRESHOLD
-    return ArtifactStore(cache_dir, mmap_threshold_bytes=threshold)
+    return ArtifactStore(cache_dir)
 
 
 def _print_store_summary(store) -> None:
@@ -128,19 +113,6 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
                         help="threads for the shard fan-out; results are "
                              "bit-identical at any count "
                              "(default: $REPRO_WORKERS, else serial)")
-
-
-def _add_out_of_core(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out-of-core", action="store_true",
-                        help="disk-resident large arrays: big store "
-                             "artifacts (with --cache-dir) become memmapped "
-                             "raw archives, and serving encodes its "
-                             "database in chunks (bit-identical outputs)")
-    parser.add_argument("--mmap-threshold-bytes", type=int, default=None,
-                        metavar="BYTES",
-                        help="route store artifacts at or above this many "
-                             "bytes to the memmapped raw format (0 = all; "
-                             "default: 32 MB when --out-of-core, else off)")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -235,7 +207,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         data.database_images,
         key=dataset_key(args.dataset, args.scale, args.seed,
                         split="database"),
-        chunk_size=HashingService.DB_CHUNK if args.out_of_core else None,
     )
     db_stats = service.stats()["database"]
     how = "warm snapshot load" if db_stats["warm_loads"] else "cold encode"
@@ -319,10 +290,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             cache_size=args.cache_size, max_batch=args.batch,
             workers=args.workers,
         )
-        service.load_database(
-            data.database_images, key=db_key,
-            chunk_size=HashingService.DB_CHUNK if args.out_of_core else None,
-        )
+        service.load_database(data.database_images, key=db_key)
         return service
 
     def swap_factory(source: str) -> HashingService:
@@ -444,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train UHSCM on one dataset")
     _add_common(p_train)
     _add_cache_dir(p_train)
-    _add_out_of_core(p_train)
     p_train.add_argument("--bits", type=int, default=64)
     p_train.add_argument("--out", default=None, help="save model here (.npz)")
     p_train.set_defaults(func=_cmd_train)
@@ -460,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_serve)
     _add_cache_dir(p_serve)
-    _add_out_of_core(p_serve)
     _add_workers(p_serve)
     p_serve.add_argument("--model", default=None,
                          help="model source: persistence archive path or "
@@ -493,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_http)
     _add_cache_dir(p_http)
-    _add_out_of_core(p_http)
     _add_workers(p_http)
     p_http.add_argument("--model", default=None,
                         help="persistence archive path or store fingerprint "
@@ -524,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("table1", help="regenerate Table 1")
     _add_common(p_t1)
     _add_cache_dir(p_t1)
-    _add_out_of_core(p_t1)
     p_t1.add_argument("--bits", type=int, nargs="+",
                       default=list(PAPER_BIT_LENGTHS))
     p_t1.add_argument("--epochs", type=int, default=None,
@@ -537,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2 = sub.add_parser("table2", help="regenerate Table 2 (ablations)")
     _add_common(p_t2)
     _add_cache_dir(p_t2)
-    _add_out_of_core(p_t2)
     p_t2.add_argument("--bits", type=int, nargs="+", default=[32, 64])
     p_t2.add_argument("--epochs", type=int, default=None,
                       help="override training epochs (reproduction scale)")

@@ -123,13 +123,16 @@ class HashingNetwork:
 
     def relaxed_codes(self, images: np.ndarray) -> np.ndarray:
         """Eval-mode tanh outputs z for raw images, batched into one
-        preallocated ``(n, n_bits)`` array in the network's dtype."""
+        preallocated ``(n, n_bits)`` array in the network's dtype.  Each
+        batch is cast on its own, so a memmapped corpus stays on disk."""
+        images = np.asarray(images)
         if images.shape[0] == 0:
             raise NotFittedError("cannot encode an empty image batch")
         self.net.train(False)
         out = np.empty((images.shape[0], self.n_bits), dtype=self.dtype)
         for start in range(0, images.shape[0], _ENCODE_BATCH):
-            batch = images[start : start + _ENCODE_BATCH]
+            batch = np.asarray(images[start : start + _ENCODE_BATCH],
+                               dtype=self.dtype)
             out[start : start + batch.shape[0]] = self.net(
                 self.prepare_inputs(batch))
         self.net.train(True)

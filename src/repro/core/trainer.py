@@ -7,8 +7,9 @@ updates the network with SGD (momentum 0.9, lr 0.006, weight decay 1e-5 —
 the paper's §4.1 settings, carried by :class:`~repro.config.TrainConfig`).
 
 The whole step runs under the :attr:`TrainConfig.dtype` policy: the network
-is cast once at construction and inputs/similarity once per ``fit``, so a
-float32 run never round-trips through float64 on the hot path.
+is cast once at construction, the similarity once per ``fit`` and each
+mini-batch's input rows as they are gathered, so a float32 run never
+round-trips through float64 on the hot path.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ class UHSCMTrainer:
         ----------
         inputs:
             Network-ready training inputs (features or raw images), length
-            n.  A memmap is consumed in place: only each mini-batch's rows
-            are copied (and cast) to the heap, so a disk-resident corpus
-            trains in O(batch) memory.
+            n.  They are consumed in place: only each mini-batch's rows
+            are copied (and cast) to the heap, so a memmapped corpus stays
+            on disk and trains in O(batch) memory.
         similarity:
             The (n, n) semantic similarity matrix Q — a dense array or any
             :class:`~repro.core.similarity_matrix.SimilarityMatrix` (the
@@ -120,13 +121,7 @@ class UHSCMTrainer:
         epochs:
             Override for ``config.train.epochs``.
         """
-        if not isinstance(inputs, np.memmap):
-            # The historical path: one upfront cast.  For a memmap this
-            # would materialize the whole corpus on the heap; instead each
-            # batch gather below casts its own rows (bit-identical — a
-            # dtype cast is elementwise, so cast-then-slice == slice-then-
-            # cast).
-            inputs = np.asarray(inputs, dtype=self.dtype)
+        inputs = np.asarray(inputs)
         n = inputs.shape[0]
         if similarity.shape != (n, n):
             raise ConfigurationError(
@@ -152,9 +147,8 @@ class UHSCMTrainer:
                 # takes the t² sub-block, sparse Q densifies its stored
                 # batch entries into a zero block: only O(t²) is
                 # materialized per step.  Fancy indexing copies the input
-                # rows to the heap either way; the explicit cast only
-                # matters for the memmap path, whose rows still carry the
-                # on-disk dtype.
+                # rows to the heap, and the cast is elementwise, so
+                # slice-then-cast gives the bits cast-then-slice would.
                 q_batch = similarity.gather(idx)
                 batch = np.asarray(inputs[idx], dtype=self.dtype)
                 breakdowns.append(step(batch, q_batch))

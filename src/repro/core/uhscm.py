@@ -32,7 +32,7 @@ from repro.core.similarity_matrix import (
     similarity_fingerprint,
 )
 from repro.core.trainer import TrainHistory, UHSCMTrainer
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import NotFittedError
 from repro.pipeline import (
     TRAIN,
     ArtifactStore,
@@ -67,9 +67,6 @@ class UHSCM:
         ``feature`` (default; MLP head over frozen pretrained features) or
         ``conv`` (end-to-end VGG-style training on raw images).
     """
-
-    #: Default inference chunk for memmapped inputs (rows per heap slice).
-    MEMMAP_CHUNK = 8192
 
     def __init__(
         self,
@@ -254,61 +251,21 @@ class UHSCM:
         inputs = self.network.prepare_inputs(images)
         self.history_ = trainer.fit(inputs, q, epochs=epochs)
 
-    def _infer_blocks(
-        self, fn, images: np.ndarray, chunk_size: int | None
-    ) -> np.ndarray:
-        """Run an inference helper over ``images`` in bounded-memory chunks.
-
-        Inputs are cast to the network's configured dtype — once, per
-        chunk — so a float32-trained network never pays the old
-        unconditional float64 round trip.  ``chunk_size=None`` processes
-        everything in one call (the network still micro-batches
-        internally) — unless ``images`` is a memmap, which defaults to
-        :attr:`MEMMAP_CHUNK` rows per chunk so a disk-resident corpus is
-        never materialized whole.  Chunked and monolithic results are
-        identical because every row's forward pass is independent in eval
-        mode.
-        """
-        assert self.network is not None
-        dtype = self.network.dtype
-        if not isinstance(images, np.memmap):
-            images = np.asarray(images)
-        elif chunk_size is None:
-            chunk_size = self.MEMMAP_CHUNK
-        if chunk_size is None or images.shape[0] == 0:
-            return fn(np.asarray(images, dtype=dtype))
-        if chunk_size <= 0:
-            raise ConfigurationError(
-                f"chunk_size must be positive (or None): {chunk_size}"
-            )
-        return np.concatenate(
-            [
-                fn(np.asarray(images[start : start + chunk_size], dtype=dtype))
-                for start in range(0, images.shape[0], chunk_size)
-            ]
-        )
-
-    def encode(
-        self, images: np.ndarray, chunk_size: int | None = None
-    ) -> np.ndarray:
+    def encode(self, images: np.ndarray) -> np.ndarray:
         """Binary ±1 hash codes of shape (n, k).
 
-        ``chunk_size`` bounds inference memory for large corpora: images
-        are cast and forwarded ``chunk_size`` rows at a time, with output
-        identical to the monolithic call for any chunk size.
+        The network casts and forwards the images one bounded batch at a
+        time, so a memmapped corpus is never copied to the heap whole.
         """
         if self.network is None:
             raise NotFittedError("UHSCM.encode called before fit")
-        return self._infer_blocks(self.network.encode, images, chunk_size)
+        return self.network.encode(images)
 
-    def relaxed_codes(
-        self, images: np.ndarray, chunk_size: int | None = None
-    ) -> np.ndarray:
+    def relaxed_codes(self, images: np.ndarray) -> np.ndarray:
         """Tanh outputs z in [-1, 1]^k (before binarization)."""
         if self.network is None:
             raise NotFittedError("UHSCM.relaxed_codes called before fit")
-        return self._infer_blocks(self.network.relaxed_codes, images,
-                                  chunk_size)
+        return self.network.relaxed_codes(images)
 
     @property
     def mined_concepts(self) -> tuple[str, ...]:

@@ -59,11 +59,23 @@ def fingerprint(payload: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def array_fingerprint(array: np.ndarray) -> str:
-    """Content hash of an array (dtype + shape + raw bytes)."""
-    array = np.ascontiguousarray(array)
-    digest = hashlib.sha256()
+def hash_array(array: np.ndarray, digest=None):
+    """Fold one array's dtype, shape and C-order bytes into ``digest`` (a
+    fresh sha256 by default) and return it.  A C-contiguous array, a
+    memmap included, is hashed in place, without a heap copy.
+    """
+    digest = hashlib.sha256() if digest is None else digest
+    array = np.asarray(array)
     digest.update(str(array.dtype).encode())
-    digest.update(str(array.shape).encode())
-    digest.update(array.tobytes())
-    return digest.hexdigest()
+    digest.update(repr(tuple(array.shape)).encode())
+    if array.size:
+        digest.update(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+    return digest
+
+
+def array_fingerprint(array: np.ndarray) -> str:
+    """Content hash of an array (dtype + shape + raw bytes).
+
+    A 0-d array hashes as shape ``(1,)``; stored addresses depend on it.
+    """
+    return hash_array(np.atleast_1d(array)).hexdigest()

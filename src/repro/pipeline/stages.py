@@ -24,10 +24,10 @@ build_q chain; ``train`` and ``encode`` fingerprints additionally fold in
 the model configuration, which is what makes interrupted table runs
 resumable per (method, n_bits) cell.
 
-Execution policy never enters ``Stage.params``: the store's residency
-policy (``.npz`` or memmapped raw format) produces bit-identical
-artifacts, so a stage replays from — and is replayed by — the same
-address whichever format holds it.
+Residency never enters ``Stage.params``: the store picks ``.npz`` or the
+memmapped raw format from an artifact's size alone, both hold the same
+bits, and a stage replays from the same address whichever format holds
+it.
 """
 
 from __future__ import annotations

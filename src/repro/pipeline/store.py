@@ -18,8 +18,8 @@ Large artifacts additionally have a **raw** on-disk format — a
 as read-only ``np.memmap`` views instead of heap copies, so K processes
 reading the same artifact share one physical copy of the pages.  ``put``
 routes an artifact to the raw format once its arrays reach
-``mmap_threshold_bytes``.  Raw directories are written atomically too
-(tmp dir + rename) and participate in the same LRU eviction.
+:attr:`ArtifactStore.MMAP_BYTES`.  Raw directories are written atomically
+too (tmp dir + rename) and participate in the same LRU eviction.
 
 Hit/miss/put/eviction counters are kept per stage and — with a disk layer —
 persisted to ``<cache_dir>/stats.json`` after every event, so ``repro.cli
@@ -71,6 +71,7 @@ from repro.errors import (
     ConfigurationError,
     TransientError,
 )
+from repro.pipeline.fingerprint import hash_array
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.retry import RetryPolicy
 
@@ -98,37 +99,13 @@ _CORRUPT_ERRORS = (
 )
 
 
-def _hash_array(digest, array: np.ndarray) -> None:
-    """Fold one array's dtype, shape, and raw bytes into ``digest``.
-
-    Contiguous arrays (including memmaps) hash through a zero-copy
-    memoryview, so digesting an out-of-core artifact streams pages without
-    materializing a heap copy.
-    """
-    array = np.asarray(array)
-    digest.update(str(array.dtype).encode())
-    digest.update(repr(tuple(array.shape)).encode())
-    if array.size == 0:
-        return
-    if not array.flags.c_contiguous:
-        array = np.ascontiguousarray(array)
-    digest.update(memoryview(array.reshape(-1)))
-
-
 def content_digest(meta: dict, arrays: dict[str, np.ndarray]) -> str:
     """sha256 over an artifact's metadata and named arrays."""
     digest = hashlib.sha256()
     digest.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
     for name in sorted(arrays):
         digest.update(name.encode("utf-8"))
-        _hash_array(digest, arrays[name])
-    return digest.hexdigest()
-
-
-def _member_digest(array: np.ndarray) -> str:
-    """sha256 of one raw-format member array."""
-    digest = hashlib.sha256()
-    _hash_array(digest, array)
+        hash_array(arrays[name], digest)
     return digest.hexdigest()
 
 
@@ -221,7 +198,7 @@ def write_raw_archive(
         for name, filename in files.items():
             array = np.asarray(arrays[name])
             np.save(tmp / filename, array)
-            digests[name] = _member_digest(array)
+            digests[name] = hash_array(array).hexdigest()
         (tmp / _RAW_MANIFEST).write_text(
             json.dumps({"meta": meta, "arrays": files, "digests": digests})
         )
@@ -259,7 +236,7 @@ def read_raw_archive(
     if verify:
         digests = manifest.get("digests", {})
         for name, recorded in digests.items():
-            actual = _member_digest(arrays[name])
+            actual = hash_array(arrays[name]).hexdigest()
             if actual != recorded:
                 raise ArtifactCorruptionError(
                     f"raw artifact member {name!r} in {path} failed its "
@@ -292,19 +269,6 @@ class ArtifactStore:
     max_entries / max_bytes:
         Disk-layer bounds; the least recently used archives are evicted
         once either is exceeded.  ``None`` disables the bound.
-    memory_entries / memory_bytes:
-        Bounds of the in-memory LRU layer (always bounded); an artifact
-        whose arrays alone exceed ``memory_bytes`` is served from disk
-        only, so table-scale Q matrices do not stay pinned in RAM.
-    mmap_threshold_bytes:
-        Out-of-core policy (requires ``cache_dir``): an artifact whose
-        arrays total at least this many bytes is written in the raw
-        format and read back as ``np.memmap`` views instead of heap
-        copies.  ``None`` (default) keeps every put in the ``.npz``
-        format; ``0`` routes everything through the raw format.  Raw
-        artifacts already on disk are always memmapped on read,
-        whatever the threshold — the format, not the policy, decides
-        residency.
     retry:
         :class:`~repro.utils.retry.RetryPolicy` wrapped around every disk
         read and write (default: 3 attempts, 10 ms exponential backoff).
@@ -317,35 +281,23 @@ class ArtifactStore:
         :data:`~repro.utils.faults.NULL_INJECTOR` by default.
     """
 
+    #: With a ``cache_dir``, an artifact whose arrays total at least this
+    #: many bytes is stored raw and read back memmapped; any other is an
+    #: ``.npz``.  A raw artifact on disk always reads back memmapped.
+    MMAP_BYTES = 32 * 1024 * 1024
+    #: Bounds of the in-memory LRU layer; a larger artifact, or a
+    #: memmapped one, is never pinned there.
+    MEMORY_ENTRIES = 64
+    MEMORY_BYTES = 256 * 1024 * 1024
+
     def __init__(
         self,
         cache_dir: str | Path | None = None,
         max_entries: int | None = None,
         max_bytes: int | None = None,
-        memory_entries: int = 64,
-        memory_bytes: int = 256 * 1024 * 1024,
-        mmap_threshold_bytes: int | None = None,
         retry: RetryPolicy | None = None,
         faults: FaultInjector = NULL_INJECTOR,
     ) -> None:
-        if mmap_threshold_bytes is not None:
-            if mmap_threshold_bytes < 0:
-                raise ConfigurationError(
-                    f"mmap_threshold_bytes must be >= 0: {mmap_threshold_bytes}"
-                )
-            if cache_dir is None:
-                raise ConfigurationError(
-                    "mmap_threshold_bytes requires a cache_dir (memmapped "
-                    "artifacts live on disk)"
-                )
-        if memory_entries < 0:
-            raise ConfigurationError(
-                f"memory_entries must be >= 0: {memory_entries}"
-            )
-        if memory_bytes < 0:
-            raise ConfigurationError(
-                f"memory_bytes must be >= 0: {memory_bytes}"
-            )
         if max_entries is not None and max_entries <= 0:
             raise ConfigurationError(f"max_entries must be positive: {max_entries}")
         if max_bytes is not None and max_bytes <= 0:
@@ -353,9 +305,6 @@ class ArtifactStore:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.memory_entries = memory_entries
-        self.memory_bytes = memory_bytes
-        self.mmap_threshold_bytes = mmap_threshold_bytes
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
         self._memory: OrderedDict[str, Artifact] = OrderedDict()
@@ -620,11 +569,10 @@ class ArtifactStore:
     ) -> Artifact:
         """Store an artifact under ``key`` and return it.
 
-        With ``mmap_threshold_bytes`` set, an artifact at or above the
-        threshold is written in the raw format and the returned artifact's
-        arrays are re-opened as read-only memmaps — the heap copy the
-        caller built is free to die.  Below the threshold (or with the
-        policy off) the ``.npz`` path is byte-for-byte the old behavior.
+        With a disk layer, an artifact of at least :attr:`MMAP_BYTES` is
+        written in the raw format and the returned artifact's arrays are
+        re-opened as read-only memmaps — the heap copy the caller built is
+        free to die.  A smaller artifact is written as an ``.npz``.
 
         A transiently failing write retries under the store's policy; if
         it stays broken the artifact is served from memory only for this
@@ -633,11 +581,7 @@ class ArtifactStore:
         """
         artifact = Artifact(key=key, meta=dict(meta), arrays=dict(arrays or {}))
         if self.cache_dir is not None:
-            use_raw = (
-                self.mmap_threshold_bytes is not None
-                and self._artifact_bytes(artifact)
-                >= self.mmap_threshold_bytes
-            )
+            use_raw = self._artifact_bytes(artifact) >= self.MMAP_BYTES
 
             def write():
                 self.faults.check("store.write", key=key)
@@ -713,15 +657,15 @@ class ArtifactStore:
         if any(isinstance(a, np.memmap) for a in artifact.arrays.values()):
             return  # memmapped arrays are already shared; never pin copies
         size = self._artifact_bytes(artifact)
-        if self.memory_entries == 0 or size > self.memory_bytes:
+        if size > self.MEMORY_BYTES:
             return  # oversized artifacts are served from disk only
         old = self._memory.pop(artifact.key, None)
         if old is not None:
             self._memory_used -= self._artifact_bytes(old)
         self._memory[artifact.key] = artifact
         self._memory_used += size
-        while self._memory and (len(self._memory) > self.memory_entries
-                                or self._memory_used > self.memory_bytes):
+        while self._memory and (len(self._memory) > self.MEMORY_ENTRIES
+                                or self._memory_used > self.MEMORY_BYTES):
             _, evicted = self._memory.popitem(last=False)
             self._memory_used -= self._artifact_bytes(evicted)
 

@@ -34,13 +34,13 @@ the status :func:`~repro.serving.http.schemas.status_for` maps it to
 
 from __future__ import annotations
 
+import json
+import logging
 import threading
 import time
 from collections import Counter
 from collections.abc import Callable
 from contextlib import contextmanager, nullcontext
-
-import json
 
 from repro.errors import (
     ConfigurationError,
@@ -51,6 +51,8 @@ from repro.errors import (
 from repro.serving.http import schemas
 from repro.serving.service import HashingService
 from repro.utils.metrics import LatencyHistogram
+
+_LOG = logging.getLogger(__name__)
 
 
 class _ServiceState:
@@ -195,8 +197,9 @@ class ServingApp:
 
         Library errors map to their taxonomy status (see
         :func:`~repro.serving.http.schemas.status_for`); unknown routes
-        return 404; anything foreign is a 500 — a handler can never leak
-        an exception to the transport, so no connection is left hanging.
+        return 404; anything foreign is a 500, logged at ERROR with its
+        traceback — a handler can never leak an exception to the
+        transport, so no connection is left hanging.
         """
         route = self._routes.get((method.upper(), path))
         endpoint = route[0] if route is not None else "other"
@@ -217,6 +220,9 @@ class ServingApp:
                     status, body = 200, route[1](payload, state)
         except BaseException as exc:
             status, body = schemas.status_for(exc), schemas.error_body(exc)
+            if status == 500:
+                _LOG.error("%s %s answered 500", method.upper(), path,
+                           exc_info=exc)
         self._count(endpoint, start, status)
         return status, body
 

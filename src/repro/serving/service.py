@@ -240,14 +240,13 @@ class HashingService:
 
     # -- database ---------------------------------------------------------------
 
-    #: Default rows-per-slice for memmapped databases and snapshots.
+    #: Rows encoded, and rows registered, per slice of a database.
     DB_CHUNK = 65536
 
     def load_database(
         self,
         vectors: np.ndarray,
         key: dict | None = None,
-        chunk_size: int | None = None,
     ) -> np.ndarray:
         """Encode + index a database, snapshotting the codes in the store.
 
@@ -259,19 +258,14 @@ class HashingService:
         (model, database) pair warm-loads its index with zero re-encodes.
         Returns the external ids assigned to the database rows.
 
-        Memory model: a memmapped ``vectors`` array stays disk-resident —
-        encoding and registration proceed ``chunk_size`` rows at a time
-        (default :attr:`DB_CHUNK`), each slice copied to the heap only for
-        its own forward pass, with results identical to the monolithic
-        path.  When the store replays the snapshot from a raw-format
-        artifact the packed code bits come back memmapped too, so K
-        service processes over the same cache share one physical copy;
-        :meth:`stats` reports this under ``database.snapshot_mmapped``.
+        Memory model: encoding and registration proceed :attr:`DB_CHUNK`
+        rows at a time, and a memmapped ``vectors`` array stays on disk,
+        each slice copied to the heap only for its own forward pass.  When
+        the store replays the snapshot from a raw-format artifact the
+        packed code bits come back memmapped too, so K service processes
+        over the same cache share one physical copy; :meth:`stats` reports
+        this under ``database.snapshot_mmapped``.
         """
-        if chunk_size is not None and chunk_size <= 0:
-            raise ConfigurationError(
-                f"chunk_size must be positive (or None): {chunk_size}"
-            )
         if not isinstance(vectors, np.memmap):
             vectors = np.asarray(vectors, dtype=np.float64)
         # The key is trusted provenance (like dataset_key): it must change
@@ -287,31 +281,22 @@ class HashingService:
             inputs=(self.model_key,) if self.model_key is not None else (),
         )
 
-        step = chunk_size
-        if step is None and isinstance(vectors, np.memmap):
-            step = self.DB_CHUNK
+        def slices(n_rows: int) -> range:
+            # An empty database still makes one (empty) slice.
+            return range(0, max(n_rows, 1), self.DB_CHUNK)
 
         def build() -> tuple[dict, dict[str, np.ndarray]]:
             self._db_encodes += 1
-            if step is None or vectors.shape[0] == 0:
-                codes = self._encode(np.asarray(vectors, dtype=np.float64))
-                bits = np.packbits(codes > 0, axis=1)
-            else:
-                # Per-chunk cast + forward + packbits: every row's code is
-                # independent in eval mode, so the concatenation equals the
-                # monolithic encode bit for bit.
-                bits = np.concatenate(
-                    [
-                        np.packbits(
-                            self._encode(
-                                np.asarray(vectors[s : s + step],
-                                           dtype=np.float64)
-                            ) > 0,
-                            axis=1,
-                        )
-                        for s in range(0, vectors.shape[0], step)
-                    ]
+            # Every row's code is independent in eval mode, so the slices
+            # concatenate to the codes of one whole-database encode.
+            bits = np.concatenate([
+                np.packbits(
+                    self._encode(np.asarray(vectors[s : s + self.DB_CHUNK],
+                                            dtype=np.float64)) > 0,
+                    axis=1,
                 )
+                for s in slices(vectors.shape[0])
+            ])
             return (
                 {"n_bits": self.n_bits, "rows": int(bits.shape[0])},
                 {"bits": bits},
@@ -324,26 +309,16 @@ class HashingService:
             self._warm_loads += 1
         bits = artifact.arrays["bits"]
         self._snapshot_mmap = isinstance(bits, np.memmap)
-        reg_step = step
-        if reg_step is None and self._snapshot_mmap:
-            reg_step = self.DB_CHUNK
-        if reg_step is None or bits.shape[0] == 0:
-            codes = unpack_codes(
-                PackedCodes(bits=np.asarray(bits), n_bits=self.n_bits)
+        return np.concatenate([
+            self._register(
+                unpack_codes(PackedCodes(
+                    bits=np.asarray(bits[s : s + self.DB_CHUNK]),
+                    n_bits=self.n_bits,
+                )),
+                ids=None,
             )
-            return self._register(codes, ids=None)
-        return np.concatenate(
-            [
-                self._register(
-                    unpack_codes(
-                        PackedCodes(bits=np.asarray(bits[s : s + reg_step]),
-                                    n_bits=self.n_bits)
-                    ),
-                    ids=None,
-                )
-                for s in range(0, bits.shape[0], reg_step)
-            ]
-        )
+            for s in slices(bits.shape[0])
+        ])
 
     # -- mutation ---------------------------------------------------------------
 

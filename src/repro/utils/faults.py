@@ -13,8 +13,9 @@ single artifact), and fires on a deterministic schedule:
 
 - ``nth=N`` — fail the Nth matching call (1-based), once;
 - ``rate=p`` — fail each matching call with probability ``p``, drawn from a
-  per-rule generator seeded off the injector seed (the same schedule on
-  every run);
+  per-rule generator seeded off the injector seed and the rule's point,
+  match and rate (the same schedule on every run, whatever other rules
+  the injector holds);
 - ``times=K`` — cap the total number of injected failures (``None`` =
   unlimited; the default for ``rate``/bare rules).
 
@@ -30,6 +31,7 @@ how many faults the schedule delivered.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from collections.abc import Callable
 
@@ -126,9 +128,15 @@ class FaultInjector:
             raise ConfigurationError(f"times must be >= 0, got {times}")
         rng = None
         if rate is not None:
-            # Each rule draws from its own stream, decorrelated by index, so
-            # adding a rule never perturbs the schedule of existing ones.
-            rng = np.random.default_rng((self.seed, len(self._rules)))
+            # Each rule draws from its own stream, keyed by what the rule is
+            # rather than where it sits, so adding, removing or reordering
+            # an unrelated rule never re-seeds it.  Identical rules are told
+            # apart by their ordinal among themselves.
+            identity = (point, sorted((match or {}).items()), rate)
+            ordinal = sum((r.point, sorted(r.match.items()), r.rate)
+                          == identity for r in self._rules)
+            key = hashlib.sha256(repr(identity).encode()).hexdigest()
+            rng = np.random.default_rng((self.seed, int(key, 16), ordinal))
         rule = FaultRule(point, exc, match, nth, rate,
                          times if nth is None else (times or 1), rng)
         self._rules.append(rule)

@@ -114,13 +114,15 @@ class TestFactoredMatchesDense:
 
 
 class TestFactoredForm:
-    def test_payload_round_trip_through_a_raw_store(self, rng, tmp_path):
+    def test_payload_round_trip_through_a_raw_store(self, rng, tmp_path,
+                                                    monkeypatch):
         q = FactoredSimilarity(
             *(similarity_from_distributions(rng.dirichlet(np.ones(m), 40))
               .factors[0] for m in (5, 7)),
             dtype=np.float32,
         )
-        store = ArtifactStore(tmp_path / "cache", mmap_threshold_bytes=0)
+        monkeypatch.setattr(ArtifactStore, "MMAP_BYTES", 0)
+        store = ArtifactStore(tmp_path / "cache")
         store.put("q", *q.payload())
         art = ArtifactStore(tmp_path / "cache").get("q")
         restored = similarity_from_payload(art.meta, art.arrays)

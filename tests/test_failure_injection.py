@@ -112,8 +112,11 @@ class TestCorruptedArtifacts:
 
         return ArtifactStore(tmp_path / "cache", **kwargs)
 
-    def test_corrupt_raw_member_is_quarantined(self, tmp_path):
-        store = self._store(tmp_path, mmap_threshold_bytes=1)
+    def test_corrupt_raw_member_is_quarantined(self, tmp_path, monkeypatch):
+        from repro.pipeline import ArtifactStore
+
+        monkeypatch.setattr(ArtifactStore, "MMAP_BYTES", 1)
+        store = self._store(tmp_path)
         arrays = {"x": np.arange(64, dtype=np.float64)}
         store.put(self.KEY, {"n": 64}, arrays, stage="unit")
         raw_dir = store.cache_dir / "objects" / f"{self.KEY}.raw"
@@ -122,7 +125,7 @@ class TestCorruptedArtifacts:
         blob[-8] ^= 0xFF  # surgical flip: structure intact, content wrong
         member.write_bytes(bytes(blob))
 
-        fresh = self._store(tmp_path, mmap_threshold_bytes=1)
+        fresh = self._store(tmp_path)
         assert fresh.get(self.KEY, stage="unit") is None
         assert not raw_dir.exists()
         assert (fresh.quarantine_dir / f"{self.KEY}.raw").is_dir()
@@ -130,7 +133,7 @@ class TestCorruptedArtifacts:
         assert stats["corruptions"] == 1 and stats["quarantined"] == 1
         # Rebuild lands clean at the same address.
         fresh.put(self.KEY, {"n": 64}, arrays, stage="unit")
-        replay = self._store(tmp_path, mmap_threshold_bytes=1)
+        replay = self._store(tmp_path)
         back = replay.get(self.KEY, stage="unit")
         assert back is not None
         np.testing.assert_array_equal(back.arrays["x"], arrays["x"])

@@ -9,6 +9,7 @@ the concurrent handlers feed.
 
 import itertools
 import json
+import logging
 import socket
 import sys
 import threading
@@ -219,7 +220,7 @@ class TestServingApp:
         assert len(service) == 40  # id 1 was not removed
         app.close()
 
-    def test_failing_shard_is_a_500_and_the_next_query_answers(self):
+    def test_failing_shard_is_a_500_and_the_next_query_answers(self, caplog):
         service = make_service(n_shards=2)
         app = ServingApp(service)
         payload = {"vector": [0.5] * DIM, "top_k": 5}
@@ -228,10 +229,18 @@ class TestServingApp:
             raise RuntimeError("shard search bug")
 
         service.index.shards[0].search = explode
-        status, body = app.handle("POST", "/query", payload)
-        assert (status, body["error"]["type"]) == (500, "RuntimeError")
-        del service.index.shards[0].search
-        status, body = app.handle("POST", "/query", payload)
+        with caplog.at_level(logging.ERROR, logger="repro.serving.http.app"):
+            status, body = app.handle("POST", "/query", payload)
+            assert (status, body["error"]["type"]) == (500, "RuntimeError")
+            [record] = caplog.records
+            assert record.levelno == logging.ERROR
+            assert record.name == "repro.serving.http.app"
+            assert "POST /query" in record.getMessage()
+            assert isinstance(record.exc_info[1], RuntimeError)
+            caplog.clear()
+            del service.index.shards[0].search
+            status, body = app.handle("POST", "/query", payload)
+            assert caplog.records == []
         assert status == 200 and body["degraded"] is False
         ids, dist = service.query(np.full(DIM, 0.5), top_k=5)
         assert body["ids"] == ids.tolist()

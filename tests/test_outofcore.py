@@ -1,22 +1,27 @@
 """Tests for the out-of-core corpus lifecycle.
 
-Covers the raw memmapped artifact format and its threshold routing in the
-store, memmap consumption in the trainer / ``UHSCM.encode`` / the serving
-layer, a staged fit whose factored Q replays as memmapped factors, the
-eviction (mtime, key) tie-break, per-stage disk stats, and the CLI flags
-that thread the policy through.
+Covers the raw memmapped artifact format and the store's size rule that
+routes artifacts to it (``ArtifactStore.MMAP_BYTES``, patched here to
+small values), memmap consumption in the trainer / ``UHSCM.encode`` / the
+serving layer, a staged fit whose factored Q replays as memmapped factors,
+the eviction (mtime, key) tie-break, per-stage disk stats, a CLI run
+whose store memmaps what it writes, and traced heap peaks showing that no
+consumer copies a corpus whole.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.config import TrainConfig, UHSCMConfig
+from repro.core import hashing_network
 from repro.core.hashing_network import HashingNetwork
+from repro.core.similarity import similarity_from_distributions
 from repro.core.similarity_matrix import (
     FactoredSimilarity,
     SparseTopKSimilarity,
@@ -87,9 +92,16 @@ class TestRawArchive:
 # -- store routing ------------------------------------------------------------
 
 
+def raw_at(monkeypatch, nbytes: int) -> None:
+    """Store every artifact of at least ``nbytes`` in the raw format."""
+    monkeypatch.setattr(ArtifactStore, "MMAP_BYTES", nbytes)
+
+
 class TestStoreRawRouting:
-    def test_threshold_routes_large_puts_to_raw(self, tmp_path, rng):
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=1000)
+    def test_threshold_routes_large_puts_to_raw(self, tmp_path, rng,
+                                                monkeypatch):
+        raw_at(monkeypatch, 1000)
+        store = ArtifactStore(tmp_path / "c")
         small = store.put("a" * 64, {}, {"x": np.zeros(4)})
         large = store.put("b" * 64, {}, {"x": rng.normal(size=500)})
         assert not isinstance(small.arrays["x"], np.memmap)
@@ -98,33 +110,37 @@ class TestStoreRawRouting:
         assert (tmp_path / "c/objects" / ("b" * 64 + ".raw")).is_dir()
         assert not (tmp_path / "c/objects" / ("b" * 64 + ".npz")).exists()
 
-    def test_threshold_zero_routes_everything(self, tmp_path):
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
+    def test_threshold_zero_routes_everything(self, tmp_path, monkeypatch):
+        raw_at(monkeypatch, 0)
+        store = ArtifactStore(tmp_path / "c")
         art = store.put("a" * 64, {"m": 1}, {"x": np.arange(3)})
         assert isinstance(art.arrays["x"], np.memmap)
 
-    def test_raw_hit_replays_as_memmap_across_instances(self, tmp_path, rng):
+    def test_raw_hit_replays_as_memmap_across_instances(self, tmp_path, rng,
+                                                         monkeypatch):
         data = rng.normal(size=(16, 4))
-        ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0).put(
-            "a" * 64, {"m": 1}, {"x": data}
-        )
-        # No threshold on the reader: the format, not the policy, decides.
+        raw_at(monkeypatch, 0)
+        ArtifactStore(tmp_path / "c").put("a" * 64, {"m": 1}, {"x": data})
+        # The default threshold on the reader: the format decides.
+        monkeypatch.undo()
         reader = ArtifactStore(tmp_path / "c")
         art = reader.get("a" * 64)
         assert art is not None and isinstance(art.arrays["x"], np.memmap)
         np.testing.assert_array_equal(art.arrays["x"], data)
         assert art.meta == {"m": 1}
 
-    def test_format_switch_removes_twin(self, tmp_path, rng):
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=1000)
+    def test_format_switch_removes_twin(self, tmp_path, rng, monkeypatch):
+        raw_at(monkeypatch, 1000)
+        store = ArtifactStore(tmp_path / "c")
         key = "a" * 64
         store.put(key, {}, {"x": rng.normal(size=500)})  # raw
         store.put(key, {}, {"x": np.zeros(4)})  # rewrite below threshold
         assert (tmp_path / "c/objects" / (key + ".npz")).exists()
         assert not (tmp_path / "c/objects" / (key + ".raw")).exists()
 
-    def test_corrupt_raw_treated_as_miss(self, tmp_path, rng):
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
+    def test_corrupt_raw_treated_as_miss(self, tmp_path, rng, monkeypatch):
+        raw_at(monkeypatch, 0)
+        store = ArtifactStore(tmp_path / "c")
         key = "a" * 64
         store.put(key, {}, {"x": rng.normal(size=8)})
         store._memory.clear()
@@ -134,21 +150,16 @@ class TestStoreRawRouting:
         assert store.get(key) is None
         assert not (tmp_path / "c/objects" / (key + ".raw")).exists()
 
-    def test_threshold_requires_cache_dir(self):
-        with pytest.raises(ConfigurationError):
-            ArtifactStore(mmap_threshold_bytes=0)
-
-    def test_negative_threshold_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ArtifactStore(tmp_path / "c", mmap_threshold_bytes=-1)
-
-    def test_memmapped_artifacts_not_pinned_in_memory(self, tmp_path, rng):
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
+    def test_memmapped_artifacts_not_pinned_in_memory(self, tmp_path, rng,
+                                                      monkeypatch):
+        raw_at(monkeypatch, 0)
+        store = ArtifactStore(tmp_path / "c")
         store.put("a" * 64, {}, {"x": rng.normal(size=64)})
         assert store.stats()["memory_entries"] == 0
 
-    def test_clear_removes_raw_entries(self, tmp_path, rng):
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
+    def test_clear_removes_raw_entries(self, tmp_path, rng, monkeypatch):
+        raw_at(monkeypatch, 0)
+        store = ArtifactStore(tmp_path / "c")
         store.put("a" * 64, {}, {"x": rng.normal(size=8)})
         assert store.clear() == 1
         assert store.stats()["disk_entries"] == 0
@@ -174,9 +185,10 @@ class TestEvictionAndStats:
         assert store.contains("c" * 64)
         assert store.contains("d" * 64)
 
-    def test_per_stage_disk_and_eviction_counters(self, tmp_path, rng):
-        store = ArtifactStore(tmp_path / "c", max_entries=2,
-                              mmap_threshold_bytes=4000)
+    def test_per_stage_disk_and_eviction_counters(self, tmp_path, rng,
+                                                  monkeypatch):
+        raw_at(monkeypatch, 4000)
+        store = ArtifactStore(tmp_path / "c", max_entries=2)
         store.put("a" * 64, {}, {"x": rng.normal(size=8)}, stage="mine")
         store.put("b" * 64, {}, {"x": rng.normal(size=1000)}, stage="build_q")
         stats = store.stats()
@@ -191,8 +203,10 @@ class TestEvictionAndStats:
                     for name, per in stats["stages"].items()}
         assert sum(by_stage.values()) == 1
 
-    def test_stage_counters_survive_restart(self, tmp_path, rng):
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
+    def test_stage_counters_survive_restart(self, tmp_path, rng,
+                                            monkeypatch):
+        raw_at(monkeypatch, 0)
+        store = ArtifactStore(tmp_path / "c")
         store.put("a" * 64, {}, {"x": rng.normal(size=8)}, stage="mine")
         stats = ArtifactStore(tmp_path / "c").stats()
         assert stats["stages"]["mine"]["disk_entries"] == 1
@@ -252,28 +266,19 @@ class TestEncodeEdgeCases:
         model.fit(small_images)
         return model
 
-    @pytest.mark.parametrize("chunk_size", [None, 4])
-    def test_empty_input_raises(self, fitted, small_images, chunk_size):
+    def test_empty_input_raises(self, fitted, small_images):
         empty = small_images[:0]
         with pytest.raises(NotFittedError,
                            match="empty image batch"):
-            fitted.encode(empty, chunk_size=chunk_size)
+            fitted.encode(empty)
 
     def test_memmap_input_identity(self, fitted, small_images, tmp_path,
                                    monkeypatch):
-        # Force the auto-chunk path to actually chunk at this tiny n.
-        monkeypatch.setattr(UHSCM, "MEMMAP_CHUNK", 7)
+        # Force the encode loop to take several batches at this tiny n.
+        monkeypatch.setattr(hashing_network, "_ENCODE_BATCH", 7)
         mapped = save_memmap(tmp_path / "imgs.npy", small_images)
         np.testing.assert_array_equal(
             fitted.encode(small_images), fitted.encode(mapped)
-        )
-
-    def test_memmap_explicit_chunk_identity(self, fitted, small_images,
-                                            tmp_path):
-        mapped = save_memmap(tmp_path / "imgs.npy", small_images)
-        np.testing.assert_array_equal(
-            fitted.encode(small_images, chunk_size=1),
-            fitted.encode(mapped, chunk_size=1),
         )
 
 
@@ -285,40 +290,28 @@ class TestServiceOutOfCore:
         )
         return HashingService(network, store=store, n_shards=2, max_batch=64)
 
-    def test_chunked_load_matches_monolithic(self, rng):
-        db = rng.normal(size=(30, 8))
-        mono = self.make_service()
-        ids_mono = mono.load_database(db)
-        chunked = self.make_service()
-        ids_chunked = chunked.load_database(db, chunk_size=7)
-        np.testing.assert_array_equal(ids_mono, ids_chunked)
-        queries = rng.normal(size=(4, 8))
-        for a, b in zip(mono.query(queries, top_k=3),
-                        chunked.query(queries, top_k=3)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_invalid_chunk_size(self, rng):
-        service = self.make_service()
-        with pytest.raises(ConfigurationError):
-            service.load_database(rng.normal(size=(4, 8)), chunk_size=0)
-
     def test_memmap_database_auto_chunks(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(HashingService, "DB_CHUNK", 8)
         db = rng.normal(size=(30, 8))
         mapped = save_memmap(tmp_path / "db.npy", db)
-        heap_service = self.make_service()
-        heap_service.load_database(db)
-        map_service = self.make_service()
-        map_service.load_database(mapped)
         queries = rng.normal(size=(4, 8))
-        for a, b in zip(heap_service.query(queries, top_k=3),
-                        map_service.query(queries, top_k=3)):
-            np.testing.assert_array_equal(a, b)
+        whole = self.make_service()
+        whole_ids = whole.load_database(db)
+        expected = whole.query(queries, top_k=3)
+        # 8-row slices: heap and memmapped loads both answer like one
+        # whole-database load.
+        monkeypatch.setattr(HashingService, "DB_CHUNK", 8)
+        for database in (db, mapped):
+            service = self.make_service()
+            np.testing.assert_array_equal(service.load_database(database),
+                                          whole_ids)
+            for a, b in zip(service.query(queries, top_k=3), expected):
+                np.testing.assert_array_equal(a, b)
 
-    def test_warm_restart_mmaps_snapshot(self, tmp_path, rng):
+    def test_warm_restart_mmaps_snapshot(self, tmp_path, rng, monkeypatch):
         db = rng.normal(size=(40, 8))
         queries = rng.normal(size=(4, 8))
-        store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
+        raw_at(monkeypatch, 0)
+        store = ArtifactStore(tmp_path / "c")
         cold = self.make_service(store=store)
         cold.load_database(db, key={"name": "unit"})
         cold_ids, cold_dist = cold.query(queries, top_k=3)
@@ -339,7 +332,7 @@ class TestServiceOutOfCore:
 
 class TestStagedOutOfCoreFit:
     def test_fit_bit_identical_with_raw_q(self, clip, small_images,
-                                          tmp_path):
+                                          tmp_path, monkeypatch):
         config = UHSCMConfig(
             n_bits=8, train=TrainConfig(batch_size=16, epochs=1),
         )
@@ -350,7 +343,8 @@ class TestStagedOutOfCoreFit:
                          store=ArtifactStore(tmp_path / "mem"),
                          data_key=data_key)
 
-        ooc_store = ArtifactStore(tmp_path / "ooc", mmap_threshold_bytes=0)
+        raw_at(monkeypatch, 0)
+        ooc_store = ArtifactStore(tmp_path / "ooc")
         ooc_model = UHSCM(config, clip=clip)
         ooc_model.fit(small_images, store=ooc_store, data_key=data_key)
 
@@ -359,7 +353,7 @@ class TestStagedOutOfCoreFit:
         assert all(isinstance(f, np.memmap) for f in q.factors)
         assert any(path.suffix == ".raw"
                    for path in (tmp_path / "ooc/objects").iterdir())
-        # Same fingerprints: residency policy never enters stage addresses.
+        # Same fingerprints: residency never enters stage addresses.
         assert (memory_model.similarity_.fingerprint
                 == ooc_model.similarity_.fingerprint)
         np.testing.assert_array_equal(
@@ -368,7 +362,8 @@ class TestStagedOutOfCoreFit:
         )
 
     def test_out_of_core_replays_in_memory_artifacts(self, clip,
-                                                     small_images, tmp_path):
+                                                     small_images, tmp_path,
+                                                     monkeypatch):
         config = UHSCMConfig(
             n_bits=8, train=TrainConfig(batch_size=16, epochs=1),
         )
@@ -376,7 +371,8 @@ class TestStagedOutOfCoreFit:
         store = ArtifactStore(tmp_path / "c")
         UHSCM(config, clip=clip).fit(small_images, store=store,
                                      data_key=data_key)
-        replay_store = ArtifactStore(tmp_path / "c", mmap_threshold_bytes=0)
+        raw_at(monkeypatch, 0)
+        replay_store = ArtifactStore(tmp_path / "c")
         model = UHSCM(config, clip=clip)
         model.fit(small_images, store=replay_store, data_key=data_key)
         assert replay_store.stats()["stages"]["train"]["hits"] >= 1
@@ -386,41 +382,92 @@ class TestStagedOutOfCoreFit:
 
 
 class TestCliOutOfCore:
-    def test_make_store_threshold_wiring(self, tmp_path):
-        from repro.cli import DEFAULT_MMAP_THRESHOLD, _make_store, \
-            build_parser
-
-        base = ["train", "--cache-dir", str(tmp_path / "c")]
-        parser = build_parser()
-        assert _make_store(parser.parse_args(base)) \
-            .mmap_threshold_bytes is None
-        assert _make_store(parser.parse_args(base + ["--out-of-core"])) \
-            .mmap_threshold_bytes == DEFAULT_MMAP_THRESHOLD
-        assert _make_store(parser.parse_args(
-            base + ["--out-of-core", "--mmap-threshold-bytes", "123"]
-        )).mmap_threshold_bytes == 123
-
-    def test_cache_stats_reports_stage_disk(self, tmp_path, capsys, rng):
+    def test_cache_stats_reports_stage_disk(self, tmp_path, capsys, rng,
+                                            monkeypatch):
         from repro.cli import main
 
         cache_dir = tmp_path / "cache"
-        store = ArtifactStore(cache_dir, mmap_threshold_bytes=0)
+        raw_at(monkeypatch, 0)
+        store = ArtifactStore(cache_dir)
         store.put("a" * 64, {}, {"x": rng.normal(size=64)}, stage="build_q")
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "stage build_q" in out
         assert "0 evictions" in out and "1 on disk" in out
 
-    def test_train_out_of_core_cli(self, tmp_path, capsys):
+    def test_train_out_of_core_cli(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
         cache_dir = tmp_path / "cache"
+        raw_at(monkeypatch, 0)
         code = main([
             "train", "--dataset", "cifar10", "--scale", "0.008",
             "--bits", "16", "--seed", "1", "--cache-dir", str(cache_dir),
-            "--out-of-core", "--mmap-threshold-bytes", "0",
         ])
         assert code == 0
         assert "cache:" in capsys.readouterr().out
         assert any(path.suffix == ".raw"
                    for path in (cache_dir / "objects").iterdir())
+
+
+# -- no consumer copies a corpus whole ----------------------------------------
+
+
+class TestNoWholeCorpusCopy:
+    """Each consumer's traced heap peak stays under a quarter of a 33.6 MB
+    corpus: they slice their input inside their own loops."""
+
+    ROWS, DIM, BITS = 16_384, 256, 8
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("corpus") / "corpus.npy"
+        out = np.lib.format.open_memmap(path, mode="w+", dtype=np.float64,
+                                        shape=(self.ROWS, self.DIM))
+        rng = np.random.default_rng(0)
+        for start in range(0, self.ROWS, 1024):
+            out[start : start + 1024] = rng.normal(size=(1024, self.DIM))
+        out.flush()
+        del out
+        return np.load(path, mmap_mode="r")
+
+    def network(self) -> HashingNetwork:
+        return HashingNetwork(self.BITS, mode="feature",
+                              feature_extractor=lambda x: x,
+                              feature_dim=self.DIM, rng=0, dtype="float32")
+
+    def assert_peak_bounded(self, corpus, fn) -> None:
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < corpus.nbytes / 4, (
+            f"peak {peak / 1e6:.1f} MB for a {corpus.nbytes / 1e6:.1f} MB "
+            f"corpus"
+        )
+
+    def fit(self, inputs) -> None:
+        rng = np.random.default_rng(1)
+        q = similarity_from_distributions(
+            rng.dirichlet(np.ones(8), self.ROWS))
+        config = UHSCMConfig(n_bits=self.BITS, train=TrainConfig(
+            batch_size=256, epochs=1, dtype="float32"))
+        trainer = UHSCMTrainer(self.network(), config)
+        self.assert_peak_bounded(inputs, lambda: trainer.fit(inputs, q))
+
+    def test_float32_fit_on_a_memmap(self, corpus):
+        self.fit(corpus)
+
+    def test_float32_fit_on_the_heap(self, corpus):
+        self.fit(np.array(corpus))
+
+    def test_network_encode(self, corpus):
+        network = self.network()
+        self.assert_peak_bounded(corpus, lambda: network.encode(corpus))
+
+    def test_load_database_without_key(self, corpus):
+        service = HashingService(self.network(), max_batch=64)
+        self.assert_peak_bounded(corpus,
+                                 lambda: service.load_database(corpus))

@@ -1,6 +1,7 @@
 """Tests for the staged pipeline: fingerprints, the artifact store, staged
 similarity/fit execution, and resumable experiment runs."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.pipeline import (
     run_stage,
     write_archive,
 )
+from repro.pipeline.fingerprint import hash_array
 
 CONCEPTS = ("cat", "dog", "bird", "horse", "truck", "airplane", "ship")
 
@@ -87,6 +89,34 @@ class TestFingerprint:
         )
         assert array_fingerprint(x) != array_fingerprint(x.reshape(2, 3))
 
+    def test_array_fingerprint_matches_the_copying_formula(self, tmp_path):
+        def reference(array):
+            # The digest as it was computed through a full heap copy.
+            array = np.ascontiguousarray(array)
+            digest = hashlib.sha256()
+            digest.update(str(array.dtype).encode())
+            digest.update(str(array.shape).encode())
+            digest.update(array.tobytes())
+            return digest.hexdigest()
+
+        base = np.arange(24, dtype=np.float64).reshape(4, 6)
+        np.save(tmp_path / "base.npy", base)
+        cases = {
+            "C order": base,
+            "F order": np.asfortranarray(base),
+            "strided": base[::2, 1::2],
+            "0-d": np.array(2.5),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "bool": base > 10,
+            "memmap": np.load(tmp_path / "base.npy", mmap_mode="r"),
+        }
+        for name, array in cases.items():
+            assert array_fingerprint(array) == reference(array), name
+        # Raw-archive member digests keep a 0-d array's shape ().
+        assert hash_array(np.array(2.5)).hexdigest() == hashlib.sha256(
+            b"float64()" + np.array(2.5).tobytes()
+        ).hexdigest()
+
 
 class TestArchive:
     def test_roundtrip_exact(self, tmp_path):
@@ -141,8 +171,9 @@ class TestArtifactStore:
         stats = second.stats()
         assert stats["puts"] == 1 and stats["hits"] == 1
 
-    def test_memory_layer_bounded(self):
-        store = ArtifactStore(memory_entries=2)
+    def test_memory_layer_bounded(self, monkeypatch):
+        monkeypatch.setattr(ArtifactStore, "MEMORY_ENTRIES", 2)
+        store = ArtifactStore()
         for i in range(4):
             store.put(f"{i:064d}", {"i": i}, {})
         assert store.stats()["memory_entries"] == 2
@@ -202,8 +233,10 @@ class TestArtifactStore:
         assert not orphan.exists()
         assert reopened.stats()["disk_entries"] == 0
 
-    def test_oversized_artifact_not_pinned_in_memory(self, tmp_path):
-        store = ArtifactStore(tmp_path / "cache", memory_bytes=100)
+    def test_oversized_artifact_not_pinned_in_memory(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(ArtifactStore, "MEMORY_BYTES", 100)
+        store = ArtifactStore(tmp_path / "cache")
         store.put("a" * 64, {}, {"x": np.zeros(64)})  # 512 bytes > bound
         assert store.stats()["memory_entries"] == 0
         # Still served from disk.
@@ -224,8 +257,6 @@ class TestArtifactStore:
             ArtifactStore(tmp_path, max_entries=0)
         with pytest.raises(ConfigurationError):
             ArtifactStore(tmp_path, max_bytes=0)
-        with pytest.raises(ConfigurationError):
-            ArtifactStore(memory_entries=-1)
 
     def test_run_stage_without_store_always_builds(self):
         calls = []

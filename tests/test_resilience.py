@@ -97,6 +97,23 @@ class TestFaultInjector:
         assert first == second
         assert any(first) and not all(first)
 
+    def test_rate_schedule_ignores_unrelated_rules(self):
+        def schedule(unrelated: bool):
+            inj = FaultInjector(seed=5).arm()
+            if unrelated:
+                inj.rule("other", rate=0.3)
+            inj.rule("p", rate=0.5)
+            fired = []
+            for _ in range(32):
+                try:
+                    inj.check("p")
+                    fired.append(False)
+                except TransientError:
+                    fired.append(True)
+            return fired
+
+        assert schedule(unrelated=False) == schedule(unrelated=True)
+
     def test_match_filters_on_context(self):
         inj = FaultInjector().arm()
         inj.rule("store.read", match={"key": "b"})

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import TrainConfig, UHSCMConfig
+from repro.core import hashing_network
 from repro.core.hashing_network import HashingNetwork
 from repro.core.similarity_matrix import (
     DenseSimilarity,
@@ -240,28 +241,27 @@ class TestChunkedInference:
         model.fit(small_images)
         return model
 
-    @pytest.mark.parametrize("chunk_size", [1, 7, 16, 30, 100])
-    def test_chunked_encode_identity(self, fitted, small_images, chunk_size):
-        # 30 rows: chunk sizes cover divisible, non-divisible, and > n.
+    @pytest.mark.parametrize("batch", [1, 7, 16, 30, 100])
+    def test_chunked_encode_identity(self, fitted, small_images, batch,
+                                     monkeypatch):
+        # 30 rows: encode batches cover divisible, non-divisible, and > n.
         monolithic = fitted.encode(small_images)
-        chunked = fitted.encode(small_images, chunk_size=chunk_size)
+        monkeypatch.setattr(hashing_network, "_ENCODE_BATCH", batch)
+        chunked = fitted.encode(small_images)
         assert np.array_equal(monolithic, chunked)
 
-    @pytest.mark.parametrize("chunk_size", [7, 30])
+    @pytest.mark.parametrize("batch", [7, 30])
     def test_chunked_relaxed_codes_identity(
-        self, fitted, small_images, chunk_size
+        self, fitted, small_images, batch, monkeypatch
     ):
         # Relaxed (float) outputs: equal to BLAS summation-order noise —
-        # degenerate tail chunks can take a different GEMM kernel (~1 ulp).
+        # degenerate tail batches can take a different GEMM kernel (~1 ulp).
+        monolithic = fitted.relaxed_codes(small_images)
+        monkeypatch.setattr(hashing_network, "_ENCODE_BATCH", batch)
         np.testing.assert_allclose(
-            fitted.relaxed_codes(small_images),
-            fitted.relaxed_codes(small_images, chunk_size=chunk_size),
+            monolithic, fitted.relaxed_codes(small_images),
             rtol=0, atol=1e-12,
         )
-
-    def test_invalid_chunk_size(self, fitted, small_images):
-        with pytest.raises(ConfigurationError):
-            fitted.encode(small_images, chunk_size=0)
 
     def test_encode_casts_to_network_dtype_once(self, fitted, small_images):
         # PR-2 dtype policy: a float32-trained network must receive float32
