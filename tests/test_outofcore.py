@@ -266,7 +266,12 @@ class TestEncodeEdgeCases:
         model.fit(small_images)
         return model
 
-    def test_empty_input_raises(self, fitted, small_images):
+    @pytest.mark.parametrize("encode_batch", [None, 4])
+    def test_empty_input_raises(self, fitted, small_images, encode_batch,
+                                monkeypatch):
+        if encode_batch is not None:
+            monkeypatch.setattr(hashing_network, "_ENCODE_BATCH",
+                                encode_batch)
         empty = small_images[:0]
         with pytest.raises(NotFittedError,
                            match="empty image batch"):
@@ -290,6 +295,19 @@ class TestServiceOutOfCore:
         )
         return HashingService(network, store=store, n_shards=2, max_batch=64)
 
+    def test_chunked_load_matches_monolithic(self, rng, monkeypatch):
+        db = rng.normal(size=(30, 8))
+        mono = self.make_service()
+        ids_mono = mono.load_database(db)
+        monkeypatch.setattr(HashingService, "DB_CHUNK", 7)
+        chunked = self.make_service()
+        ids_chunked = chunked.load_database(db)
+        np.testing.assert_array_equal(ids_mono, ids_chunked)
+        queries = rng.normal(size=(4, 8))
+        for a, b in zip(mono.query(queries, top_k=3),
+                        chunked.query(queries, top_k=3)):
+            np.testing.assert_array_equal(a, b)
+
     def test_memmap_database_auto_chunks(self, tmp_path, rng, monkeypatch):
         db = rng.normal(size=(30, 8))
         mapped = save_memmap(tmp_path / "db.npy", db)
@@ -297,15 +315,13 @@ class TestServiceOutOfCore:
         whole = self.make_service()
         whole_ids = whole.load_database(db)
         expected = whole.query(queries, top_k=3)
-        # 8-row slices: heap and memmapped loads both answer like one
-        # whole-database load.
+        # 8-row slices of a memmapped database answer like one heap load.
         monkeypatch.setattr(HashingService, "DB_CHUNK", 8)
-        for database in (db, mapped):
-            service = self.make_service()
-            np.testing.assert_array_equal(service.load_database(database),
-                                          whole_ids)
-            for a, b in zip(service.query(queries, top_k=3), expected):
-                np.testing.assert_array_equal(a, b)
+        service = self.make_service()
+        np.testing.assert_array_equal(service.load_database(mapped),
+                                      whole_ids)
+        for a, b in zip(service.query(queries, top_k=3), expected):
+            np.testing.assert_array_equal(a, b)
 
     def test_warm_restart_mmaps_snapshot(self, tmp_path, rng, monkeypatch):
         db = rng.normal(size=(40, 8))
