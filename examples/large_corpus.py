@@ -88,9 +88,12 @@ def run(args: argparse.Namespace, workdir: Path) -> None:
             workdir / "corpus.npy", mode="w+", dtype=np.float64,
             shape=(n_rows, FEATURE_DIM),
         )
-        features = make_corpus(n_rows, rng, out=corpus_map)
-        features.flush()
-        # Re-open read-only; every consumer below slices it per batch.
+        make_corpus(n_rows, rng, out=corpus_map)
+        corpus_map.flush()
+        # Drop the writable map before re-opening read-only: RSS counts the
+        # same page-cache pages once per live map.  Every consumer below
+        # slices the read-only map per batch.
+        del corpus_map
         features = np.load(workdir / "corpus.npy", mmap_mode="r")
     else:
         features = make_corpus(n_rows, rng)

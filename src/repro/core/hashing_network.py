@@ -80,6 +80,10 @@ class HashingNetwork:
             )
         if self.dtype != np.dtype(np.float64):
             self.net.to(self.dtype)
+        # Training reads only parameter gradients, so the first layer skips
+        # its gradient w.r.t. the network input (one GEMM per step).
+        first = self.net[0] if mode == "feature" else self.net.stem[0]
+        first.needs_input_grad = False
 
     # -- training interface --------------------------------------------------
 
@@ -107,8 +111,10 @@ class HashingNetwork:
         """Relaxed codes z in [-1, 1]^k for already-prepared inputs."""
         return self.net(inputs)
 
-    def backward(self, grad_z: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad_z)
+    def backward(self, grad_z: np.ndarray) -> None:
+        """Accumulate parameter gradients for ``grad_z``; the gradient
+        w.r.t. the network input is never formed."""
+        self.net.backward(grad_z)
 
     def parameters(self):
         return self.net.parameters()

@@ -19,7 +19,7 @@ Design notes tied to the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from repro.utils.rng import as_generator, spawn
 from repro.vlp.world import SemanticWorld
 
 _RENDER_CHUNK = 512
+#: Range of the per-class visual-weight jitter.
+_JITTER = (0.85, 1.15)
 
 
 @dataclass(frozen=True)
@@ -110,57 +112,106 @@ class DatasetSpec:
         return np.ones(len(self.class_names))
 
 
-@dataclass
-class _SampledImage:
-    label_mask: np.ndarray
-    concepts: list[str] = field(default_factory=list)
-    weights: list[float] = field(default_factory=list)
+def _choice_cdf(probs: np.ndarray | tuple[float, ...]) -> np.ndarray:
+    """The cdf that ``Generator.choice(n, p=probs)`` searches.
+
+    ``choice`` draws one ``random()`` and returns
+    ``cdf.searchsorted(u, side="right")`` over this cdf, so drawing ``u``
+    directly consumes the stream identically without ``choice``'s
+    per-call validation.
+    """
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
-def _sample_image(
-    spec: DatasetSpec, rng: np.random.Generator
-) -> _SampledImage:
-    """Draw one image's label set, visible concepts, and mixture weights."""
-    n_classes = len(spec.class_names)
-    probs = np.asarray(spec.class_probs, dtype=np.float64)
-    dominance = spec.dominance_array
+class _ChunkSampler:
+    """A spec's per-image draws, computed once and then sampled per chunk.
 
-    if spec.single_label:
-        cls = int(rng.choice(n_classes, p=probs / probs.sum()))
-        mask = np.zeros(n_classes, dtype=np.int8)
-        mask[cls] = 1
-        present = [cls]
-    else:
-        mask = (rng.random(n_classes) < probs).astype(np.int8)
-        if mask.sum() == 0:
-            cls = int(rng.choice(n_classes, p=probs / probs.sum()))
-            mask[cls] = 1
-        present = list(np.flatnonzero(mask))
+    ``directions`` holds one latent direction per concept an image can
+    show: the classes, then the background (if any), then the context
+    pool.  :meth:`sample` returns each image's concepts as rows of ids
+    into it, padded with ``-1``, and their weights.
+    """
 
-    sample = _SampledImage(label_mask=mask)
-    for cls in present:
-        jitter = rng.uniform(0.85, 1.15)
-        sample.concepts.append(spec.class_names[cls])
-        sample.weights.append(float(dominance[cls] * jitter))
-
-    if spec.background_concept and rng.random() < spec.background_prob:
-        sample.concepts.append(spec.background_concept)
-        sample.weights.append(spec.background_weight)
-
-    if spec.context_pool:
-        n_context = int(
-            rng.choice(len(spec.context_count_probs), p=spec.context_count_probs)
+    def __init__(self, spec: DatasetSpec, world: SemanticWorld) -> None:
+        self.spec = spec
+        self.probs = np.asarray(spec.class_probs, dtype=np.float64)
+        self.class_cdf = _choice_cdf(self.probs / self.probs.sum())
+        self.count_cdf = _choice_cdf(spec.context_count_probs)
+        self.dominance = spec.dominance_array
+        background = (spec.background_concept,) if spec.background_concept else ()
+        self.directions = world.concept_matrix(
+            spec.class_names + background + spec.context_pool
         )
-        if n_context > 0:
-            picks = rng.choice(
-                len(spec.context_pool),
-                size=min(n_context, len(spec.context_pool)),
-                replace=False,
+        self.background_id = len(spec.class_names)
+        self.context_offset = len(spec.class_names) + len(background)
+        max_context = min(len(spec.context_count_probs) - 1, len(spec.context_pool))
+        self.width = (
+            (1 if spec.single_label else len(spec.class_names))
+            + len(background) + max_context
+        )
+
+    def sample(
+        self, rng: np.random.Generator, labels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``len(labels)`` images' label sets into the zeroed
+        ``labels`` rows; return their concept ids and weights.
+
+        Every image draws, in order: its classes (one ``random()`` for a
+        single label, else one per class plus one for the fallback class
+        of an empty set), one jitter per class, then, if the spec has
+        them, one background ``random()`` and its context count and picks.
+        """
+        spec = self.spec
+        rows, n_classes = labels.shape
+        ids = np.full((rows, self.width), -1, dtype=np.intp)
+        weights = np.zeros((rows, self.width))
+        if spec.single_label and not spec.context_pool:
+            # A fixed number of doubles per image: draw the chunk's at once.
+            # ``low + (high - low) * u`` is how ``Generator.uniform`` maps
+            # its double to the jitter.
+            u = rng.random((rows, 3 if spec.background_concept else 2))
+            cls = self.class_cdf.searchsorted(u[:, 0], side="right")
+            labels[np.arange(rows), cls] = 1
+            ids[:, 0] = cls
+            weights[:, 0] = self.dominance[cls] * (
+                _JITTER[0] + (_JITTER[1] - _JITTER[0]) * u[:, 1]
             )
-            for idx in picks:
-                sample.concepts.append(spec.context_pool[int(idx)])
-                sample.weights.append(spec.context_weight)
-    return sample
+            if spec.background_concept:
+                shown = u[:, 2] < spec.background_prob
+                ids[shown, 1] = self.background_id
+                weights[shown, 1] = spec.background_weight
+            return ids, weights
+        for r in range(rows):
+            if spec.single_label:
+                present = self.class_cdf.searchsorted([rng.random()], side="right")
+            else:
+                present = np.flatnonzero(rng.random(n_classes) < self.probs)
+                if present.size == 0:
+                    present = self.class_cdf.searchsorted(
+                        [rng.random()], side="right")
+            k = present.size
+            labels[r, present] = 1
+            ids[r, :k] = present
+            weights[r, :k] = self.dominance[present] * rng.uniform(
+                *_JITTER, size=k)
+            if spec.background_concept and rng.random() < spec.background_prob:
+                ids[r, k] = self.background_id
+                weights[r, k] = spec.background_weight
+                k += 1
+            if spec.context_pool:
+                n_context = int(
+                    self.count_cdf.searchsorted(rng.random(), side="right"))
+                if n_context > 0:
+                    picks = rng.choice(
+                        len(spec.context_pool),
+                        size=min(n_context, len(spec.context_pool)),
+                        replace=False,
+                    )
+                    ids[r, k : k + picks.size] = self.context_offset + picks
+                    weights[r, k : k + picks.size] = spec.context_weight
+        return ids, weights
 
 
 def generate_dataset(
@@ -178,28 +229,24 @@ def generate_dataset(
     master = as_generator(seed)
     label_rng, latent_rng, pixel_rng, split_rng = spawn(master, 4)
 
+    sampler = _ChunkSampler(spec, world)
     total = sizes.total_generated
-    n_classes = len(spec.class_names)
-    labels = np.zeros((total, n_classes), dtype=np.int8)
-    latents = np.zeros((total, world.config.latent_dim))
-    for i in range(total):
-        sample = _sample_image(spec, label_rng)
-        labels[i] = sample.label_mask
-        latents[i] = world.image_latent(
-            sample.concepts,
-            np.asarray(sample.weights),
-            rng=latent_rng,
-            instance_scale=spec.instance_scale,
-        )
-
-    # Each chunk renders into its slice of one preallocated array, so the
-    # images are never held twice (a list of chunks plus their concatenation).
+    labels = np.zeros((total, len(spec.class_names)), dtype=np.int8)
     c, s = world.config.channels, world.config.image_size
     images = np.empty((total, c, s, s))
+    # Each chunk samples its labels, mixes its latents and renders into its
+    # slice of one preallocated array, so per-image work is batched and
+    # nothing but the images and labels grows with the dataset.  Each of
+    # the four streams is consumed in the order of a per-image loop, so
+    # every array is byte-identical to that loop's.
     for start in range(0, total, _RENDER_CHUNK):
-        images[start : start + _RENDER_CHUNK] = world.render(
-            latents[start : start + _RENDER_CHUNK], rng=pixel_rng
+        stop = min(start + _RENDER_CHUNK, total)
+        ids, weights = sampler.sample(label_rng, labels[start:stop])
+        latents = world.image_latents(
+            sampler.directions, ids, weights, rng=latent_rng,
+            instance_scale=spec.instance_scale,
         )
+        images[start:stop] = world.render(latents, rng=pixel_rng)
 
     query_images = images[: sizes.query]
     query_labels = labels[: sizes.query]

@@ -100,7 +100,7 @@ class Conv2d(Module):
         self._out_hw = (out_h, out_w)
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None or self._out_hw is None:
             raise RuntimeError("backward called before forward")
         if self._ring_owner[self._fwd_slot] != self._fwd_id:
@@ -118,10 +118,12 @@ class Conv2d(Module):
             )
         # (n*oh*ow, out_c)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
         self.weight.grad += (grad_mat.T @ self._cols).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_mat.sum(axis=0)
+        if not self.needs_input_grad:
+            return None
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
         grad_cols = grad_mat @ w_mat  # (n*oh*ow, c*k*k)
         return col2im(
             grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding

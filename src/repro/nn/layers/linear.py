@@ -65,11 +65,13 @@ class Linear(Module):
             out += self.bias.data  # in place: out is freshly allocated
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=self.dtype)
         self.weight.grad += self._x.T @ grad_output
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
+        if not self.needs_input_grad:
+            return None
         return grad_output @ self.weight.data.T

@@ -25,6 +25,12 @@ class Module:
     #: to backprop two forwards' worth of activations without re-forwarding).
     _CACHE_ATTRS: tuple[str, ...] = ()
 
+    #: Whether ``backward`` must return the gradient w.r.t. the input.  A
+    #: network's owner clears it on the first layer when nothing reads the
+    #: gradient w.r.t. the network input; :class:`Linear` and
+    #: :class:`Conv2d` then skip that product and return ``None``.
+    needs_input_grad: bool = True
+
     def __init__(self) -> None:
         self.training = True
         self.dtype: np.dtype = np.dtype(np.float64)

@@ -268,18 +268,6 @@ class HashingService:
         """
         if not isinstance(vectors, np.memmap):
             vectors = np.asarray(vectors, dtype=np.float64)
-        # The key is trusted provenance (like dataset_key): it must change
-        # whenever the database content changes.  The shape is folded in as
-        # a cheap sanity net so a same-key catalog that grew or shrank can
-        # never silently serve the old snapshot.
-        db_fp = (fingerprint({"kind": "db", "key": canonical(key),
-                              "shape": list(vectors.shape)})
-                 if key is not None else array_fingerprint(vectors))
-        stage = Stage(
-            INDEX_STAGE,
-            params={"n_bits": self.n_bits, "db": db_fp},
-            inputs=(self.model_key,) if self.model_key is not None else (),
-        )
 
         def slices(n_rows: int) -> range:
             # An empty database still makes one (empty) slice.
@@ -303,11 +291,23 @@ class HashingService:
             )
 
         encodes_before = self._db_encodes
-        staged = self.store is not None and self.model_key is not None
-        artifact = run_stage(self.store if staged else None, stage, build)
+        if self.store is not None and self.model_key is not None:
+            # The key is trusted provenance (like dataset_key): it must
+            # change whenever the database content changes.  The shape is
+            # folded in as a cheap sanity net so a same-key catalog that
+            # grew or shrank can never silently serve the old snapshot.
+            db_fp = (fingerprint({"kind": "db", "key": canonical(key),
+                                  "shape": list(vectors.shape)})
+                     if key is not None else array_fingerprint(vectors))
+            stage = Stage(INDEX_STAGE,
+                          params={"n_bits": self.n_bits, "db": db_fp},
+                          inputs=(self.model_key,))
+            bits = run_stage(self.store, stage, build).arrays["bits"]
+        else:
+            # Nothing is cached, so nothing needs the database's address.
+            bits = build()[1]["bits"]
         if self._db_encodes == encodes_before:
             self._warm_loads += 1
-        bits = artifact.arrays["bits"]
         self._snapshot_mmap = isinstance(bits, np.memmap)
         return np.concatenate([
             self._register(

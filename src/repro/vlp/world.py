@@ -204,9 +204,9 @@ class SemanticWorld:
         """Latent vector of an image containing the given concepts.
 
         ``instance_scale`` multiplies the per-image individuality component
-        (datasets with high intra-class diversity pass > 1).
+        (datasets with high intra-class diversity pass > 1).  This is the
+        one-row case of :meth:`image_latents`.
         """
-        gen = as_generator(rng)
         dirs = self.concept_matrix(concept_names)
         if weights is None:
             weights = np.ones(len(concept_names))
@@ -215,11 +215,47 @@ class SemanticWorld:
             raise ConfigurationError(
                 f"weights shape {weights.shape} != ({len(concept_names)},)"
             )
-        semantic = l2_normalize(weights @ dirs)
-        instance = l2_normalize(gen.normal(size=self.config.latent_dim))
-        style = self._style_basis @ (
-            gen.normal(size=self.config.style_dim) * self.config.style_noise
-        )
+        ids = np.arange(len(concept_names))[None]
+        return self.image_latents(dirs, ids, weights[None], rng=rng,
+                                  instance_scale=instance_scale)[0]
+
+    def image_latents(
+        self,
+        directions: np.ndarray,
+        concept_ids: np.ndarray,
+        weights: np.ndarray,
+        rng: int | np.random.Generator | None = None,
+        instance_scale: float = 1.0,
+    ) -> np.ndarray:
+        """Latents of ``n`` images at once, as ``(n, latent_dim)``.
+
+        Image ``i`` mixes the rows ``directions[concept_ids[i, :k]]`` with
+        ``weights[i, :k]``; a row with fewer concepts than the widest pads
+        its tail with ``-1`` ids.  Each image draws its instance normals
+        and then its style normals from ``rng``, so a batch consumes the
+        stream as one image at a time would.  Its bytes match too: images
+        are grouped by ``k`` so that each one is still its own
+        ``(1, k) @ (k, D)`` mix and ``(D, s) @ (s, 1)`` style product.
+        """
+        gen = as_generator(rng)
+        concept_ids = np.asarray(concept_ids)
+        weights = np.asarray(weights, dtype=np.float64)
+        counts = (concept_ids >= 0).sum(axis=1)
+        if (counts == 0).any():
+            raise VocabularyError("every image needs at least one concept")
+        d = self.config.latent_dim
+        noise = gen.normal(size=(concept_ids.shape[0], d + self.config.style_dim))
+        mixed = np.empty((concept_ids.shape[0], d))
+        for k in np.unique(counts):
+            rows = np.flatnonzero(counts == k)
+            mixed[rows] = (
+                weights[rows, None, :k] @ directions[concept_ids[rows, :k]]
+            )[:, 0]
+        semantic = l2_normalize(mixed)
+        instance = l2_normalize(noise[:, :d])
+        style = (
+            self._style_basis @ (noise[:, d:, None] * self.config.style_noise)
+        )[:, :, 0]
         instance_amp = self.config.instance_noise * float(instance_scale)
         return semantic + instance_amp * instance + style
 

@@ -42,6 +42,30 @@ class TestHashingNetwork:
         codes = net.encode(cifar_tiny.train_images[:4])
         assert codes.shape == (4, 8)
 
+    @pytest.mark.parametrize("mode", ["feature", "conv"])
+    def test_backward_skips_the_input_gradient(self, world, cifar_tiny, mode):
+        """Training reads only parameter gradients: the first layer forms no
+        input gradient, and every parameter gradient keeps the bytes of a
+        backward that does."""
+        if mode == "feature":
+            kwargs = dict(feature_extractor=world.backbone_features,
+                          feature_dim=world.config.latent_dim)
+        else:
+            kwargs = dict(image_size=cifar_tiny.train_images.shape[-1])
+        net, full = (HashingNetwork(8, mode=mode, rng=3, **kwargs)
+                     for _ in range(2))
+        first = full.net[0] if mode == "feature" else full.net.stem[0]
+        first.needs_input_grad = True
+        x = cifar_tiny.train_images[:6]
+        grad = np.random.default_rng(0).normal(size=(6, 8))
+        inputs = net.prepare_inputs(x)
+        for network in (net, full):
+            network.forward(inputs)
+        assert net.backward(grad) is None
+        assert full.net.backward(grad).shape == inputs.shape
+        for p, q in zip(net.parameters(), full.parameters(), strict=True):
+            assert p.grad.tobytes() == q.grad.tobytes()
+
     def test_validation(self, world):
         with pytest.raises(ConfigurationError):
             HashingNetwork(8, mode="feature")  # missing extractor

@@ -1,5 +1,8 @@
 """Tests for dataset specs, splits, and the synthetic generator."""
 
+import tracemalloc
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,11 @@ from repro.datasets import (
     load_dataset,
     paper_splits,
 )
-from repro.datasets.synthetic import _RENDER_CHUNK, DatasetSpec, _sample_image
-from repro.errors import ConfigurationError
+from repro.datasets.synthetic import _RENDER_CHUNK, DatasetSpec
+from repro.errors import ConfigurationError, VocabularyError
+from repro.utils.mathops import l2_normalize
 from repro.utils.rng import as_generator, spawn
-from repro.vlp.world import SemanticWorld
+from repro.vlp.world import SemanticWorld, WorldConfig
 
 
 class TestSplits:
@@ -137,43 +141,107 @@ class TestGeneratedDatasets:
         assert counts.min() > 0
 
 
-def _concatenated_reference(name: str, scale: float, seed: int):
-    """``load_dataset``'s images, labels and train rows, generated the way
-    the generator used to: each chunk rendered to its own array, then one
-    ``np.concatenate`` over all of them."""
-    spec = dataset_spec(name)
-    sizes = paper_splits(name, scale)
-    world = SemanticWorld()
+# -- the per-image oracle ----------------------------------------------------
+#
+# ``generate_dataset`` as one Python iteration per image, drawing that image's
+# labels and then its latent on 48-element vectors.  Kept frozen as the
+# byte-identity reference for the chunked generator.
+
+
+@dataclass
+class _SampledImage:
+    label_mask: np.ndarray
+    concepts: list[str] = field(default_factory=list)
+    weights: list[float] = field(default_factory=list)
+    fallback: bool = False
+
+
+def _sample_image(spec: DatasetSpec, rng: np.random.Generator) -> _SampledImage:
+    """Draw one image's label set, visible concepts, and mixture weights."""
+    n_classes = len(spec.class_names)
+    probs = np.asarray(spec.class_probs, dtype=np.float64)
+    dominance = spec.dominance_array
+
+    fallback = False
+    if spec.single_label:
+        cls = int(rng.choice(n_classes, p=probs / probs.sum()))
+        mask = np.zeros(n_classes, dtype=np.int8)
+        mask[cls] = 1
+        present = [cls]
+    else:
+        mask = (rng.random(n_classes) < probs).astype(np.int8)
+        if mask.sum() == 0:
+            fallback = True
+            cls = int(rng.choice(n_classes, p=probs / probs.sum()))
+            mask[cls] = 1
+        present = list(np.flatnonzero(mask))
+
+    sample = _SampledImage(label_mask=mask, fallback=fallback)
+    for cls in present:
+        jitter = rng.uniform(0.85, 1.15)
+        sample.concepts.append(spec.class_names[cls])
+        sample.weights.append(float(dominance[cls] * jitter))
+
+    if spec.background_concept and rng.random() < spec.background_prob:
+        sample.concepts.append(spec.background_concept)
+        sample.weights.append(spec.background_weight)
+
+    if spec.context_pool:
+        n_context = int(
+            rng.choice(len(spec.context_count_probs), p=spec.context_count_probs)
+        )
+        if n_context > 0:
+            picks = rng.choice(
+                len(spec.context_pool),
+                size=min(n_context, len(spec.context_pool)),
+                replace=False,
+            )
+            for idx in picks:
+                sample.concepts.append(spec.context_pool[int(idx)])
+                sample.weights.append(spec.context_weight)
+    return sample
+
+
+def _image_latent(world, concepts, weights, rng, instance_scale=1.0):
+    """One image's latent, computed on its own 48-element vectors."""
+    dirs = world.concept_matrix(concepts)
+    semantic = l2_normalize(np.asarray(weights, dtype=np.float64) @ dirs)
+    instance = l2_normalize(rng.normal(size=world.config.latent_dim))
+    style = world._style_basis @ (
+        rng.normal(size=world.config.style_dim) * world.config.style_noise
+    )
+    instance_amp = world.config.instance_noise * float(instance_scale)
+    return semantic + instance_amp * instance + style
+
+
+def _per_image_reference(spec, sizes, world, seed):
+    """``generate_dataset``'s images, labels and train rows from the
+    per-image loop, plus how many images took the empty-mask fallback."""
     label_rng, latent_rng, pixel_rng, split_rng = spawn(as_generator(seed), 4)
     total = sizes.total_generated
     labels = np.zeros((total, len(spec.class_names)), dtype=np.int8)
     latents = np.zeros((total, world.config.latent_dim))
+    fallbacks = 0
     for i in range(total):
         sample = _sample_image(spec, label_rng)
+        fallbacks += sample.fallback
         labels[i] = sample.label_mask
-        latents[i] = world.image_latent(
-            sample.concepts, np.asarray(sample.weights), rng=latent_rng,
-            instance_scale=spec.instance_scale,
-        )
+        latents[i] = _image_latent(world, sample.concepts, sample.weights,
+                                   latent_rng, spec.instance_scale)
     images = np.concatenate([
         world.render(latents[start:start + _RENDER_CHUNK], rng=pixel_rng)
         for start in range(0, total, _RENDER_CHUNK)
     ])
     train = np.sort(
         split_rng.choice(sizes.database, size=sizes.train, replace=False))
-    return sizes, images, labels, train
+    return images, labels, train, fallbacks
 
 
-@pytest.mark.parametrize(
-    "name, scale, seed",
-    [("cifar10", 0.02, 0), ("nuswide", 0.02, 3), ("mirflickr", 0.05, 1)],
-)
-def test_in_place_rendering_matches_concatenated_chunks(name, scale, seed):
-    data = load_dataset(name, scale=scale, seed=seed)
-    sizes, images, labels, train = _concatenated_reference(name, scale, seed)
-    # Several chunks, the last one partial.
-    assert sizes.total_generated > _RENDER_CHUNK
-    assert sizes.total_generated % _RENDER_CHUNK
+def _assert_matches_reference(data, spec, sizes, world, seed):
+    """Every array of ``data`` has the per-image loop's exact bytes
+    (``tobytes``: ``array_equal`` would let -0.0 stand for 0.0)."""
+    images, labels, train, fallbacks = _per_image_reference(
+        spec, sizes, world, seed)
     q = sizes.query
     for got, want in [
         (data.query_images, images[:q]),
@@ -184,5 +252,139 @@ def test_in_place_rendering_matches_concatenated_chunks(name, scale, seed):
         (data.train_labels, labels[q:][train]),
         (data.train_indices, train),
     ]:
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    return fallbacks
+
+
+@pytest.mark.parametrize(
+    "name, scale, seed",
+    [("cifar10", 0.02, 0), ("nuswide", 0.02, 3), ("mirflickr", 0.05, 1)],
+)
+def test_in_place_rendering_matches_concatenated_chunks(name, scale, seed):
+    data = load_dataset(name, scale=scale, seed=seed)
+    spec, sizes = dataset_spec(name), paper_splits(name, scale)
+    # Several chunks, the last one partial.
+    assert sizes.total_generated > _RENDER_CHUNK
+    assert sizes.total_generated % _RENDER_CHUNK
+    fallbacks = _assert_matches_reference(data, spec, sizes, SemanticWorld(), seed)
+    if not spec.single_label:
+        # Some image drew an empty label set and took the fallback class.
+        assert fallbacks > 0
+
+
+#: ``examples/custom_dataset.py``'s spec, world, sizes and seed.
+_CUSTOM_SPEC = DatasetSpec(
+    name="pets-vs-vehicles",
+    class_names=("cat", "dog", "rabbit", "car", "bus", "bicycle"),
+    class_probs=(0.25, 0.25, 0.10, 0.25, 0.10, 0.15),
+    context_pool=("grass", "road", "window", "toy"),
+    context_count_probs=(0.5, 0.3, 0.2),
+)
+#: A single-label spec with a background, whose rows mix one or two
+#: concepts.
+_SINGLE_WITH_BACKGROUND = DatasetSpec(
+    name="single-with-background",
+    class_names=("cat", "dog", "car"),
+    class_probs=(0.5, 0.3, 0.2),
+    dominance=(1.0, 1.2, 0.9),
+    single_label=True,
+    background_concept="sun",
+    background_prob=0.6,
+    instance_scale=1.3,
+)
+_ONE_CHUNK = SplitSizes(train=60, query=30, database=200)
+
+
+@pytest.mark.parametrize(
+    "spec, sizes, world_seed, seed",
+    [
+        (_CUSTOM_SPEC, SplitSizes(train=300, query=60, database=1200), 2024, 11),
+        (_SINGLE_WITH_BACKGROUND, SplitSizes(train=100, query=24, database=1000),
+         None, 5),
+        # Exactly two chunks, no partial one.
+        (dataset_spec("mirflickr"), SplitSizes(train=100, query=24, database=1000),
+         None, 2),
+        # Smaller than one chunk.
+        (dataset_spec("cifar10"), _ONE_CHUNK, None, 4),
+        (dataset_spec("nuswide"), _ONE_CHUNK, 99, 6),
+    ],
+    ids=["custom", "single-with-background", "two-full-chunks",
+         "cifar10-one-chunk", "nuswide-one-chunk"],
+)
+def test_generator_matches_per_image_oracle(spec, sizes, world_seed, seed):
+    def make_world():
+        if world_seed is None:
+            return SemanticWorld()
+        return SemanticWorld(WorldConfig(seed=world_seed))
+
+    data = generate_dataset(spec, sizes, world=make_world(), seed=seed)
+    fallbacks = _assert_matches_reference(data, spec, sizes, make_world(), seed)
+    if not spec.single_label:
+        assert fallbacks > 0
+
+
+class TestImageLatents:
+    def test_rows_of_mixed_concept_counts_match_one_image_each(self):
+        world = SemanticWorld()
+        names = ("cat", "dog", "sky", "car", "grass")
+        concepts = [["cat"], ["dog", "sky"], ["car"], ["grass", "cat", "sky"],
+                    ["sky", "dog"]]
+        weights = [[1.1], [0.9, 1.7], [1.0], [0.45, 1.05, 2.0], [1.2, 0.3]]
+        ids = np.full((len(concepts), 3), -1)
+        padded = np.zeros((len(concepts), 3))
+        for i, (row, w) in enumerate(zip(concepts, weights)):
+            ids[i, :len(row)] = [names.index(c) for c in row]
+            padded[i, :len(w)] = w
+        got = world.image_latents(world.concept_matrix(names), ids, padded,
+                                  rng=3, instance_scale=1.6)
+        rng = np.random.default_rng(3)
+        want = np.stack([
+            _image_latent(world, row, w, rng, 1.6)
+            for row, w in zip(concepts, weights)
+        ])
+        assert got.tobytes() == want.tobytes()
+
+    def test_image_latent_is_the_one_row_case(self):
+        world = SemanticWorld()
+        got = world.image_latent(["cat", "sky"], np.array([1.0, 1.7]), rng=8,
+                                 instance_scale=1.2)
+        want = _image_latent(world, ["cat", "sky"], [1.0, 1.7],
+                             np.random.default_rng(8), 1.2)
+        assert got.shape == (world.config.latent_dim,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_row_without_concepts_rejected(self):
+        world = SemanticWorld()
+        with pytest.raises(VocabularyError):
+            world.image_latents(world.concept_matrix(["cat"]),
+                                np.array([[0], [-1]]), np.ones((2, 1)))
+
+
+def test_generation_heap_is_the_output_plus_one_chunk():
+    """Nothing of per-row size outlives its chunk: the traced heap peak is
+    what the dataset keeps plus at most one chunk's pixels, and that
+    excess does not grow with the dataset."""
+    spec = dataset_spec("cifar10")
+    config = SemanticWorld().config
+    # Untraced warm-up, so that lazy imports stay out of the trace.
+    generate_dataset(spec, _ONE_CHUNK, seed=0)
+    excess = []
+    # Equal last chunks: the second dataset is eight chunks longer.
+    for database in (4000, 4000 + 8 * _RENDER_CHUNK):
+        sizes = SplitSizes(train=1500, query=100, database=database)
+        world = SemanticWorld()
+        tracemalloc.start()
+        try:
+            data = generate_dataset(spec, sizes, world=world, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (
+            data.query_images.base, data.query_labels.base,
+            data.train_images, data.train_labels,
+        ))
+        assert peak <= kept + _RENDER_CHUNK * config.n_pixels * 8
+        excess.append(peak - kept)
+    # A loop that kept every row's latent would grow by 1.6 MB here.
+    assert excess[1] - excess[0] < _RENDER_CHUNK * config.latent_dim * 8

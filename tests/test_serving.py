@@ -239,6 +239,30 @@ class TestHashingService:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    def test_unstaged_load_never_hashes_the_database(self, tmp_path,
+                                                     monkeypatch):
+        import repro.serving.service as service_module
+
+        encode = lambda x: np.where(x[:, :4] > 0, 1.0, -1.0)  # noqa: E731
+        unstaged = [
+            self.make_service(),  # no store
+            # A store, but a callable encoder has no model key.
+            HashingService(encode, n_bits=4, store=ArtifactStore(tmp_path)),
+        ]
+        staged = self.make_service(store=ArtifactStore(tmp_path / "staged"))
+        hashed = []
+        real = service_module.array_fingerprint
+        monkeypatch.setattr(service_module, "array_fingerprint",
+                            lambda array: hashed.append(array) or real(array))
+        rng = np.random.default_rng(13)
+        for service in unstaged:
+            service.load_database(rng.normal(size=(12, 8)))
+            assert service.stats()["database"]["encodes"] == 1
+        assert hashed == []
+        # A staged, keyless load still addresses its snapshot by content.
+        staged.load_database(rng.normal(size=(12, 8)))
+        assert len(hashed) == 1
+
     def test_different_db_key_is_a_different_snapshot(self, tmp_path):
         rng = np.random.default_rng(9)
         store = ArtifactStore(tmp_path / "cache")
