@@ -246,7 +246,7 @@ def generate_dataset(
             sampler.directions, ids, weights, rng=latent_rng,
             instance_scale=spec.instance_scale,
         )
-        images[start:stop] = world.render(latents, rng=pixel_rng)
+        world.render(latents, rng=pixel_rng, out=images[start:stop])
 
     query_images = images[: sizes.query]
     query_labels = labels[: sizes.query]

@@ -12,9 +12,6 @@ import numpy as np
 from repro.datasets import DATASET_NAMES
 from repro.experiments.reporting import CurveFamily
 from repro.experiments.runner import TABLE1_METHODS, make_contexts
-from repro.retrieval.hamming import hamming_distance_matrix
-from repro.retrieval.metrics import precision_at_n
-from repro.retrieval.protocol import relevance_matrix
 
 #: N values plotted in the paper's Figure 2.
 FIGURE2_POINTS: tuple[int, ...] = (100, 300, 500, 700, 900, 1000)
@@ -37,9 +34,6 @@ def run_figure2(
     contexts = make_contexts(datasets, scale=scale, seed=seed, epochs=epochs,
                              store=store)
     for dataset, ctx in contexts.items():
-        relevance = relevance_matrix(
-            ctx.dataset.query_labels, ctx.dataset.database_labels
-        )
         n_db = ctx.dataset.n_database
         points = tuple(min(p, n_db) for p in FIGURE2_POINTS)
         points = tuple(dict.fromkeys(points))  # dedupe if db is small
@@ -50,11 +44,8 @@ def run_figure2(
                 y_label="precision",
             )
             for method in methods:
-                fit = ctx.fit(method, bits)
-                distances = hamming_distance_matrix(
-                    fit.query_codes, fit.database_codes
-                )
-                pn = precision_at_n(distances, relevance, points)
+                pn = ctx.evaluate(ctx.fit(method, bits),
+                                  pn_points=points).precision_at_n
                 family.record(
                     method,
                     np.asarray(list(pn.keys())),

@@ -10,8 +10,6 @@ from __future__ import annotations
 from repro.datasets import DATASET_NAMES
 from repro.experiments.reporting import CurveFamily
 from repro.experiments.runner import TABLE1_METHODS, make_contexts
-from repro.retrieval.metrics import pr_curve_hamming
-from repro.retrieval.protocol import relevance_matrix
 
 #: Bit lengths shown in the figure.
 FIGURE3_BITS: tuple[int, ...] = (64, 128)
@@ -34,9 +32,6 @@ def run_figure3(
     contexts = make_contexts(datasets, scale=scale, seed=seed, epochs=epochs,
                              store=store)
     for dataset, ctx in contexts.items():
-        relevance = relevance_matrix(
-            ctx.dataset.query_labels, ctx.dataset.database_labels
-        )
         for bits in bit_lengths:
             family = CurveFamily(
                 title=f"Figure 3: PR curve on {dataset} @{bits} bits",
@@ -44,10 +39,8 @@ def run_figure3(
                 y_label="precision",
             )
             for method in methods:
-                fit = ctx.fit(method, bits)
-                curve = pr_curve_hamming(
-                    fit.query_codes, fit.database_codes, relevance
-                )
+                curve = ctx.evaluate(ctx.fit(method, bits),
+                                     pn_points=()).pr_curve
                 family.record(method, curve.recall, curve.precision)
             panels[(dataset, bits)] = family
     return panels

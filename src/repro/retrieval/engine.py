@@ -23,19 +23,15 @@ from typing import Protocol
 import numpy as np
 
 from repro.errors import NotFittedError, ShapeError
-from repro.retrieval.hamming import (
-    PackedCodes,
-    hamming_distance_matrix,
-    packed_hamming_distance,
-)
+from repro.retrieval.hamming import PackedCodes, packed_hamming_distance
 from repro.retrieval.metrics import (
     PAPER_MAP_DEPTH,
     PAPER_PN_POINTS,
     PRCurve,
-    _ranking_metrics,
-    _sort_keys,
+    _check_top_n,
+    _evaluate_tiles,
 )
-from repro.retrieval.protocol import relevance_matrix
+from repro.retrieval.protocol import LabelRelevance
 from repro.utils.validation import check_binary_codes
 
 
@@ -195,23 +191,25 @@ def evaluate_codes(
 ) -> RetrievalReport:
     """Full evaluation of precomputed hash codes.
 
-    One Hamming matrix serves every metric: it is ranked once, on integer
-    keys, for MAP and P@N together, and counted for the PR curve.
+    The queries are walked in tiles of packed Hamming distances: each query
+    is ranked once, on integer keys, for MAP and P@N together, and its
+    distances are counted for the PR curve.  Only one tile's distances and
+    relevance exist at a time, and the report is byte-identical to ranking
+    the whole matrix at once.
     """
-    relevance = relevance_matrix(query_labels, db_labels)
-    distances = hamming_distance_matrix(query_codes, db_codes)
-    keys = _sort_keys(distances)
-    del distances  # free the float matrix before the sort
-    n_db = db_codes.shape[0]
+    relevance = LabelRelevance(query_labels, db_labels)
+    n_db = len(db_codes)
     usable_points = tuple(p for p in pn_points if p <= n_db)
     if not usable_points and pn_points:
         # Every requested point exceeds the database; clamp to its size
         # (order-independent — pn_points need not be sorted).
         usable_points = (n_db,)
-    map_, pn, pr = _ranking_metrics(keys, relevance, min(top_n, n_db),
-                                    usable_points, query_codes.shape[1])
+    top_n = min(top_n, n_db)
+    _check_top_n(top_n)
+    map_, pn, pr = _evaluate_tiles(query_codes, db_codes, relevance, top_n,
+                                   usable_points, pr=True)
     return RetrievalReport(map=map_, precision_at_n=pn, pr_curve=pr,
-                           n_bits=query_codes.shape[1])
+                           n_bits=np.shape(query_codes)[1])
 
 
 def evaluate_hashing(method: Hasher, dataset, **kwargs) -> RetrievalReport:

@@ -5,10 +5,16 @@ Hash codes live in {-1, +1}^k (paper §3.1).  Two distance paths are provided:
 - :func:`hamming_distance_matrix` — BLAS path using the identity
   ``Hd(b_i, b_j) = (k - b_i·b_j) / 2`` (paper §3.4); fastest in numpy.
 - :class:`PackedCodes` + :func:`packed_hamming_distance` — bit-packed uint8
-  storage with hardware popcount (``np.bitwise_count`` over uint64 words on
-  numpy >= 2, byte-LUT fallback otherwise), the representation a production
-  system would ship (64x smaller than float codes).  Tested to agree
-  exactly with the BLAS path.
+  storage with hardware popcount (``np.bitwise_count`` over the widest of
+  uint64, uint32 and uint16 words that divides a row on numpy >= 2,
+  byte-LUT fallback otherwise), the representation a production system
+  would ship (64x smaller than float codes).  Tested to agree exactly with
+  the BLAS path.
+
+The packed kernel and the evaluation (``repro.retrieval.metrics``) walk
+their queries in tiles of :func:`query_tile_rows` rows, sized so that a
+tile's scratch stays near :data:`TILE_BYTES` however many queries there
+are.
 """
 
 from __future__ import annotations
@@ -27,7 +33,15 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint16)
 #: as the fallback so older numpys keep working.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-_QUERY_CHUNK = 256
+#: Scratch bytes one tile of query rows may hold.
+TILE_BYTES = 8 << 20
+
+
+def query_tile_rows(n_db: int, bytes_per_pair: int) -> int:
+    """Query rows per tile when each (query, database) pair needs
+    ``bytes_per_pair`` bytes of scratch against ``n_db`` database rows
+    (at least one row, however wide the database)."""
+    return max(1, TILE_BYTES // max(1, n_db * bytes_per_pair))
 
 
 def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,35 +109,39 @@ def unpack_codes(packed: PackedCodes) -> np.ndarray:
     return np.where(bools.astype(bool), 1.0, -1.0)
 
 
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Packed rows viewed as the widest unsigned words that divide them."""
+    for word in (np.uint64, np.uint32, np.uint16):
+        if bits.shape[1] % np.dtype(word).itemsize == 0:
+            return np.ascontiguousarray(bits).view(word)
+    return bits
+
+
 def packed_hamming_distance(a: PackedCodes, b: PackedCodes) -> np.ndarray:
     """Pairwise Hamming distances between packed code sets (uint16 matrix).
 
-    Queries are processed in chunks to bound the XOR buffer size.
+    Queries are processed in tiles of :func:`query_tile_rows` rows to bound
+    the XOR and popcount buffers.
     """
     if a.n_bits != b.n_bits:
         raise ShapeError(f"code lengths differ: {a.n_bits} vs {b.n_bits}")
-    a_bits, b_bits = a.bits, b.bits
-    if (_HAS_BITWISE_COUNT and a_bits.shape[1] % 8 == 0
-            and a_bits.shape[1] > 0):
-        # Reinterpret both operands as uint64 words *before* the pairwise
-        # XOR: the broadcast buffer shrinks 8x in element count, and each
-        # word resolves with one hardware popcount.
-        a_bits = np.ascontiguousarray(a_bits).view(np.uint64)
-        b_bits = np.ascontiguousarray(b_bits).view(np.uint64)
-        popcount = np.bitwise_count
-    elif _HAS_BITWISE_COUNT:
-        popcount = np.bitwise_count
+    if _HAS_BITWISE_COUNT:
+        # Reinterpret both operands as words *before* the pairwise XOR:
+        # the broadcast buffer shrinks by the word size in element count,
+        # and each word resolves with one hardware popcount (uint8 out).
+        a_bits, b_bits = _words(a.bits), _words(b.bits)
+        popcount, count_bytes = np.bitwise_count, 1
     else:
-        popcount = _POPCOUNT.__getitem__
+        a_bits, b_bits = a.bits, b.bits
+        popcount, count_bytes = _POPCOUNT.__getitem__, _POPCOUNT.itemsize
+    n_words = a_bits.shape[1]
+    rows = query_tile_rows(len(b), n_words * (a_bits.itemsize + count_bytes))
     out = np.empty((len(a), len(b)), dtype=np.uint16)
-    for start in range(0, len(a), _QUERY_CHUNK):
-        chunk = a_bits[start : start + _QUERY_CHUNK]
-        xor = chunk[:, None, :] ^ b_bits[None, :, :]
-        counts = popcount(xor)
-        if counts.shape[2] == 1:  # 64-bit codes: one word, nothing to sum
-            out[start : start + _QUERY_CHUNK] = counts[:, :, 0]
+    for start in range(0, len(a), rows):
+        counts = popcount(a_bits[start : start + rows, None, :]
+                          ^ b_bits[None, :, :])
+        if n_words == 1:  # one word per row: nothing to sum
+            out[start : start + rows] = counts[:, :, 0]
         else:
-            out[start : start + _QUERY_CHUNK] = counts.sum(
-                axis=2, dtype=np.uint16
-            )
+            counts.sum(axis=2, dtype=np.uint16, out=out[start : start + rows])
     return out

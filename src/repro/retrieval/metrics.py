@@ -13,6 +13,11 @@ integers (every Hamming matrix) are ranked on uint8/uint16 keys, which
 numpy's stable sort orders with a radix sort; the order is the one the
 float sort gives, since both keep equal distances in database order.  Any
 other distance matrix is ranked on its own values.
+
+The metrics that start from codes (:func:`mean_average_precision`,
+:func:`pr_curve_hamming` and the engine's ``evaluate_codes``) walk the
+queries in tiles of packed Hamming distances (:func:`_evaluate_tiles`), so
+none of them holds a whole (query, database) matrix.
 """
 
 from __future__ import annotations
@@ -22,13 +27,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.retrieval.hamming import hamming_distance_matrix
+from repro.retrieval.hamming import (
+    PackedCodes,
+    pack_codes,
+    packed_hamming_distance,
+    query_tile_rows,
+)
+from repro.retrieval.protocol import LabelRelevance
 
 #: The paper's MAP truncation depth (§4.2: "we set n as 5000").
 PAPER_MAP_DEPTH = 5000
 
 #: P@N evaluation points used in Figure 2.
 PAPER_PN_POINTS: tuple[int, ...] = (100, 300, 500, 700, 900, 1000)
+
+#: Bytes per (query, database) pair that an evaluation tile holds at its
+#: peak: an 8-byte array (the float64 relevance product, the intp ranking
+#: or bincount's intp copy of the keys) beside the uint8 keys, the boolean
+#: relevance and their leftovers.
+_TILE_PAIR_BYTES = 12
+
+#: Fewest query rows per evaluation tile.  Each tile's relevance product
+#: streams every database label row, so at paper scale (190,834 rows, two
+#: rows per 8 MiB tile) thin tiles spend their time re-reading labels.
+_MIN_TILE_ROWS = 16
 
 
 def _check_rank_inputs(distances: np.ndarray, relevance: np.ndarray) -> None:
@@ -90,34 +112,13 @@ def _average_precisions(ranked: np.ndarray) -> np.ndarray:
     return aps
 
 
-def _precision_of_ranked(
+def _precision_columns(
     ranked: np.ndarray, points: tuple[int, ...]
-) -> dict[int, float]:
-    """Mean precision among the top N of ranked relevance, per N."""
-    cum = np.cumsum(ranked.astype(np.float64), axis=1)
-    return {n: float((cum[:, n - 1] / n).mean()) for n in points}
-
-
-def _ranking_metrics(
-    keys: np.ndarray,
-    relevance: np.ndarray,
-    top_n: int,
-    points: tuple[int, ...],
-    k: int,
-) -> tuple[float, dict[int, float], PRCurve]:
-    """MAP@top_n, P@N at ``points`` and the PR curve over radii 0..k of
-    one Hamming matrix's :func:`_sort_keys`, ranking each query once.
-
-    ``top_n`` and every point must be at most the database size.
-    """
-    _check_rank_inputs(keys, relevance)
-    _check_top_n(top_n)
-    ranked = _ranked_relevance(keys, relevance, max((top_n, *points)))
-    return (
-        float(np.mean(_average_precisions(ranked[:, :top_n]))),
-        _precision_of_ranked(ranked, points) if points else {},
-        _pr_curve(keys, relevance, k),
-    )
+) -> np.ndarray:
+    """Precision among each query's top N of ranked relevance: one
+    contiguous row per N in ``points``, one column per query."""
+    cum = np.cumsum(ranked[:, :max(points)].astype(np.float64), axis=1)
+    return np.stack([cum[:, n - 1] / n for n in points])
 
 
 def average_precision(ranked_relevance: np.ndarray, top_n: int) -> float:
@@ -141,8 +142,9 @@ def mean_average_precision(
 ) -> float:
     """MAP@n over Hamming-ranked retrieval (the paper's headline metric)."""
     _check_top_n(top_n)
-    distances = hamming_distance_matrix(query_codes, db_codes)
-    return mean_average_precision_from_distances(distances, relevance, top_n)
+    map_, _, _ = _evaluate_tiles(query_codes, db_codes,
+                                 np.asarray(relevance), top_n, (), pr=False)
+    return map_
 
 
 def mean_average_precision_from_distances(
@@ -174,9 +176,9 @@ def precision_at_n(
         raise ShapeError(
             f"P@{max_n} requested but database has {distances.shape[1]} items"
         )
-    return _precision_of_ranked(
-        _ranked_relevance(_sort_keys(distances), relevance, max_n), points
-    )
+    columns = _precision_columns(
+        _ranked_relevance(_sort_keys(distances), relevance, max_n), points)
+    return {n: float(columns[row].mean()) for row, n in enumerate(points)}
 
 
 @dataclass(frozen=True)
@@ -204,27 +206,79 @@ def pr_curve_hamming(
     relevance: np.ndarray,
 ) -> PRCurve:
     """PR curve from a full Hamming-radius sweep (0..k, step 1)."""
-    distances = hamming_distance_matrix(query_codes, db_codes)
-    return _pr_curve(distances, relevance, query_codes.shape[1])
+    _, _, curve = _evaluate_tiles(query_codes, db_codes,
+                                  np.asarray(relevance), 0, (), pr=True)
+    return curve
 
 
-def _pr_curve(distances: np.ndarray, relevance: np.ndarray, k: int) -> PRCurve:
-    """PR curve over radii 0..k from integer Hamming distances."""
-    _check_rank_inputs(distances, relevance)
-    rel = relevance.astype(bool, copy=False)
-    total_relevant = np.count_nonzero(rel)
-    if total_relevant == 0:
-        raise ShapeError("relevance matrix has no relevant pairs")
+def _evaluate_tiles(
+    query_codes: np.ndarray,
+    db_codes: np.ndarray,
+    relevance: np.ndarray | LabelRelevance,
+    top_n: int,
+    points: tuple[int, ...],
+    pr: bool,
+) -> tuple[float | None, dict[int, float], PRCurve | None]:
+    """MAP@top_n (skipped at 0), P@N at ``points`` and, with ``pr``, the PR
+    curve over radii 0..k, one tile of query rows at a time.
 
-    # Count distances once, split by relevance, then cumulate over radius.
-    distances = distances.astype(np.intp, copy=False)
-    relevant_cum = np.cumsum(
-        np.bincount(distances[rel], minlength=k + 1)).astype(np.float64)
-    all_cum = np.cumsum(
-        np.bincount(distances.ravel(), minlength=k + 1)).astype(np.float64)
+    ``relevance`` is a (query, database) matrix or a
+    :class:`LabelRelevance`; only one tile of its rows exists at a time.  Each tile ranks its queries once, on
+    integer keys of their packed Hamming distances, to depth
+    ``max(top_n, max(points))``.  Its per-query APs and precisions land in
+    whole-query arrays, and its distances are counted into one integer
+    histogram.  Query rows are independent and each row is summed on its
+    own, so every figure equals the one-matrix computation byte for byte.
+    """
+    q, db = pack_codes(query_codes), pack_codes(db_codes)
+    if q.n_bits != db.n_bits:
+        raise ShapeError(f"code lengths differ: {q.n_bits} vs {db.n_bits}")
+    if tuple(relevance.shape) != (len(q), len(db)):
+        raise ShapeError(
+            f"relevance {relevance.shape} does not match {len(q)} query "
+            f"and {len(db)} database codes"
+        )
+    k = q.n_bits
+    depth = max((top_n, *points))
+    aps = np.empty(len(q))
+    precision = np.empty((len(points), len(q)))
+    # One histogram over (relevance, distance): an irrelevant pair at
+    # distance d counts in bin d, a relevant one in bin k + 1 + d.
+    hist = np.zeros(2 * (k + 1), dtype=np.intp)
+    bin_dtype = np.min_scalar_type(2 * k + 1)
+    rows = max(_MIN_TILE_ROWS, query_tile_rows(len(db), _TILE_PAIR_BYTES))
+    for start in range(0, len(q), rows):
+        tile = slice(start, start + rows)
+        keys = packed_hamming_distance(PackedCodes(q.bits[tile], k), db)
+        if k <= np.iinfo(np.uint8).max:
+            keys = keys.astype(np.uint8)
+        rel = relevance[tile]
+        if depth:
+            ranked = _ranked_relevance(keys, rel, depth)
+            if top_n:
+                aps[tile] = _average_precisions(ranked[:, :top_n])
+            if points:
+                precision[:, tile] = _precision_columns(ranked, points)
+        if pr:
+            bins = rel.astype(bool, copy=False).astype(bin_dtype)
+            bins *= k + 1
+            bins += keys
+            hist += np.bincount(bins.ravel(), minlength=hist.size)
 
-    precision = np.divide(
-        relevant_cum, all_cum, out=np.zeros_like(relevant_cum), where=all_cum > 0
-    )
-    recall = relevant_cum / float(total_relevant)
-    return PRCurve(radii=np.arange(k + 1), precision=precision, recall=recall)
+    pn = {n: float(precision[row].mean()) for row, n in enumerate(points)}
+    curve = None
+    if pr:
+        relevant_hist = hist[k + 1 :]
+        total_relevant = int(relevant_hist.sum())
+        if total_relevant == 0:
+            raise ShapeError("relevance matrix has no relevant pairs")
+        relevant_cum = np.cumsum(relevant_hist).astype(np.float64)
+        all_cum = np.cumsum(hist[: k + 1] + relevant_hist).astype(np.float64)
+        curve = PRCurve(
+            radii=np.arange(k + 1),
+            precision=np.divide(relevant_cum, all_cum,
+                                out=np.zeros_like(relevant_cum),
+                                where=all_cum > 0),
+            recall=relevant_cum / float(total_relevant),
+        )
+    return (float(np.mean(aps)) if top_n else None), pn, curve

@@ -60,11 +60,13 @@ def check_in_range(
 def check_binary_codes(codes: object, name: str = "codes") -> np.ndarray:
     """Validate a ±1 hash-code matrix of shape (n, k).
 
-    The check is a single vectorized ``|x| == 1`` pass (NaN fails it too);
-    this runs on every distance computation, so no sort/unique scan here.
+    The check is two vectorized comparisons, ``x == 1`` or ``x == -1``
+    (NaN fails both), into boolean buffers: this runs on every distance
+    computation and evaluation, so no float temporary, sort or unique scan.
     """
     arr = check_array(codes, name, ndim=2, dtype=np.float64)
-    ok = np.abs(arr) == 1.0
+    ok = arr == 1.0
+    ok |= arr == -1.0
     if not ok.all():
         bad = np.unique(arr[~ok][:64])[:8]
         raise ShapeError(f"{name} must contain only -1/+1, found values {bad}")

@@ -30,6 +30,9 @@ from repro.utils.mathops import l2_normalize
 from repro.utils.rng import as_generator, spawn
 from repro.vlp.concepts import HYPERNYMS, canonical
 
+#: Image rows of pixel noise :meth:`SemanticWorld.render` draws at a time.
+_NOISE_ROWS = 64
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -263,8 +266,14 @@ class SemanticWorld:
         self,
         latents: np.ndarray,
         rng: int | np.random.Generator | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Render latent vectors to NCHW images with pixel noise."""
+        """Render latent vectors to NCHW images with pixel noise.
+
+        ``out``, a C-contiguous float64 ``(n, channels, size, size)`` array,
+        receives the images in place and is returned; the bytes are the
+        same as without it.
+        """
         gen = as_generator(rng)
         latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
         if latents.shape[1] != self.config.latent_dim:
@@ -272,11 +281,26 @@ class SemanticWorld:
                 f"latents must have {self.config.latent_dim} dims, "
                 f"got {latents.shape[1]}"
             )
-        flat = latents @ self._render.T
-        flat = flat + gen.normal(size=flat.shape) * self.config.pixel_noise
         n = latents.shape[0]
         c, s = self.config.channels, self.config.image_size
-        return flat.reshape(n, c, s, s)
+        if out is None:
+            out = np.empty((n, c, s, s))
+        elif (out.shape != (n, c, s, s) or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ConfigurationError(
+                f"out must be a C-contiguous float64 array of shape "
+                f"{(n, c, s, s)}, got {out.dtype} {out.shape}"
+            )
+        flat = out.reshape(n, c * s * s)
+        np.matmul(latents, self._render.T, out=flat)
+        # The noise is the one temporary: drawn _NOISE_ROWS rows at a time,
+        # in stream order, it stays small and the draws are unchanged.
+        for start in range(0, n, _NOISE_ROWS):
+            block = flat[start : start + _NOISE_ROWS]
+            noise = gen.normal(size=block.shape)
+            noise *= self.config.pixel_noise
+            block += noise
+        return out
 
     # -- trainable-backbone equivalent ------------------------------------------
 

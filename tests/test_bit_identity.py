@@ -1,13 +1,16 @@
-"""Bit-identity of the branch-free training step and the one-sort evaluation.
+"""Bit-identity of the branch-free training step and the tiled evaluation.
 
 The ``_reference_*`` functions below are the earlier ``np.where`` selects,
-allocating BatchNorm, loss chains and float64 stable-argsort ranking,
-frozen as oracles.  Training with them patched in must leave a
-byte-identical ``state_dict`` and an equal ``TrainHistory``; evaluation must
-give equal MAP, P@N and PR arrays.  Do not "improve" the oracles.
+allocating BatchNorm, loss chains, float64 stable-argsort ranking and the
+untiled one-matrix ``evaluate_codes``, frozen as oracles.  Training with
+them patched in must leave a byte-identical ``state_dict`` and an equal
+``TrainHistory``; evaluation must give equal MAP, P@N and PR arrays.  Do
+not "improve" the oracles.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,17 +29,24 @@ from repro.core.losses import (
     _normalize_rows,
 )
 from repro.core.trainer import UHSCMTrainer
+from repro.errors import ShapeError
 from repro.nn.layers import BatchNorm1d, BatchNorm2d, ReLU
 from repro.nn.layers.norm import _BatchNorm
 from repro.retrieval import (
     evaluate_codes,
+    hamming,
     hamming_distance_matrix,
+    mean_average_precision,
     mean_average_precision_from_distances,
     pr_curve_hamming,
     precision_at_n,
     relevance_matrix,
 )
-from repro.retrieval.metrics import _average_precisions
+from repro.retrieval.metrics import (
+    _MIN_TILE_ROWS,
+    _TILE_PAIR_BYTES,
+    _average_precisions,
+)
 
 # -- reference layers ----------------------------------------------------------
 
@@ -239,6 +249,44 @@ def _reference_pr_arrays(query_codes, db_codes, relevance):
 def _reference_relevance(query_labels, db_labels):
     return (np.asarray(query_labels).astype(np.int64)
             @ np.asarray(db_labels).astype(np.int64).T) > 0
+
+
+def _reference_evaluate_codes(query_codes, db_codes, query_labels, db_labels,
+                              top_n, pn_points):
+    """The untiled evaluate_codes: one whole relevance matrix, one float64
+    Hamming matrix ranked once on uint8/uint16 keys for MAP and P@N, and
+    the same matrix counted for the PR curve.  Returns (MAP, P@N,
+    PR precision, PR recall)."""
+    relevance = _reference_relevance(query_labels, db_labels)
+    distances = hamming_distance_matrix(query_codes, db_codes)
+    keys = distances.astype(np.uint8 if distances.max() <= 255 else np.uint16)
+    n_db = db_codes.shape[0]
+    points = tuple(p for p in pn_points if p <= n_db)
+    if not points and pn_points:
+        points = (n_db,)
+    top_n = min(top_n, n_db)
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranked = np.take_along_axis(relevance, order[:, :max((top_n, *points))],
+                                axis=1)
+    rel = ranked[:, :top_n].astype(np.float64)
+    n_rel = rel.sum(axis=1)
+    cum_precision = np.cumsum(rel, axis=1)
+    cum_precision /= np.arange(1, rel.shape[1] + 1)
+    cum_precision *= rel
+    aps = np.zeros_like(n_rel)
+    np.divide(cum_precision.sum(axis=1), n_rel, out=aps, where=n_rel != 0)
+    cum = np.cumsum(ranked.astype(np.float64), axis=1)
+    pn = {n: float((cum[:, n - 1] / n).mean()) for n in points}
+    k = query_codes.shape[1]
+    counts = distances.astype(np.intp)
+    relevant_cum = np.cumsum(
+        np.bincount(counts[relevance], minlength=k + 1)).astype(np.float64)
+    all_cum = np.cumsum(
+        np.bincount(counts.ravel(), minlength=k + 1)).astype(np.float64)
+    precision = np.divide(relevant_cum, all_cum,
+                          out=np.zeros_like(relevant_cum), where=all_cum > 0)
+    recall = relevant_cum / float(np.count_nonzero(relevance))
+    return float(np.mean(aps)), pn, precision, recall
 
 
 # -- helpers -------------------------------------------------------------------
@@ -479,3 +527,93 @@ class TestEvaluationBitIdentity:
         precision, recall = _reference_pr_arrays(q, db, relevance)
         assert _same_bytes(curve.precision, precision)
         assert _same_bytes(curve.recall, recall)
+
+
+def _same_report(report, expected) -> bool:
+    map_, pn, precision, recall = expected
+    return (report.map == map_ and report.precision_at_n == pn
+            and _same_bytes(report.pr_curve.precision, precision)
+            and _same_bytes(report.pr_curve.recall, recall))
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Shrink the tile budget to nothing: every evaluation tile is the
+    16-row floor, and the distance kernel runs one row at a time."""
+    monkeypatch.setattr(hamming, "TILE_BYTES", 1)
+    return _MIN_TILE_ROWS
+
+
+class TestEvaluationTiles:
+    POINTS = (100, 300, 1000, 2500)
+
+    @pytest.mark.parametrize("tiny_budget", [False, True])
+    @pytest.mark.parametrize("bits", [16, 24, 32, 48, 64, 128])
+    def test_report_matches_untiled_oracle(self, monkeypatch, bits,
+                                           tiny_budget):
+        # Multi-hot labels (a cluster plus a shared extra label) and heavy
+        # ties; the tiny budget splits the 40 queries into 16, 16 and 8.
+        if tiny_budget:
+            monkeypatch.setattr(hamming, "TILE_BYTES", 1)
+        q, db, lq, ldb = _tie_heavy(40, 3000, bits, seed=bits)
+        expected = _reference_evaluate_codes(q, db, lq, ldb, 2000,
+                                             self.POINTS)
+        report = evaluate_codes(q, db, lq, ldb, top_n=2000,
+                                pn_points=self.POINTS)
+        assert _same_report(report, expected)
+        relevance = relevance_matrix(lq, ldb)
+        assert mean_average_precision(q, db, relevance, 2000) == expected[0]
+        curve = pr_curve_hamming(q, db, relevance)
+        assert _same_bytes(curve.precision, expected[2])
+        assert _same_bytes(curve.recall, expected[3])
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1, 17])
+    def test_query_counts_around_one_tile(self, small_tiles, offset):
+        n_query = 1 if offset is None else small_tiles + offset
+        q, db, lq, ldb = _tie_heavy(n_query, 700, 32, seed=n_query)
+        expected = _reference_evaluate_codes(q, db, lq, ldb, 500, (10, 600))
+        assert _same_report(
+            evaluate_codes(q, db, lq, ldb, top_n=500, pn_points=(10, 600)),
+            expected)
+
+    def test_database_smaller_than_top_n_and_every_point(self, small_tiles):
+        # MAP cut at the database size, every P@N point clamped to it.
+        q, db, lq, ldb = _tie_heavy(20, 50, 64, seed=3)
+        expected = _reference_evaluate_codes(q, db, lq, ldb, 5000, (300, 100))
+        report = evaluate_codes(q, db, lq, ldb, top_n=5000,
+                                pn_points=(300, 100))
+        assert set(report.precision_at_n) == {50}
+        assert _same_report(report, expected)
+
+    def test_mismatched_or_relevance_free_inputs_raise(self, small_tiles):
+        q, db, lq, ldb = _tie_heavy(20, 60, 16, seed=4)
+        with pytest.raises(ShapeError):  # query label rows
+            evaluate_codes(q, db, lq[:-1], ldb)
+        with pytest.raises(ShapeError):  # database label rows
+            evaluate_codes(q, db, lq, ldb[1:])
+        with pytest.raises(ShapeError):  # label widths
+            evaluate_codes(q, db, lq[:, 1:], ldb)
+        with pytest.raises(ShapeError):  # no relevant pair in any tile
+            evaluate_codes(q, db, np.zeros_like(lq), ldb)
+        with pytest.raises(ShapeError):  # relevance rows
+            mean_average_precision(q, db, relevance_matrix(lq, ldb)[1:])
+        with pytest.raises(ShapeError):
+            pr_curve_hamming(q, db, np.zeros((20, 60), bool))
+
+    def test_heap_peak_is_one_tile_of_the_database(self):
+        # The untiled path peaked at 52 and 103 MiB here: 11-13 bytes per
+        # (query, database) pair.
+        q, db, lq, ldb = _tie_heavy(400, 20_000, 16, seed=9)
+        tile = (hamming.query_tile_rows(len(db), _TILE_PAIR_BYTES)
+                * len(db) * _TILE_PAIR_BYTES)
+        peaks = []
+        for n_query in (200, 400):
+            queries, labels = q[:n_query].copy(), lq[:n_query].copy()
+            tracemalloc.start()
+            try:
+                evaluate_codes(queries, db, labels, ldb)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 2 * tile, (peaks, tile)
+        assert peaks[1] - peaks[0] <= 256 * 1024, peaks

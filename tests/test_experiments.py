@@ -20,6 +20,11 @@ from repro.experiments.reporting import (
     SweepResult,
     TimingTable,
 )
+from repro.retrieval import (
+    hamming_distance_matrix,
+    precision_at_n,
+    relevance_matrix,
+)
 
 TINY = dict(scale=0.008, epochs=4, seed=0)
 
@@ -84,6 +89,51 @@ class TestFigures:
         x = curve.x_values["LSH"]
         assert x.size == 17  # radius 0..16
         assert np.all(np.diff(x) >= 0)  # recall monotone
+
+    def test_figure_panels_equal_the_full_matrix_computation(
+        self, monkeypatch
+    ):
+        # Figures 2 and 3 read P@N and the PR curve from the tiled
+        # evaluation; each panel must equal the bytes of the old
+        # computation over one whole relevance and float Hamming matrix.
+        from repro.experiments import figure2, figure3
+
+        ctx = ExperimentContext("cifar10", **TINY)
+        for module in (figure2, figure3):
+            monkeypatch.setattr(module, "make_contexts",
+                                lambda *args, **kwargs: {"cifar10": ctx})
+        methods = ("LSH", "ITQ")
+        pn_panel = run_figure2(bit_lengths=(16,), datasets=("cifar10",),
+                               methods=methods, **TINY)[("cifar10", 16)]
+        pr_panel = run_figure3(bit_lengths=(16,), datasets=("cifar10",),
+                               methods=methods, **TINY)[("cifar10", 16)]
+
+        relevance = relevance_matrix(ctx.dataset.query_labels,
+                                     ctx.dataset.database_labels)
+        points = tuple(dict.fromkeys(
+            min(p, ctx.dataset.n_database) for p in figure2.FIGURE2_POINTS))
+        assert points[-1] == ctx.dataset.n_database  # the clamp is covered
+        for method in methods:
+            fit = ctx.fit(method, 16)
+            distances = hamming_distance_matrix(fit.query_codes,
+                                                fit.database_codes)
+            pn = precision_at_n(distances, relevance, points)
+            assert pn_panel.x_values[method].tobytes() == np.asarray(
+                list(pn), dtype=np.float64).tobytes()
+            assert pn_panel.y_values[method].tobytes() == np.asarray(
+                list(pn.values())).tobytes()
+
+            counts = distances.astype(np.intp)
+            relevant_cum = np.cumsum(np.bincount(
+                counts[relevance], minlength=17)).astype(np.float64)
+            all_cum = np.cumsum(np.bincount(
+                counts.ravel(), minlength=17)).astype(np.float64)
+            precision = np.divide(relevant_cum, all_cum,
+                                  out=np.zeros_like(relevant_cum),
+                                  where=all_cum > 0)
+            recall = relevant_cum / float(np.count_nonzero(relevance))
+            assert pr_panel.x_values[method].tobytes() == recall.tobytes()
+            assert pr_panel.y_values[method].tobytes() == precision.tobytes()
 
     def test_figure4_sweep(self):
         panels = run_figure4(n_bits=16, datasets=("cifar10",),

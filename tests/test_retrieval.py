@@ -11,6 +11,7 @@ from repro.retrieval import (
     PRCurve,
     average_precision,
     evaluate_codes,
+    hamming,
     hamming_distance_matrix,
     mean_average_precision,
     mean_average_precision_from_distances,
@@ -68,6 +69,22 @@ class TestHammingDistances:
         blas = hamming_distance_matrix(codes, codes)
         packed = packed_hamming_distance(pack_codes(codes), pack_codes(codes))
         np.testing.assert_array_equal(blas, packed.astype(float))
+
+    @pytest.mark.parametrize("one_row_tiles", [False, True])
+    def test_packed_matches_blas_at_every_row_width(self, monkeypatch,
+                                                    one_row_tiles):
+        # 1-17 bytes per row: every word view (uint8, uint16, uint32,
+        # uint64, several words) and widths with padding bits.
+        if one_row_tiles:
+            monkeypatch.setattr(hamming, "TILE_BYTES", 1)
+        for n_bytes in range(1, 18):
+            for bits in {8 * n_bytes, 8 * n_bytes - 3}:
+                a = random_codes(5, bits, seed=bits)
+                b = random_codes(33, bits, seed=bits + 1)
+                packed = packed_hamming_distance(pack_codes(a), pack_codes(b))
+                assert packed.dtype == np.uint16
+                np.testing.assert_array_equal(
+                    packed, hamming_distance_matrix(a, b), err_msg=str(bits))
 
     @given(codes_strategy)
     @settings(max_examples=40, deadline=None)

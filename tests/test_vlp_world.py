@@ -90,6 +90,28 @@ class TestImagePipeline:
         c, s = world.config.channels, world.config.image_size
         assert img.shape == (1, c, s, s)
 
+    def test_render_into_out_matches_one_noise_draw(self, world, rng):
+        # 150 rows: several noise blocks and a partial last one.  Each way
+        # must give the bytes of one whole-matrix noise draw.
+        latents = rng.normal(size=(150, world.config.latent_dim))
+        c, s = world.config.channels, world.config.image_size
+        flat = latents @ world._render.T
+        expected = flat + (np.random.default_rng(7).normal(size=flat.shape)
+                           * world.config.pixel_noise)
+        images = np.empty((151, c, s, s))
+        result = world.render(latents, rng=7, out=images[1:])
+        assert result.base is images
+        assert images[1:].tobytes() == expected.tobytes()
+        assert world.render(latents, rng=7).tobytes() == expected.tobytes()
+
+    def test_render_rejects_unfit_out(self, world, rng):
+        latents = rng.normal(size=(4, world.config.latent_dim))
+        c, s = world.config.channels, world.config.image_size
+        for out in (np.empty((3, c, s, s)), np.empty((4, c, s, s), np.float32),
+                    np.empty((4, c, s, 2 * s))[..., ::2]):
+            with pytest.raises(ConfigurationError):
+                world.render(latents, out=out)
+
     def test_encode_rejects_bad_shape(self, world, rng):
         with pytest.raises(ConfigurationError):
             world.encode_pixels(rng.normal(size=(1, 3, 4, 4)))
