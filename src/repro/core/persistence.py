@@ -10,13 +10,13 @@ client of the same machinery that backs the artifact cache.
 
 Format history:
 
-- **v1** saved only the config + feature-mode parameters: a conv-mode model
-  silently reloaded as a feature-mode network fed mismatched parameters,
-  and ``contrastive`` / ``conv_profile`` / the mined-vs-injected Q
-  distinction were lost on round trip.
-- **v2** records ``network_mode``, ``conv_profile``, ``image_size``,
-  ``contrastive``, and ``concepts_mined``, and reconstructs conv networks
-  faithfully.
+- **v1** saved only the config + network parameters: ``contrastive`` and
+  the mined-vs-injected Q distinction were lost on round trip.
+- **v2** records ``contrastive`` and ``concepts_mined``.  Until the
+  end-to-end conv network mode was removed, it also recorded
+  ``network_mode``, ``conv_profile`` and ``image_size``.  An archive that
+  carries them loads when ``network_mode`` is ``"feature"`` (the other two
+  keys are ignored) and raises :class:`ConfigurationError` otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import TrainConfig, UHSCMConfig
-from repro.core.hashing_network import HashingNetwork
 from repro.core.uhscm import UHSCM
 from repro.errors import ConfigurationError, NotFittedError
 from repro.pipeline import read_archive, write_archive
@@ -57,9 +56,6 @@ def model_payload(model: UHSCM) -> tuple[dict, dict[str, np.ndarray]]:
             list(model.similarity_.concepts) if model.similarity_.mined
             else None
         ),
-        "network_mode": model.network_mode,
-        "conv_profile": model.conv_profile,
-        "image_size": model.network.image_size,
         "contrastive": model.contrastive,
         "world_seed": model.clip.world.config.seed,
     }
@@ -86,8 +82,14 @@ def restore_uhscm(
     if version != _FORMAT_VERSION:
         raise ConfigurationError(
             f"unsupported model format {version!r}: this build reads format "
-            f"{_FORMAT_VERSION}; format-1 archives predate the conv-mode and "
-            f"contrastive metadata and must be re-trained and re-saved"
+            f"{_FORMAT_VERSION}; format-1 archives predate the contrastive "
+            f"and concepts_mined metadata and must be re-trained and re-saved"
+        )
+    network_mode = meta.get("network_mode", "feature")
+    if network_mode != "feature":
+        raise ConfigurationError(
+            f"cannot load a {network_mode!r}-mode model: the conv network "
+            f"mode was removed; re-train the model in feature mode"
         )
     if meta["world_seed"] != clip.world.config.seed:
         raise ConfigurationError(
@@ -107,35 +109,15 @@ def restore_uhscm(
         config,
         clip=clip,
         concepts=tuple(meta["concepts"]),
-        network_mode=meta["network_mode"],
-        conv_profile=meta["conv_profile"],
         contrastive=meta["contrastive"],
     )
 
     # Rebuild the network shell exactly as it was constructed at fit time,
     # then load the trained parameters into it.
-    if meta["network_mode"] == "conv":
-        model.network = HashingNetwork(
-            config.n_bits,
-            mode="conv",
-            image_size=meta["image_size"],
-            conv_profile=meta["conv_profile"],
-            rng=config.seed,
-        )
-    else:
-        feature_dim = clip.world.backbone_features(
-            np.zeros(
-                (1, clip.world.config.channels, clip.world.config.image_size,
-                 clip.world.config.image_size)
-            )
-        ).shape[1]
-        model.network = HashingNetwork(
-            config.n_bits,
-            mode="feature",
-            feature_extractor=clip.world.backbone_features,
-            feature_dim=feature_dim,
-            rng=config.seed,
-        )
+    world = clip.world.config
+    model.network = model._build_network(
+        np.zeros((1, world.channels, world.image_size, world.image_size))
+    )
     if config.train.dtype != "float64":
         # A fitted network lives in the training dtype (the trainer casts it
         # at construction); reload into the same dtype for identical codes.

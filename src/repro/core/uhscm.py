@@ -63,9 +63,6 @@ class UHSCM:
         Override for the Q-construction strategy (used by the Table 2
         ablation variants); defaults to the full §3.3 pipeline honouring
         ``config.denoise`` and ``config.prompt_template``.
-    network_mode / conv_profile:
-        ``feature`` (default; MLP head over frozen pretrained features) or
-        ``conv`` (end-to-end VGG-style training on raw images).
     """
 
     def __init__(
@@ -74,8 +71,6 @@ class UHSCM:
         clip: SimCLIP | None = None,
         concepts: tuple[str, ...] = NUS_WIDE_81,
         similarity_generator=None,
-        network_mode: str = "feature",
-        conv_profile: str = "tiny",
         contrastive: str = "mcl",
         store: ArtifactStore | None = None,
     ) -> None:
@@ -91,8 +86,6 @@ class UHSCM:
                 denoise=self.config.denoise,
             )
         )
-        self.network_mode = network_mode
-        self.conv_profile = conv_profile
         self.contrastive = contrastive
         self.store = store
         self.network: HashingNetwork | None = None
@@ -102,24 +95,14 @@ class UHSCM:
     # -- construction helpers -------------------------------------------------
 
     def _build_network(self, images: np.ndarray) -> HashingNetwork:
-        if self.network_mode == "feature":
-            # The paper fine-tunes the whole VGG19; the equivalent here is a
-            # head over the lossless trainable-backbone features (see
-            # SemanticWorld.backbone_features).
-            extractor = self.clip.world.backbone_features
-            feature_dim = extractor(images[:1]).shape[1]
-            return HashingNetwork(
-                self.config.n_bits,
-                mode="feature",
-                feature_extractor=extractor,
-                feature_dim=feature_dim,
-                rng=self.config.seed,
-            )
+        # The paper fine-tunes the whole VGG19; the equivalent here is a
+        # head over the lossless trainable-backbone features (see
+        # SemanticWorld.backbone_features).
+        extractor = self.clip.world.backbone_features
         return HashingNetwork(
             self.config.n_bits,
-            mode="conv",
-            image_size=images.shape[-1],
-            conv_profile=self.conv_profile,
+            feature_extractor=extractor,
+            feature_dim=extractor(images[:1]).shape[1],
             rng=self.config.seed,
         )
 
@@ -191,8 +174,6 @@ class UHSCM:
             "world": canonical(self.clip.world.config),
             "config": canonical(self.config),
             "contrastive": self.contrastive,
-            "network_mode": self.network_mode,
-            "conv_profile": self.conv_profile,
             "epochs": epochs,
         }
         if q_fingerprint is None:

@@ -1,47 +1,29 @@
 """A from-scratch numpy neural-network framework (the PyTorch substitute).
 
-Provides a layer-wise backprop module system, VGG-style backbones, SGD /
-Adam optimizers, and standard losses — everything the paper's training loop
-(and the deep baselines) need.
+Provides a layer-wise backprop module system, the MLP hash head over
+pretrained-backbone features, the SGD optimizer, and the losses of the
+BGAN baseline — everything the paper's training loop (and the deep
+baselines) need.
 """
 
 from repro.nn import init
 from repro.nn.layers import (
     BatchNorm1d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    LeakyReLU,
     Linear,
-    MaxPool2d,
     ReLU,
     Sequential,
     Sigmoid,
     Tanh,
 )
-from repro.nn.losses import (
-    binary_cross_entropy_with_logits,
-    mse_loss,
-    softmax_cross_entropy,
-)
+from repro.nn.losses import binary_cross_entropy_with_logits, mse_loss
 from repro.nn.module import Module
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import SGD, Optimizer
 from repro.nn.parameter import Parameter
-from repro.nn.vgg import VGG_CONFIGS, VGGHashNet, build_conv_stem, build_feature_hash_net
+from repro.nn.vgg import build_feature_hash_net
 
 __all__ = [
-    "Adam",
     "BatchNorm1d",
-    "BatchNorm2d",
-    "Conv2d",
-    "Dropout",
-    "Flatten",
-    "GlobalAvgPool2d",
-    "LeakyReLU",
     "Linear",
-    "MaxPool2d",
     "Module",
     "Optimizer",
     "Parameter",
@@ -50,12 +32,8 @@ __all__ = [
     "Sequential",
     "Sigmoid",
     "Tanh",
-    "VGGHashNet",
-    "VGG_CONFIGS",
     "binary_cross_entropy_with_logits",
-    "build_conv_stem",
     "build_feature_hash_net",
     "init",
     "mse_loss",
-    "softmax_cross_entropy",
 ]

@@ -1,8 +1,8 @@
 """Weight initialization schemes.
 
 The paper initializes the hashing head with Xavier initialization [Glorot &
-Bengio 2010]; the conv stem uses Kaiming initialization which suits ReLU
-stacks.
+Bengio 2010]; the hidden layers before a ReLU use Kaiming initialization
+[He et al. 2015].
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from repro.utils.rng import as_generator
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
     if len(shape) == 2:  # linear: (in, out)
         return shape[0], shape[1]
-    if len(shape) == 4:  # conv: (out_ch, in_ch, kh, kw)
-        receptive = shape[2] * shape[3]
-        return shape[1] * receptive, shape[0] * receptive
     raise ValueError(f"cannot infer fan for shape {shape}")
 
 
@@ -29,16 +26,6 @@ def xavier_uniform(
     fan_in, fan_out = _fan_in_out(shape)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return gen.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(
-    shape: tuple[int, ...], rng: int | np.random.Generator | None = None
-) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, 2 / (fan_in + fan_out))."""
-    gen = as_generator(rng)
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return gen.normal(0.0, std, size=shape)
 
 
 def kaiming_normal(

@@ -1,24 +1,13 @@
 """Neural-network layers."""
 
-from repro.nn.layers.activations import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers.container import Sequential
-from repro.nn.layers.conv import Conv2d
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.layers.pooling import GlobalAvgPool2d, MaxPool2d
-from repro.nn.layers.reshape import Flatten
+from repro.nn.layers.norm import BatchNorm1d
 
 __all__ = [
     "BatchNorm1d",
-    "BatchNorm2d",
-    "Conv2d",
-    "Dropout",
-    "Flatten",
-    "GlobalAvgPool2d",
-    "LeakyReLU",
     "Linear",
-    "MaxPool2d",
     "ReLU",
     "Sequential",
     "Sigmoid",

@@ -42,30 +42,6 @@ class ReLU(Module):
         return grad
 
 
-class LeakyReLU(Module):
-    """x if x > 0 else slope * x."""
-
-    _CACHE_ATTRS = ("_mask",)
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        if negative_slope < 0:
-            raise ValueError(f"negative_slope must be >= 0: {negative_slope}")
-        self.negative_slope = negative_slope
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        grad = np.asarray(grad_output, dtype=self.dtype)
-        return np.where(self._mask, grad, self.negative_slope * grad)
-
-
 class Tanh(Module):
     """Hyperbolic tangent — the paper's hash-head activation (sign surrogate)."""
 

@@ -15,14 +15,6 @@ class Sequential(Module):
         for m in modules:
             self.register_child(m)
 
-    @property
-    def layers(self) -> list[Module]:
-        return list(self._children)
-
-    def append(self, module: Module) -> "Sequential":
-        self.register_child(module)
-        return self
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         for m in self._children:
             x = m(x)

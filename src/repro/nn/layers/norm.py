@@ -1,4 +1,4 @@
-"""Batch normalization layers."""
+"""Batch normalization."""
 
 from __future__ import annotations
 
@@ -11,11 +11,12 @@ from repro.nn.parameter import Parameter
 
 
 class _BatchNorm(Module):
-    """Shared implementation of 1-D and 2-D batch norm.
+    """Batch-norm arithmetic over ``_reduce_axes``, broadcast per feature
+    through ``_shape_for_broadcast``.
 
-    Normalizes over all axes except the channel axis, tracks running
-    statistics for eval mode, and learns per-channel scale (γ) / shift (β).
-    Scale/shift are exempt from weight decay.
+    Normalizes over the batch axis, tracks running statistics for eval
+    mode, and learns per-feature scale (γ) / shift (β).  Scale/shift are
+    exempt from weight decay.  :class:`BatchNorm1d` adds the input check.
     """
 
     _CACHE_ATTRS = ("_cache",)
@@ -119,28 +120,8 @@ class _BatchNorm(Module):
 class BatchNorm1d(_BatchNorm):
     """Batch norm over (n, features) activations."""
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__(num_features, momentum, eps)
-        self._reduce_axes = (0,)
-        self._shape_for_broadcast = (1, num_features)
-
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise ShapeError(
                 f"BatchNorm1d expected (n, {self.num_features}), got {x.shape}"
-            )
-
-
-class BatchNorm2d(_BatchNorm):
-    """Batch norm over (n, c, h, w) activations, per channel."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__(num_features, momentum, eps)
-        self._reduce_axes = (0, 2, 3)
-        self._shape_for_broadcast = (1, num_features, 1, 1)
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm2d expected (n, {self.num_features}, h, w), got {x.shape}"
             )

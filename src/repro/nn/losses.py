@@ -2,8 +2,8 @@
 
 Each loss returns ``(value, grad_wrt_input)`` so training loops can feed the
 gradient straight into ``model.backward``.  The UHSCM-specific hashing losses
-(Eq. 7–11) live in :mod:`repro.core.losses`; these are the building blocks
-used by baselines and for pre-training the simulated backbones.
+(Eq. 7–11) live in :mod:`repro.core.losses`; these two train the BGAN-style
+baseline's discriminator and decoder.
 """
 
 from __future__ import annotations
@@ -23,25 +23,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     value = float(np.mean(diff**2))
     grad = 2.0 * diff / diff.size
     return value, grad
-
-
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Cross entropy with integer class labels; numerically stable."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got {logits.shape}")
-    n = logits.shape[0]
-    if labels.shape != (n,):
-        raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = float(-log_probs[np.arange(n), labels].mean())
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
-    return value, grad / n
 
 
 def binary_cross_entropy_with_logits(

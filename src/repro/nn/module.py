@@ -27,8 +27,8 @@ class Module:
 
     #: Whether ``backward`` must return the gradient w.r.t. the input.  A
     #: network's owner clears it on the first layer when nothing reads the
-    #: gradient w.r.t. the network input; :class:`Linear` and
-    #: :class:`Conv2d` then skip that product and return ``None``.
+    #: gradient w.r.t. the network input; :class:`Linear` then skips that
+    #: product and returns ``None``.
     needs_input_grad: bool = True
 
     def __init__(self) -> None:

@@ -1,9 +1,8 @@
 """Gradient-based optimizers.
 
 The paper trains with mini-batch SGD, momentum 0.9, fixed learning rate 0.006
-and weight decay 1e-5 (§4.1); :class:`SGD` implements exactly that update.
-:class:`Adam` is provided for the baseline methods that conventionally use it
-(e.g. the CIB-style contrastive baseline).
+and weight decay 1e-5 (§4.1); :class:`SGD` implements exactly that update,
+and trains the deep baselines too.
 """
 
 from __future__ import annotations
@@ -75,42 +74,3 @@ class SGD(Optimizer):
             np.multiply(v, lr, out=s)
             p.data -= s
 
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        learning_rate: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, learning_rate)
-        beta1, beta2 = betas
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError(f"betas must be in [0, 1): {betas}")
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        beta1, beta2 = self.betas
-        bias1 = 1.0 - beta1**self._t
-        bias2 = 1.0 - beta2**self._t
-        for p, m, v in zip(self.parameters, self._m, self._v):
-            grad = p.grad
-            if self.weight_decay > 0 and p.weight_decay_enabled:
-                grad = grad + self.weight_decay * p.data
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -30,7 +30,7 @@ from repro.core.losses import (
 )
 from repro.core.trainer import UHSCMTrainer
 from repro.errors import ShapeError
-from repro.nn.layers import BatchNorm1d, BatchNorm2d, ReLU
+from repro.nn.layers import BatchNorm1d, ReLU
 from repro.nn.layers.norm import _BatchNorm
 from repro.retrieval import (
     evaluate_codes,
@@ -375,7 +375,7 @@ def _batchnorm_run(shape, dtype):
     rng = np.random.default_rng(5)
     x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
     grad = rng.normal(size=shape).astype(dtype)
-    layer = (BatchNorm1d if len(shape) == 2 else BatchNorm2d)(shape[1])
+    layer = BatchNorm1d(shape[1])
     layer.to(dtype)
     layer.gamma.data[...] = rng.normal(size=shape[1])
     layer.beta.data[...] = rng.normal(size=shape[1])
@@ -388,7 +388,7 @@ def _batchnorm_run(shape, dtype):
 
 class TestBatchNormBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", [(64, 12), (8, 5, 3, 4)])
+    @pytest.mark.parametrize("shape", [(64, 12)])
     def test_forward_backward_match_reference(self, monkeypatch, shape, dtype):
         results = _batchnorm_run(shape, dtype)
         with monkeypatch.context() as patch:

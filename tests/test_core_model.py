@@ -36,26 +36,14 @@ class TestHashingNetwork:
         assert codes.shape == (10, 8)
         assert set(np.unique(codes)) <= {-1.0, 1.0}
 
-    def test_conv_mode(self, cifar_tiny):
-        net = HashingNetwork(8, mode="conv",
-                             image_size=cifar_tiny.train_images.shape[-1])
-        codes = net.encode(cifar_tiny.train_images[:4])
-        assert codes.shape == (4, 8)
-
-    @pytest.mark.parametrize("mode", ["feature", "conv"])
-    def test_backward_skips_the_input_gradient(self, world, cifar_tiny, mode):
+    def test_backward_skips_the_input_gradient(self, world, cifar_tiny):
         """Training reads only parameter gradients: the first layer forms no
         input gradient, and every parameter gradient keeps the bytes of a
         backward that does."""
-        if mode == "feature":
-            kwargs = dict(feature_extractor=world.backbone_features,
-                          feature_dim=world.config.latent_dim)
-        else:
-            kwargs = dict(image_size=cifar_tiny.train_images.shape[-1])
-        net, full = (HashingNetwork(8, mode=mode, rng=3, **kwargs)
+        net, full = (HashingNetwork(8, feature_extractor=world.backbone_features,
+                                    feature_dim=world.config.latent_dim, rng=3)
                      for _ in range(2))
-        first = full.net[0] if mode == "feature" else full.net.stem[0]
-        first.needs_input_grad = True
+        full.net[0].needs_input_grad = True
         x = cifar_tiny.train_images[:6]
         grad = np.random.default_rng(0).normal(size=(6, 8))
         inputs = net.prepare_inputs(x)
@@ -71,13 +59,18 @@ class TestHashingNetwork:
             HashingNetwork(8, mode="feature")  # missing extractor
         with pytest.raises(ConfigurationError):
             HashingNetwork(8, mode="magic")
+        with pytest.raises(ConfigurationError, match="conv .*removed"):
+            HashingNetwork(8, mode="conv",
+                           feature_extractor=world.backbone_features,
+                           feature_dim=world.config.latent_dim)
         with pytest.raises(ConfigurationError):
-            HashingNetwork(0, mode="conv")
+            HashingNetwork(0, feature_extractor=world.backbone_features,
+                           feature_dim=world.config.latent_dim)
 
-    def test_encode_peak_stays_under_two_and_a_half_code_matrices(self):
-        # Encoding needs the relaxed codes, their signs and one batch's
-        # activations, about 2.2x the codes here; one more code-sized copy
-        # (a list of batch outputs, a recast of the signs) makes it 3x.
+    def test_encode_peak_stays_under_one_and_a_half_code_matrices(self):
+        # Encoding needs the codes and one batch's activations and signs,
+        # about 1.2x the codes here; one more code-sized copy (the relaxed
+        # codes beside their signs, a list of batch outputs) makes it 2x.
         net = HashingNetwork(64, mode="feature", feature_extractor=lambda x: x,
                              feature_dim=32, hidden_dims=(32,))
         x = np.random.default_rng(0).normal(size=(20000, 32))
@@ -87,7 +80,7 @@ class TestHashingNetwork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * codes.nbytes
+        assert peak < 1.5 * codes.nbytes
         assert codes.dtype == np.float64
         np.testing.assert_array_equal(
             codes, np.where(net.relaxed_codes(x) > 0, 1.0, -1.0))

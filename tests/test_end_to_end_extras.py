@@ -1,5 +1,5 @@
-"""Additional cross-module behaviours: conv-mode training, evaluate_hashing
-wrapper, instance-diversity effects, and CLI table commands."""
+"""Additional cross-module behaviours: the evaluate_hashing wrapper,
+instance-diversity effects, and CLI table commands."""
 
 import numpy as np
 import pytest
@@ -11,19 +11,6 @@ from repro.datasets import SplitSizes, dataset_spec, generate_dataset
 from repro.datasets.synthetic import DatasetSpec
 from repro.retrieval import evaluate_hashing
 from repro.vlp import SemanticWorld, WorldConfig
-
-
-class TestConvModeEndToEnd:
-    def test_uhscm_trains_a_real_cnn(self, clip, cifar_tiny):
-        """The conv path exercises Conv2d/MaxPool backprop end to end."""
-        config = UHSCMConfig(n_bits=8, train=TrainConfig(epochs=2,
-                                                         batch_size=40))
-        model = UHSCM(config, clip=clip, network_mode="conv",
-                      conv_profile="tiny")
-        model.fit(cifar_tiny.train_images)
-        codes = model.encode(cifar_tiny.query_images[:6])
-        assert codes.shape == (6, 8)
-        assert model.history_.total[-1] <= model.history_.total[0] + 0.05
 
 
 class TestEvaluateHashingWrapper:

@@ -50,23 +50,64 @@ class TestPersistence:
         with pytest.raises(ConfigurationError):
             load_uhscm(tmp_path / "missing.npz", clip)
 
-    def test_conv_mode_roundtrip(self, clip, cifar_tiny, tmp_path):
-        """A conv-mode model must reload as a conv network (v1 silently
-        rebuilt it as a feature-mode net and fed it mismatched params)."""
-        config = UHSCMConfig(n_bits=8, train=TrainConfig(epochs=2), seed=0)
-        model = UHSCM(config, clip=clip, network_mode="conv",
-                      conv_profile="tiny")
-        model.fit(cifar_tiny.train_images[:40])
-        path = tmp_path / "conv.npz"
-        save_uhscm(model, path)
-        loaded = load_uhscm(path, clip)
-        assert loaded.network_mode == "conv"
-        assert loaded.conv_profile == "tiny"
-        assert loaded.network.mode == "conv"
-        np.testing.assert_array_equal(
-            model.encode(cifar_tiny.query_images),
-            loaded.encode(cifar_tiny.query_images),
-        )
+    @staticmethod
+    def _write_as_before_the_removal(monkeypatch, **keys):
+        """Make save_uhscm and publish_model write the meta they wrote while
+        the conv network mode existed: ``keys`` are its network_mode,
+        conv_profile and image_size."""
+        from repro.core import persistence
+
+        payload = persistence.model_payload
+
+        def old_payload(model):
+            meta, arrays = payload(model)
+            assert "network_mode" not in meta
+            return {**meta, **keys}, arrays
+
+        monkeypatch.setattr(persistence, "model_payload", old_payload)
+
+    def test_conv_mode_archive_names_the_removal(self, fitted_model, clip,
+                                                 tmp_path, monkeypatch):
+        from repro.pipeline import ArtifactStore
+        from repro.serving import load_model, publish_model
+
+        path, store = tmp_path / "conv.npz", ArtifactStore(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            self._write_as_before_the_removal(
+                patch, network_mode="conv", conv_profile="tiny", image_size=16)
+            save_uhscm(fitted_model, path)
+            key = publish_model(store, fitted_model)
+        with pytest.raises(ConfigurationError,
+                           match="conv network mode was removed"):
+            load_uhscm(path, clip)
+        with pytest.raises(ConfigurationError,
+                           match="conv network mode was removed"):
+            load_model(key, clip, store=store)
+
+    def test_feature_archive_with_network_mode_keys_loads(
+        self, fitted_model, clip, cifar_tiny, tmp_path, monkeypatch
+    ):
+        # A feature-mode archive also recorded conv_profile "tiny" and
+        # image_size None; loading ignores both, from a file and from the
+        # snapshot's old address alike.
+        from repro.pipeline import ArtifactStore
+        from repro.serving import load_model, publish_model
+
+        path = tmp_path / "feature.npz"
+        store = ArtifactStore(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            self._write_as_before_the_removal(
+                patch, network_mode="feature", conv_profile="tiny",
+                image_size=None)
+            save_uhscm(fitted_model, path)
+            old_key = publish_model(store, fitted_model)
+        assert publish_model(store, fitted_model) != old_key
+        expected = fitted_model.encode(cifar_tiny.query_images)
+        for loaded in (load_uhscm(path, clip),
+                       load_model(old_key, clip, store=store)):
+            assert loaded.encode(cifar_tiny.query_images).tobytes() == (
+                expected.tobytes())
+            assert loaded.config == fitted_model.config
 
     def test_contrastive_mode_roundtrips(self, clip, cifar_tiny, tmp_path):
         """A cib-trained model must not reload claiming the default mcl."""

@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nn import (
-    BatchNorm1d,
-    Conv2d,
-    Linear,
-    ReLU,
-    Sequential,
-    Tanh,
-)
-from repro.nn.functional import im2col
+from repro.nn import BatchNorm1d, Linear, Sequential, Tanh
 from repro.nn.optim import SGD
 from repro.nn.parameter import Parameter, resolve_dtype
 from repro.nn.vgg import build_feature_hash_net
@@ -137,73 +129,7 @@ class TestCaptureCache:
         for got, want in zip(self._grads(captured), self._grads(reforward)):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_conv_ring_survives_two_live_forwards(self):
-        """Conv2d's two-slot im2col ring must keep both captured forwards'
-        column buffers intact."""
-        rng = np.random.default_rng(1)
-        x1 = rng.normal(size=(2, 3, 8, 8))
-        x2 = rng.normal(size=(2, 3, 8, 8))
-
-        def fresh():
-            net = Sequential(Conv2d(3, 4, kernel_size=3, padding=1, rng=11),
-                             ReLU())
-            net.zero_grad()
-            return net
-
-        net = fresh()
-        g = np.ones_like(net(x1))
-        snapshot = net.capture_cache()
-        net(x2)
-        net.backward(g)
-        net.restore_cache(snapshot)
-        grad_x1 = net.backward(g)
-
-        ref = fresh()
-        ref(x1)
-        ref_grad_x1 = ref.backward(g)
-        np.testing.assert_allclose(grad_x1, ref_grad_x1, atol=1e-12)
-
     def test_restore_rejects_mismatched_snapshot(self):
         net = _mlp()
         with pytest.raises(ValueError):
             net.restore_cache([{}])
-
-    def test_conv_detects_third_overlapping_forward(self):
-        """A third live forward overwrites the oldest ring slot; backward
-        off the stale capture must raise, not corrupt gradients."""
-        rng = np.random.default_rng(2)
-        conv = Conv2d(2, 3, kernel_size=3, rng=5)
-        x = rng.normal(size=(1, 2, 5, 5))
-        conv(x)
-        stale = conv.capture_cache()
-        conv(x)
-        conv(x)  # reuses the first forward's buffer
-        conv.restore_cache(stale)
-        with pytest.raises(RuntimeError, match="overwritten"):
-            conv.backward(np.ones((1, 3, 3, 3)))
-
-
-class TestIm2colBufferReuse:
-    def test_out_buffer_is_reused(self):
-        x = np.random.default_rng(0).normal(size=(2, 3, 6, 6))
-        cols, oh, ow = im2col(x, kernel=3, stride=1, padding=1)
-        buf = np.empty_like(cols)
-        cols2, _, _ = im2col(x, kernel=3, stride=1, padding=1, out=buf)
-        assert cols2 is buf
-        np.testing.assert_array_equal(cols, cols2)
-
-    def test_mismatched_out_is_reallocated(self):
-        x = np.random.default_rng(0).normal(size=(2, 3, 6, 6))
-        bad = np.empty((1, 1))
-        cols, _, _ = im2col(x, kernel=3, stride=1, padding=1, out=bad)
-        assert cols is not bad
-
-    def test_dtype_change_resets_conv_ring(self):
-        conv = Conv2d(2, 3, kernel_size=3, rng=0)
-        x = np.random.default_rng(0).normal(size=(1, 2, 5, 5))
-        conv(x)
-        assert conv._col_ring[0] is not None
-        conv.to("float32")
-        assert conv._col_ring == [None, None]
-        out = conv(x)
-        assert out.dtype == np.float32

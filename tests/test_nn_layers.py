@@ -6,14 +6,7 @@ import pytest
 from repro.errors import ShapeError
 from repro.nn.layers import (
     BatchNorm1d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    LeakyReLU,
     Linear,
-    MaxPool2d,
     ReLU,
     Sequential,
     Sigmoid,
@@ -73,65 +66,8 @@ class TestLinear:
             Linear(3, 2, init_scheme="nope")
 
 
-class TestConv2d:
-    def test_forward_shape(self, rng):
-        layer = Conv2d(2, 4, kernel_size=3, padding=1, rng=0)
-        out = layer(rng.normal(size=(2, 2, 6, 6)))
-        assert out.shape == (2, 4, 6, 6)
-
-    def test_stride(self, rng):
-        layer = Conv2d(1, 1, kernel_size=2, stride=2, rng=0)
-        out = layer(rng.normal(size=(1, 1, 6, 6)))
-        assert out.shape == (1, 1, 3, 3)
-
-    def test_input_gradient(self, rng):
-        layer_input_grad_check(
-            Conv2d(2, 3, kernel_size=3, padding=1, rng=0),
-            rng.normal(size=(2, 2, 4, 4)),
-            atol=1e-5,
-        )
-
-    def test_param_gradient(self, rng):
-        layer_param_grad_check(
-            Conv2d(1, 2, kernel_size=2, rng=0),
-            rng.normal(size=(2, 1, 3, 3)),
-            atol=1e-5,
-        )
-
-    def test_matches_manual_convolution(self, rng):
-        layer = Conv2d(1, 1, kernel_size=2, bias=False, rng=0)
-        x = rng.normal(size=(1, 1, 3, 3))
-        out = layer(x)
-        w = layer.weight.data[0, 0]
-        expected = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                expected[i, j] = (x[0, 0, i : i + 2, j : j + 2] * w).sum()
-        np.testing.assert_allclose(out[0, 0], expected)
-
-
-class TestPooling:
-    def test_maxpool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = MaxPool2d(2)(x)
-        np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
-
-    def test_maxpool_gradient_routes_to_max(self, rng):
-        layer = MaxPool2d(2)
-        x = rng.normal(size=(2, 2, 4, 4))
-        layer_input_grad_check(layer, x, atol=1e-6)
-
-    def test_global_avg_pool(self, rng):
-        x = rng.normal(size=(3, 2, 4, 4))
-        out = GlobalAvgPool2d()(x)
-        np.testing.assert_allclose(out, x.mean(axis=(2, 3)))
-
-    def test_global_avg_pool_gradient(self, rng):
-        layer_input_grad_check(GlobalAvgPool2d(), rng.normal(size=(2, 2, 3, 3)))
-
-
 class TestActivations:
-    @pytest.mark.parametrize("cls", [ReLU, LeakyReLU, Tanh, Sigmoid])
+    @pytest.mark.parametrize("cls", [ReLU, Tanh, Sigmoid])
     def test_gradient(self, cls, rng):
         # Offset away from ReLU's kink at zero for clean finite differences.
         x = rng.normal(size=(3, 4)) + 0.05 * np.sign(rng.normal(size=(3, 4)))
@@ -148,11 +84,6 @@ class TestActivations:
     def test_sigmoid_stable_extremes(self):
         out = Sigmoid()(np.array([[-1e3, 1e3]]))
         np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
-
-    def test_leaky_slope(self):
-        out = LeakyReLU(0.1)(np.array([[-10.0]]))
-        np.testing.assert_allclose(out, [[-1.0]])
-
 
 class TestBatchNorm:
     def test_normalizes_in_training(self, rng):
@@ -185,33 +116,9 @@ class TestBatchNorm:
         num = numerical_gradient(scalar, x.copy())
         np.testing.assert_allclose(g, num, atol=1e-5)
 
-    def test_2d_shape(self, rng):
-        layer = BatchNorm2d(3)
-        out = layer(rng.normal(size=(2, 3, 4, 4)))
-        assert out.shape == (2, 3, 4, 4)
-
     def test_no_weight_decay_on_affine(self):
         layer = BatchNorm1d(2)
         assert all(not p.weight_decay_enabled for p in layer.parameters())
-
-
-class TestDropout:
-    def test_eval_is_identity(self, rng):
-        layer = Dropout(0.5, rng=0)
-        layer.train(False)
-        x = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(layer(x), x)
-
-    def test_training_zeroes_and_rescales(self):
-        layer = Dropout(0.5, rng=0)
-        x = np.ones((1000, 10))
-        out = layer(x)
-        assert (out == 0).any()
-        assert out.mean() == pytest.approx(1.0, abs=0.1)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestContainers:
@@ -219,14 +126,6 @@ class TestContainers:
         net = Sequential(Linear(4, 8, rng=0), ReLU(), Linear(8, 2, rng=1))
         x = rng.normal(size=(3, 4))
         layer_input_grad_check(net, x, atol=1e-5)
-
-    def test_flatten_roundtrip(self, rng):
-        f = Flatten()
-        x = rng.normal(size=(2, 3, 4, 4))
-        out = f(x)
-        assert out.shape == (2, 48)
-        back = f.backward(out)
-        assert back.shape == x.shape
 
     def test_indexing(self):
         net = Sequential(ReLU(), Tanh())
